@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .equilibria import TOL, Tolerances, char_poly_identities, refine_e3
+from .equilibria import TOL, Tolerances, refine_e3, stable_quadratic_roots
 from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
                      UnsupportedCase)
-from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
-                    ReducedSystem, field_at, hessian_form_at, jacobian_at)
+from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
+                    ParamPoint, ReducedSystem, field_at, hessian_form_at,
+                    jacobian_at)
 
 # curve kinds
 T1 = "T1"
@@ -91,41 +92,48 @@ class SotomayorReport:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _e3_xi(sys: ReducedSystem, mu: ParamPoint, tol: Tolerances) -> tuple[float, float]:
-    return refine_e3(sys, mu, tol=tol)
+# collision curves: the interior coordinate that vanishes on the curve, and
+# the classes the curve exists in
+_E3_COORD = {
+    T1: (1, (NONDEGENERATE, DELTA_ZERO)),
+    T2: (0, (NONDEGENERATE, THETA_ZERO)),
+    T3: (0, (DELTA_ZERO,)), T3_PLUS: (0, (DELTA_ZERO,)),
+    T4: (1, (THETA_ZERO,)), T4_PLUS: (1, (THETA_ZERO,)),
+}
+
+# kinds whose defining residual is another kind's, on the other half-line
+SHARED_RESIDUAL = {T3_PLUS: T3, T4_PLUS: T4, D_POS: D_NEG}
 
 
 def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
-    """The defining scalar residual of a curve kind, as a function of mu."""
+    """The defining scalar residual of a curve kind, as a function of mu.
+
+    The function is called as residual(mu, xi=None).  mu is a ParamPoint or
+    a ParamArray, which gives an array of residuals.  xi is the interior
+    equilibrium at mu when the caller has solved for it already; residuals
+    that do not need it ignore it.
+    """
     fam = sys.degeneracy
 
     if kind in (X_PLUS, X_MINUS):
-        return lambda mu: mu.mu2
+        return lambda mu, xi=None: mu.mu2
     if kind in (Y_PLUS, Y_MINUS):
-        return lambda mu: mu.mu1
+        return lambda mu, xi=None: mu.mu1
 
-    if kind == T1:
-        if fam not in (NONDEGENERATE, DELTA_ZERO):
+    if kind in _E3_COORD:
+        k, families = _E3_COORD[kind]
+        if fam not in families:
             raise NotApplicable(f"{kind} is not defined for class {fam}")
-        return lambda mu: _e3_xi(sys, mu, tol)[1]
-    if kind == T2:
-        if fam not in (NONDEGENERATE, THETA_ZERO):
-            raise NotApplicable(f"{kind} is not defined for class {fam}")
-        return lambda mu: _e3_xi(sys, mu, tol)[0]
-    if kind in (T3, T3_PLUS):
-        if fam != DELTA_ZERO:
-            raise NotApplicable(f"{kind} is not defined for class {fam}")
-        return lambda mu: _e3_xi(sys, mu, tol)[0]
-    if kind in (T4, T4_PLUS):
-        if fam != THETA_ZERO:
-            raise NotApplicable(f"{kind} is not defined for class {fam}")
-        return lambda mu: _e3_xi(sys, mu, tol)[1]
+
+        def e3_res(mu, xi=None):
+            return (refine_e3(sys, mu, tol=tol) if xi is None else xi)[k]
+        return e3_res
 
     if kind in (D_NEG, D_POS):
         if fam == DELTA_ZERO:
-            return lambda mu: discriminant_axis2(sys, mu)
+            return lambda mu, xi=None: discriminant_axis2(sys, mu)
         if fam == THETA_ZERO:
-            return lambda mu: discriminant_axis1(sys, mu)
+            return lambda mu, xi=None: discriminant_axis1(sys, mu)
         raise NotApplicable(f"{kind} is not defined for class {fam}")
 
     if kind == H:
@@ -137,10 +145,11 @@ def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
                 "the half-trace zero set is not a unique curve here "
                 "(theta*gamma = 1 or gamma = delta)")
 
-        def h_res(mu: ParamPoint) -> float:
-            xi = _e3_xi(sys, mu, tol)
-            chk = char_poly_identities(sys, mu, xi)
-            return chk.p_direct
+        def h_res(mu, xi=None):
+            if xi is None:
+                xi = refine_e3(sys, mu, tol=tol)
+            (j11, _), (_, j22) = jacobian_at(sys.at(mu), xi)
+            return 0.5 * (j11 + j22)
         return h_res
 
     raise NotApplicable(f"unknown curve kind {kind!r}")
@@ -148,16 +157,14 @@ def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
 
 def discriminant_axis2(sys: ReducedSystem, mu) -> float:
     """delta(mu)^2 - 4 mu2 P(mu): axis-pair discriminant on the xi2-axis."""
-    mu = ParamPoint.coerce(mu)
     c = sys.at(mu)
-    return c.delta * c.delta - 4.0 * mu.mu2 * c.P
+    return c.delta * c.delta - 4.0 * c.mu2 * c.P
 
 
 def discriminant_axis1(sys: ReducedSystem, mu) -> float:
     """theta(mu)^2 - 4 mu1 N(mu): axis-pair discriminant on the xi1-axis."""
-    mu = ParamPoint.coerce(mu)
     c = sys.at(mu)
-    return c.theta * c.theta - 4.0 * mu.mu1 * c.N
+    return c.theta * c.theta - 4.0 * c.mu1 * c.N
 
 
 # ---------------------------------------------------------------------------
@@ -237,34 +244,71 @@ def fitted_leading(sys: ReducedSystem, kind: str, mu: ParamPoint) -> float | Non
 # circle intersections and tracing
 # ---------------------------------------------------------------------------
 
-def _circle_roots(residual, r: float, n_scan: int = 256) -> list[float]:
-    """All angles phi in [0, 2pi) with residual(mu(r, phi)) = 0."""
-    phis = np.linspace(0.0, 2.0 * math.pi, n_scan + 1)
-    vals = [residual(ParamPoint.from_polar(r, p)) for p in phis]
+# the scan angles of a circle, with their cosines and sines taken as
+# ParamPoint.from_polar takes them, so scan points match scalar ones exactly
+N_SCAN = 256
+_SCAN_PHIS = np.linspace(0.0, 2.0 * math.pi, N_SCAN + 1)
+_SCAN_COS = np.array([math.cos(p) for p in _SCAN_PHIS.tolist()])
+_SCAN_SIN = np.array([math.sin(p) for p in _SCAN_PHIS.tolist()])
+
+
+def scan_circle(r: float) -> ParamArray:
+    """The N_SCAN + 1 scan points of the circle |mu| = r, phi = 0 .. 2pi."""
+    return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
+
+
+def _circle_roots(residual, r: float, vals) -> list[float]:
+    """All angles phi in [0, 2pi) with residual(mu(r, phi)) = 0.
+
+    vals are the residual's values at the scan points of the circle; each
+    sign change between them is refined by scalar brentq.
+    """
+    phis = _SCAN_PHIS
+    a, b = vals[:-1], vals[1:]
     roots = []
-    for k in range(n_scan):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
+    for k in np.flatnonzero((a == 0.0) | (a * b < 0.0)).tolist():
+        if a[k] == 0.0:
             roots.append(phis[k])
             continue
-        if a * b < 0.0:
-            f = lambda p: residual(ParamPoint.from_polar(r, p))
-            roots.append(brentq(f, phis[k], phis[k + 1],
-                                xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+        f = lambda p: residual(ParamPoint.from_polar(r, p))
+        roots.append(brentq(f, phis[k], phis[k + 1],
+                            xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
     return sorted(p % (2.0 * math.pi) for p in roots)
+
+
+def circle_zeros(sys: ReducedSystem, kinds, r: float,
+                 tol: Tolerances = TOL) -> list[tuple[ParamPoint, str]]:
+    """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
+
+    The interior equilibrium is solved once for the whole circle, and kinds
+    that share a residual are scanned once; a zero of a shared residual is
+    labelled with the kind whose half-line holds it.
+    """
+    scans = [(kind, curve_residual(sys, kind, tol)) for kind in kinds
+             if kind not in AXES and SHARED_RESIDUAL.get(kind) not in kinds]
+    circle = scan_circle(r)
+    xi = None
+    if any(kind in _E3_COORD or kind == H for kind, _ in scans):
+        xi = refine_e3(sys, circle, tol=tol)
+    axis_phi = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi,
+                X_MINUS: math.pi, Y_MINUS: 1.5 * math.pi}
+    out = [(ParamPoint.from_polar(r, axis_phi[kind]), kind)
+           for kind in kinds if kind in AXES]
+    for kind, residual in scans:
+        preds = [(k, halfline_constraint(sys, k)[1]) for k in kinds
+                 if k == kind or SHARED_RESIDUAL.get(k) == kind]
+        for phi in _circle_roots(residual, r, residual(circle, xi)):
+            p = ParamPoint.from_polar(r, phi)
+            out.append((p, next((k for k, pred in preds if pred(p)), kind)))
+    return out
 
 
 def circle_intersections(sys: ReducedSystem, kind: str, r: float,
                          tol: Tolerances = TOL) -> list[ParamPoint]:
     """Points of the curve on the circle |mu| = r, halfline filtered."""
-    if kind in AXES:
-        phi = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi,
-               X_MINUS: math.pi, Y_MINUS: 1.5 * math.pi}[kind]
-        return [ParamPoint.from_polar(r, phi)]
-    residual = curve_residual(sys, kind, tol)
+    zeros = circle_zeros(sys, [kind], r, tol)
     _, pred = halfline_constraint(sys, kind)
-    pts = [ParamPoint.from_polar(r, phi) for phi in _circle_roots(residual, r)]
-    return [p for p in pts if pred(p)]
+    return [p for p, _ in zeros if pred(p)]
 
 
 def parse_halfline(text: str):
@@ -506,7 +550,7 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
         kind = T3
         param = 1
         branch = transcritical_branch(sys)
-        rp, rm = _axis_roots_at(c.P, c.delta, mu0.mu2, tol)
+        rp, rm = stable_quadratic_roots(c.P, c.delta, mu0.mu2, tol.quad_floor)
         xi2 = rp if branch == "E21" else rm
         if xi2 is None:
             raise DegenerateJacobian("axis pair absent at mu0")
@@ -525,7 +569,7 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
         kind = T4
         param = 0
         branch = transcritical_branch(sys)
-        rp, rm = _axis_roots_at(c.N, c.theta, mu0.mu1, tol)
+        rp, rm = stable_quadratic_roots(c.N, c.theta, mu0.mu1, tol.quad_floor)
         xi1 = rp if branch == "E11" else rm
         if xi1 is None:
             raise DegenerateJacobian("axis pair absent at mu0")
@@ -552,11 +596,6 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
     return SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
                            (float(w[0]), float(w[1])), c1, c2, c3,
                            predicted, verdict, notes)
-
-
-def _axis_roots_at(a: float, b: float, cc: float, tol: Tolerances):
-    from .equilibria import stable_quadratic_roots
-    return stable_quadratic_roots(a, b, cc, tol.quad_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +682,12 @@ def _companion_label(sys: ReducedSystem, kind: str) -> str | None:
 __all__ = [
     "T1", "T2", "T3", "T3_PLUS", "T4", "T4_PLUS", "D_NEG", "D_POS", "H",
     "X_PLUS", "X_MINUS", "Y_PLUS", "Y_MINUS", "AXES", "ADMISSIBLE",
-    "CURVE_TOL", "admissible_kinds", "BifurcationCurve", "SotomayorReport",
-    "curve_residual", "discriminant_axis1", "discriminant_axis2",
+    "CURVE_TOL", "SHARED_RESIDUAL", "N_SCAN", "admissible_kinds",
+    "BifurcationCurve", "SotomayorReport", "curve_residual",
+    "discriminant_axis1", "discriminant_axis2",
     "halfline_constraint", "predicted_leading", "fitted_leading",
-    "circle_intersections", "trace_curve", "parabola_point",
+    "scan_circle", "circle_intersections", "circle_zeros", "trace_curve",
+    "parabola_point",
     "sotomayor_quantities", "sotomayor_saddle_node", "sotomayor_transcritical",
     "transcritical_branch", "expected_collision_pair", "collision_check",
     "CollisionRecord",

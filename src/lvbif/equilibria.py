@@ -21,10 +21,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import AmbiguousLabel, NewtonDivergence, UnsupportedCase
 from .model import (
     DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
-    Coeffs, ParamPoint, ReducedSystem, bracket1, bracket2,
+    Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1, bracket2,
     bracket_jacobian_at, check_disk, jacobian_at)
 
 # equilibrium kinds; tables collapse the node/focus split to a/r
@@ -214,7 +216,10 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
 
     The bracket Jacobian stays nonsingular through equilibrium collisions,
     so the solve is well conditioned on the bifurcation curves themselves.
+    At a ParamArray it solves every point at once and returns arrays.
     """
+    if isinstance(mu, ParamArray):
+        return _refine_e3_array(sys, mu, seed, tol)
     mu = ParamPoint.coerce(mu)
     c = sys.at(mu)
     x1, x2 = seed_e3(sys, mu) if seed is None else (float(seed[0]), float(seed[1]))
@@ -257,6 +262,66 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
         return (x1, x2)
     raise NewtonDivergence(
         f"no convergence in {tol.max_iter} iterations (residual {res:.3e})")
+
+
+def _refine_e3_array(sys: ReducedSystem, mu: ParamArray, seed,
+                     tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """refine_e3 at many points at once.
+
+    Every point takes the steps and step halvings the scalar solve takes;
+    a point leaves the iteration where the scalar solve would return, and
+    any point where it would raise makes the whole solve raise.
+    """
+    c = sys.at(mu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x1, x2 = seed_e3(sys, mu) if seed is None else seed
+        target = tol.newton_tol * (1.0 + mu.norm)
+        ball = 10.0 * (np.hypot(x1, x2) + mu.norm) + 1e-6
+        g1 = bracket1(c, x1, x2)
+        g2 = bracket2(c, x1, x2)
+        res = np.hypot(g1, g2)
+        active = np.ones(res.shape, dtype=bool)
+        for _ in range(tol.max_iter):
+            active &= res != 0.0
+            if not active.any():
+                return (x1, x2)
+            (a, b), (d, e) = bracket_jacobian_at(c, (x1, x2))
+            det = a * e - b * d
+            if (active & (det == 0.0)).any():
+                raise NewtonDivergence("singular bracket Jacobian")
+            dx1 = -(e * g1 - b * g2) / det
+            dx2 = -(-d * g1 + a * g2) / det
+            nx1, nx2, ng1, ng2, nres = x1, x2, g1, g2, res
+            searching = active
+            step = 1.0
+            for _ in range(12):
+                tx1, tx2 = x1 + step * dx1, x2 + step * dx2
+                tg1 = bracket1(c, tx1, tx2)
+                tg2 = bracket2(c, tx1, tx2)
+                tres = np.hypot(tg1, tg2)
+                ok = searching & (tres < res)
+                nx1, nx2 = np.where(ok, tx1, nx1), np.where(ok, tx2, nx2)
+                ng1, ng2 = np.where(ok, tg1, ng1), np.where(ok, tg2, ng2)
+                nres = np.where(ok, tres, nres)
+                searching = searching & ~ok
+                if not searching.any():
+                    break
+                step *= 0.5
+            # stagnation: accepted where already at the requested tolerance
+            # (a NaN residual fails, as in the scalar solve)
+            if (searching & ~(res <= target)).any():
+                worst = float(np.max(res[searching]))
+                raise NewtonDivergence(
+                    f"line search stalled at residual {worst:.3e}")
+            active &= ~searching
+            x1, x2, g1, g2, res = nx1, nx2, ng1, ng2, nres
+            if (active & (np.hypot(x1, x2) > ball)).any():
+                raise NewtonDivergence("iterate left the seed neighborhood")
+    if (active & ~(res <= target)).any():
+        worst = float(np.max(res[active]))
+        raise NewtonDivergence(f"no convergence in {tol.max_iter} iterations "
+                               f"(residual {worst:.3e})")
+    return (x1, x2)
 
 
 # ---------------------------------------------------------------------------

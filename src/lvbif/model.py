@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DiskError, DivisionError, SignError
 from .poly import DEFAULT_DEGREE, DIV_FLOOR, CoefficientPoly, as_poly
 
@@ -72,6 +74,17 @@ class ParamPoint:
         return cls(r * math.cos(phi), r * math.sin(phi))
 
 
+class ParamArray(NamedTuple):
+    """Many points of the small-parameter plane, as equal-shape arrays."""
+
+    mu1: np.ndarray
+    mu2: np.ndarray
+
+    @property
+    def norm(self) -> np.ndarray:
+        return np.hypot(self.mu1, self.mu2)
+
+
 def check_disk(mu: ParamPoint, epsilon_disk: float = EPSILON_DISK) -> ParamPoint:
     if mu.norm >= epsilon_disk:
         raise DiskError(
@@ -80,7 +93,12 @@ def check_disk(mu: ParamPoint, epsilon_disk: float = EPSILON_DISK) -> ParamPoint
 
 
 class Coeffs(NamedTuple):
-    """All reduced coefficients evaluated at a fixed mu (the fast path)."""
+    """All reduced coefficients evaluated at a fixed mu (the fast path).
+
+    Evaluated at a ParamArray, the fields are arrays (a coefficient that is
+    identically zero stays the float 0.0) and every field helper below
+    broadcasts over them.
+    """
 
     mu1: float
     mu2: float
@@ -235,8 +253,9 @@ class ReducedSystem:
         return self.P.at_zero
 
     def at(self, mu) -> Coeffs:
-        """Evaluate every coefficient function at mu."""
-        mu = ParamPoint.coerce(mu)
+        """Evaluate every coefficient function at mu (or at a ParamArray)."""
+        if not isinstance(mu, ParamArray):
+            mu = ParamPoint.coerce(mu)
         m1, m2 = mu.mu1, mu.mu2
         return Coeffs(
             m1, m2,
@@ -446,7 +465,8 @@ def load_system(path) -> LoadedSystem:
 __all__ = [
     "NONDEGENERATE", "DELTA_ZERO", "THETA_ZERO", "DOUBLY_DEGENERATE",
     "CLASS_TOL", "EPSILON_DISK",
-    "ParamPoint", "check_disk", "Coeffs", "RawSystem", "ReducedSystem",
+    "ParamPoint", "ParamArray", "check_disk", "Coeffs", "RawSystem",
+    "ReducedSystem",
     "classify_degeneracy", "reduce", "reduce_negative",
     "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",
     "hessian_form_at", "eval_field", "eval_jacobian",

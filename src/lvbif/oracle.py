@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import TOL, Tolerances
-from .model import Coeffs, ParamPoint, ReducedSystem, field_at
+from .model import (Coeffs, ParamPoint, ReducedSystem, bracket1, bracket2,
+                    field_at)
 
 
 def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
@@ -37,14 +38,6 @@ def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
 # ---------------------------------------------------------------------------
 # grid equilibrium scan
 # ---------------------------------------------------------------------------
-
-def _bracket_vals(c: Coeffs, X, Y):
-    g1 = (c.mu1 + c.theta * X + c.gamma * Y + c.M * X * Y
-          + c.N * X * X + c.L * Y * Y)
-    g2 = (c.mu2 + X / c.gamma + c.delta * Y + c.S * X * Y
-          + c.P * Y * Y + c.R * X * X)
-    return g1, g2
-
 
 def _bisect_1d(fn, a: float, b: float, tol: float = 1e-12) -> float:
     fa, fb = fn(a), fn(b)
@@ -83,20 +76,20 @@ def _fd_newton(c: Coeffs, x1: float, x2: float, tol: float = 1e-12,
                max_iter: int = 40) -> tuple[float, float] | None:
     scale = 1.0 + math.hypot(x1, x2)
     for _ in range(max_iter):
-        g1, g2 = _bracket_vals(c, x1, x2)
+        g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
         if math.hypot(g1, g2) <= tol * scale:
             return (x1, x2)
         h = 1e-7 * (1.0 + math.hypot(x1, x2))
-        a = (_bracket_vals(c, x1 + h, x2)[0] - _bracket_vals(c, x1 - h, x2)[0]) / (2 * h)
-        b = (_bracket_vals(c, x1, x2 + h)[0] - _bracket_vals(c, x1, x2 - h)[0]) / (2 * h)
-        d = (_bracket_vals(c, x1 + h, x2)[1] - _bracket_vals(c, x1 - h, x2)[1]) / (2 * h)
-        e = (_bracket_vals(c, x1, x2 + h)[1] - _bracket_vals(c, x1, x2 - h)[1]) / (2 * h)
+        a = (bracket1(c, x1 + h, x2) - bracket1(c, x1 - h, x2)) / (2 * h)
+        b = (bracket1(c, x1, x2 + h) - bracket1(c, x1, x2 - h)) / (2 * h)
+        d = (bracket2(c, x1 + h, x2) - bracket2(c, x1 - h, x2)) / (2 * h)
+        e = (bracket2(c, x1, x2 + h) - bracket2(c, x1, x2 - h)) / (2 * h)
         det = a * e - b * d
         if det == 0.0:
             return None
         x1 -= (e * g1 - b * g2) / det
         x2 -= (-d * g1 + a * g2) / det
-    g1, g2 = _bracket_vals(c, x1, x2)
+    g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
     if math.hypot(g1, g2) <= 1e-9 * scale:
         return (x1, x2)
     return None
@@ -124,11 +117,9 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
         roots.append((0.0, 0.0))
 
     # axis roots: zeros of the restricted bracket functions
-    for r in _axis_roots_scan(lambda x: _bracket_vals(c, x, 0.0)[0],
-                              x_lo, x_hi, n):
+    for r in _axis_roots_scan(lambda x: bracket1(c, x, 0.0), x_lo, x_hi, n):
         roots.append((r, 0.0))
-    for r in _axis_roots_scan(lambda y: _bracket_vals(c, 0.0, y)[1],
-                              y_lo, y_hi, n):
+    for r in _axis_roots_scan(lambda y: bracket2(c, 0.0, y), y_lo, y_hi, n):
         roots.append((0.0, r))
 
     # interior roots of the bracket system
@@ -142,7 +133,7 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
         xs = np.linspace(x_lo + sx * dx, x_hi + sx * dx, n + 1)
         ys = np.linspace(y_lo + sy * dy, y_hi + sy * dy, n + 1)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        G1, G2 = _bracket_vals(c, X, Y)
+        G1, G2 = bracket1(c, X, Y), bracket2(c, X, Y)
         s1 = np.sign(G1)
         s2 = np.sign(G2)
         flag1 = ((s1[:-1, :-1] * s1[1:, :-1] <= 0)

@@ -214,16 +214,10 @@ def linear_poly(c0: float, c1: float, c2: float,
     return CoefficientPoly({(0, 0): c0, (1, 0): c1, (0, 1): c2}, degree)
 
 
-def poly_from_strings(mapping: Mapping[str, float] | float | int,
-                      degree: int = DEFAULT_DEGREE) -> CoefficientPoly:
-    return CoefficientPoly.coerce(mapping, degree)
-
-
 __all__ = [
     "CoefficientPoly",
     "DEFAULT_DEGREE",
     "DIV_FLOOR",
     "as_poly",
     "linear_poly",
-    "poly_from_strings",
 ]

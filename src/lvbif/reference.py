@@ -12,12 +12,6 @@ from __future__ import annotations
 
 from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO
 
-ROW_LABELS = {
-    NONDEGENERATE: ("E0", "E1", "E2", "E3"),
-    DELTA_ZERO: ("E0", "E1", "E21", "E22", "E3"),
-    THETA_ZERO: ("E0", "E11", "E12", "E2", "E3"),
-}
-
 # row headers use the classical naming ("O" for the origin in the
 # degenerate families)
 ROW_DISPLAY = {
@@ -121,6 +115,6 @@ def expected_column(family: str, signature: tuple[str, ...]) -> int | None:
 
 
 __all__ = [
-    "ROW_LABELS", "ROW_DISPLAY", "EXPECTED_SIGNATURES",
+    "ROW_DISPLAY", "EXPECTED_SIGNATURES",
     "EXPECTED_REGION_COUNT", "expected_column",
 ]

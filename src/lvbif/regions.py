@@ -11,8 +11,6 @@ so curves that only move virtual equilibria never show up as boundaries.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bifurcation as bif
@@ -23,7 +21,7 @@ from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
                     ParamPoint, ReducedSystem)
 from .reference import (EXPECTED_REGION_COUNT, EXPECTED_SIGNATURES,
-                        ROW_DISPLAY, ROW_LABELS, expected_column)
+                        ROW_DISPLAY, expected_column)
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,8 +31,6 @@ SEP_TOL = 1e-3
 
 # brentq resolution on boundary angles
 ANGLE_TOL = 1e-13
-
-THREADS_ENV = "LVBIF_THREADS"
 
 
 @dataclass(frozen=True)
@@ -151,14 +147,15 @@ def signature_at(sys: ReducedSystem, mu, tol: Tolerances = TOL,
 
 def boundary_candidates(sys: ReducedSystem, r: float,
                         tol: Tolerances = TOL) -> list[tuple[float, str]]:
-    """Sorted (angle, kind) pairs of all admissible curves on |mu| = r."""
-    out: list[tuple[float, str]] = []
-    for kind in bif.admissible_kinds(sys):
-        if kind == bif.H:
-            continue
-        for p in bif.circle_intersections(sys, kind, r, tol):
-            out.append((p.angle, kind))
-    out.sort()
+    """Sorted (angle, kind) pairs of all admissible curves on |mu| = r.
+
+    Every zero of a curve's residual counts, on both of its half-lines:
+    decompose merges the cuts that only move virtual equilibria, and no
+    sector representative can sit on such a zero, where equilibria collide.
+    """
+    kinds = [k for k in bif.admissible_kinds(sys) if k != bif.H]
+    out = sorted((p.angle, kind)
+                 for p, kind in bif.circle_zeros(sys, kinds, r, tol))
     dedup: list[tuple[float, str]] = []
     for ang, kind in out:
         if dedup and abs(ang - dedup[-1][0]) < 1e-9:
@@ -168,14 +165,6 @@ def boundary_candidates(sys: ReducedSystem, r: float,
     if len(dedup) > 1 and abs(dedup[0][0] + TWO_PI - dedup[-1][0]) < 1e-9:
         dedup.pop()
     return dedup
-
-
-def _run_map(fn, items):
-    n = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def decompose(sys: ReducedSystem, case: CaseDescriptor | None, r: float,
@@ -229,7 +218,7 @@ def _decompose_at(sys: ReducedSystem, r: float,
                             signature=signature_at(sys, rep, tol, eqs),
                             bounding=(lo_kind, hi_kind), equilibria=eqs)
 
-    sectors = _run_map(probe, range(m))
+    sectors = [probe(k) for k in range(m)]
 
     # merge neighbouring sectors with identical signatures: the separating
     # curve moves only virtual equilibria at this radius
@@ -413,7 +402,7 @@ def verify_tables(family: str, r: float = 1e-3,
 
 
 __all__ = [
-    "SEP_TOL", "ANGLE_TOL", "THREADS_ENV", "CaseDescriptor", "RegionReport",
+    "SEP_TOL", "ANGLE_TOL", "CaseDescriptor", "RegionReport",
     "select_case", "signature_at", "boundary_candidates", "decompose",
     "region_membership", "DiagramReport", "FamilyVerification",
     "verify_tables",

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lvbif.cases import CANONICAL_BY_FAMILY
 from lvbif.model import ReducedSystem
 from lvbif.poly import CoefficientPoly
 
@@ -87,6 +88,16 @@ def wedge_direction(rng, sys_: ReducedSystem, margin: float = 0.15,
         if u > margin and v > margin:
             return float(phi)
     return None
+
+
+def scan_systems(n_random: int = 12) -> list[ReducedSystem]:
+    """The 22 canonical fixtures and n_random seeded random systems, cycling
+    through the three families."""
+    rng = np.random.default_rng(20250809)
+    gens = (rand_nondegenerate, rand_deltazero, rand_thetazero)
+    return ([sys_ for cases in CANONICAL_BY_FAMILY.values()
+             for _, sys_ in cases]
+            + [gens[k % 3](rng) for k in range(n_random)])
 
 
 @pytest.fixture

@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lvbif import bifurcation as bif
+from lvbif.cases import deltazero_case, nondegenerate_case
 from lvbif.equilibria import find_equilibria
 from lvbif.errors import (CollisionMismatch, HypothesisViolation,
                           NotApplicable)
-from lvbif.model import DELTA_ZERO, THETA_ZERO, ReducedSystem
+from lvbif.model import (DELTA_ZERO, THETA_ZERO, ParamArray, ParamPoint,
+                         ReducedSystem)
 from lvbif.poly import linear_poly
 from lvbif.verification import sotomayor_fixture
 
-from conftest import rand_deltazero, rand_thetazero
+from conftest import rand_deltazero, rand_thetazero, scan_systems
 
 
 def dz(theta=1.0, d1=1.0, d2=0.0, P=1.0, gamma=1.0, **kw):
@@ -281,3 +286,65 @@ def test_half_trace_direction_outside_interior_wedge():
             u = g * p.mu2 - de * p.mu1
             v = p.mu1 - th * g * p.mu2
             assert not (u > 0.0 and v > 0.0)
+
+
+# -- batched circle scans -----------------------------------------------------
+
+SCAN_PHIS = np.linspace(0.0, 2.0 * math.pi, bif.N_SCAN + 1)
+
+
+def scalar_circle_roots(residual, r):
+    """The circle scan one angle at a time, as the reference."""
+    vals = [residual(ParamPoint.from_polar(r, p)) for p in SCAN_PHIS]
+    roots = []
+    for k in range(bif.N_SCAN):
+        a, b = vals[k], vals[k + 1]
+        if a == 0.0:
+            roots.append(SCAN_PHIS[k])
+        elif a * b < 0.0:
+            f = lambda p: residual(ParamPoint.from_polar(r, p))
+            roots.append(brentq(f, SCAN_PHIS[k], SCAN_PHIS[k + 1], xtol=1e-15,
+                                rtol=4.0 * np.finfo(float).eps))
+    return vals, sorted(p % (2.0 * math.pi) for p in roots)
+
+
+def test_batched_scan_matches_scalar_scan():
+    r = 1e-3
+    for sys_ in scan_systems(n_random=6):
+        for kind in bif.admissible_kinds(sys_):
+            try:
+                residual = bif.curve_residual(sys_, kind)
+            except NotApplicable:
+                continue
+            vals, roots = scalar_circle_roots(residual, r)
+            batched = residual(bif.scan_circle(r))
+            assert np.array_equal(np.sign(batched), np.sign(vals)), kind
+            assert np.allclose(batched, vals, rtol=1e-12, atol=1e-18), kind
+            assert bif._circle_roots(residual, r, batched) == roots, kind
+
+
+def test_circle_zeros_solves_e3_once_on_both_half_lines(monkeypatch):
+    solves = []
+    real = bif.refine_e3
+
+    def counted(sys_, mu, **kw):
+        solves.append(isinstance(mu, ParamArray))
+        return real(sys_, mu, **kw)
+    monkeypatch.setattr(bif, "refine_e3", counted)
+    sys_ = nondegenerate_case(2.0, 1.0)
+    kinds = [k for k in bif.admissible_kinds(sys_) if k != bif.H]
+    zeros = bif.circle_zeros(sys_, kinds, 1e-3)
+    assert solves.count(True) == 1
+    # the T2 line mu2 = mu1 meets the circle twice; one point is filtered
+    t2 = {p for p, kind in zeros if kind == bif.T2}
+    kept = set(bif.circle_intersections(sys_, bif.T2, 1e-3))
+    assert len(t2) == 2 and len(kept) == 1 and kept < t2
+
+
+def test_circle_zeros_labels_shared_residual_by_half_line():
+    sys_ = deltazero_case(1.0, 1.5)
+    kinds = bif.admissible_kinds(sys_)
+    zeros = bif.circle_zeros(sys_, kinds, 1e-3)
+    for kind in (bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS):
+        got = [p for p, k in zeros if k == kind]
+        assert got == bif.circle_intersections(sys_, kind, 1e-3), kind

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from lvbif.cli import main
 
 
@@ -175,3 +177,11 @@ def test_verify_json_report(tmp_path, capsys):
     assert data["success"] is True
     assert data["total_regions"] == 20
     assert data["sotomayor"]["success"] is True
+
+
+@pytest.mark.parametrize("family", ["nondegenerate", "deltazero", "thetazero"])
+def test_verify_oracle_passes_every_family(capsys, family):
+    code, out, _ = run(capsys, "verify", "--family", family, "--r", "1e-3",
+                       "--oracle", "--seed", "7")
+    assert code == 0, out
+    assert "FAIL" not in out

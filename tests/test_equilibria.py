@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from lvbif.bifurcation import N_SCAN, scan_circle
 from lvbif.equilibria import (SADDLE, Tolerances, char_poly_identities,
                               classify, find_equilibria, refine_e3, seed_e3,
                               stable_quadratic_roots)
-from lvbif.errors import DiskError, UnsupportedCase
-from lvbif.model import ParamPoint, ReducedSystem, eval_jacobian
+from lvbif.errors import DiskError, NewtonDivergence, UnsupportedCase
+from lvbif.model import (ParamPoint, ReducedSystem, bracket1, bracket2,
+                         eval_jacobian)
 from lvbif.poly import linear_poly
 
 from conftest import (rand_deltazero, rand_nondegenerate, rand_thetazero,
-                      wedge_direction)
+                      scan_systems, wedge_direction)
 
 
 def canonical(theta, delta, gamma=1.0, **kw):
@@ -352,3 +354,69 @@ def test_no_hopf_in_interior_wedge(rng):
             assert all(z.imag == 0.0 for z in cls.eigenvalues)
         assert not (abs(cls.p) < 1e-15 and cls.eigenvalues[0].imag != 0.0)
         checked += 1
+
+
+# -- batched interior solve ---------------------------------------------------
+
+SCAN_PHIS = np.linspace(0.0, 2.0 * math.pi, N_SCAN + 1)
+
+
+def test_batched_e3_equals_scalar_at_every_scan_angle():
+    for sys_ in scan_systems():
+        for r in (1e-3, 1e-4):
+            x1, x2 = refine_e3(sys_, scan_circle(r))
+            for k, phi in enumerate(SCAN_PHIS):
+                s1, s2 = refine_e3(sys_, ParamPoint.from_polar(r, phi))
+                assert abs(x1[k] - s1) <= 1e-15 * (1.0 + abs(s1))
+                assert abs(x2[k] - s2) <= 1e-15 * (1.0 + abs(s2))
+
+
+def _scalar_failures(sys_, r, tol):
+    failed = 0
+    for phi in SCAN_PHIS:
+        try:
+            refine_e3(sys_, ParamPoint.from_polar(r, phi), tol=tol)
+        except NewtonDivergence:
+            failed += 1
+    return failed
+
+
+def test_batched_e3_raises_where_a_scalar_scan_raises():
+    sys_ = ReducedSystem.from_coeffs(theta=1.0, gamma=1.0, P=1.0,
+                                     delta=linear_poly(0.0, 1.0, 0.5))
+    tol = Tolerances(max_iter=1)
+    assert 0 < _scalar_failures(sys_, 1e-3, tol) < len(SCAN_PHIS)
+    with pytest.raises(NewtonDivergence):
+        refine_e3(sys_, scan_circle(1e-3), tol=tol)
+
+
+def test_batched_e3_raises_when_one_angle_fails():
+    # a Newton tolerance between the two largest converged residuals fails
+    # the scalar solve at exactly one scan angle; the path to it is the same
+    sys_ = canonical(-2.0, -1.0, M=0.3, N=-0.2, L=0.1, S=0.2, P=0.4, R=-0.3)
+    r = 3e-3
+    circle = scan_circle(r)
+    x1, x2 = refine_e3(sys_, circle)
+    ratios = []
+    for k, phi in enumerate(SCAN_PHIS):
+        c = sys_.at(ParamPoint.from_polar(r, phi))
+        res = math.hypot(bracket1(c, x1[k], x2[k]), bracket2(c, x1[k], x2[k]))
+        ratios.append(res / (1.0 + r))
+    top, second = sorted(ratios)[-1], sorted(ratios)[-2]
+    assert top > second
+    tol = Tolerances(newton_tol=0.5 * (top + second))
+    assert _scalar_failures(sys_, r, tol) == 1
+    with pytest.raises(NewtonDivergence):
+        refine_e3(sys_, circle, tol=tol)
+
+
+def test_batched_e3_raises_on_a_nan_seed():
+    sys_ = canonical(-2.0, -1.0)
+    circle = scan_circle(1e-3)
+    x1, x2 = seed_e3(sys_, circle)
+    x1[5] = math.nan
+    with pytest.raises(NewtonDivergence):
+        refine_e3(sys_, ParamPoint(circle.mu1[5], circle.mu2[5]),
+                  seed=(x1[5], x2[5]))
+    with pytest.raises(NewtonDivergence):
+        refine_e3(sys_, circle, seed=(x1, x2))

@@ -332,14 +332,6 @@ def test_decompose_matches_scan_on_random_systems(rng):
         checked += 1
 
 
-def test_decompose_honors_thread_env(monkeypatch):
-    sys_ = nondegenerate_case(-2.0, -1.0)
-    serial = [s.signature for s in decompose(sys_, None, 1e-3)]
-    monkeypatch.setenv("LVBIF_THREADS", "4")
-    threaded = [s.signature for s in decompose(sys_, None, 1e-3)]
-    assert serial == threaded
-
-
 def test_shipped_fixture_files_match_canonical_cases():
     import json
     from importlib import resources
