@@ -27,7 +27,7 @@ from .errors import AmbiguousLabel, NewtonDivergence, UnsupportedCase
 from .model import (
     DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
     Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1, bracket2,
-    bracket_jacobian_at, check_disk, jacobian_at)
+    bracket_jacobian_at, check_disk, hypot, jacobian_at)
 
 # equilibrium kinds; tables collapse the node/focus split to a/r
 SADDLE = "saddle"
@@ -142,10 +142,28 @@ def _kind_from_eigs(lam1: complex, lam2: complex, tol_eig: float) -> str:
 def classify(sys: ReducedSystem, mu, xi, tol: Tolerances = TOL) -> Classification:
     """Eigenvalues and kind at a state xi, by the closed 2x2 formulas."""
     mu = ParamPoint.coerce(mu)
-    (j11, j12), (j21, j22) = jacobian_at(sys.at(mu), tuple(xi))
+    return _classify(sys.at(mu), xi, tol.tol_eig * mu.norm)
+
+
+def _classify(c: Coeffs, xi, tol_eig: float) -> Classification:
+    (j11, j12), (j21, j22) = jacobian_at(c, tuple(xi))
     lam1, lam2, p, det = _eig2(j11, j12, j21, j22)
-    kind = _kind_from_eigs(lam1, lam2, tol.tol_eig * mu.norm)
-    return Classification((lam1, lam2), kind, p, det)
+    return Classification((lam1, lam2), _kind_from_eigs(lam1, lam2, tol_eig),
+                          p, det)
+
+
+def _letters(c: Coeffs, x1, x2, tol_eig) -> np.ndarray:
+    """The s/a/r/d letter of _classify at arrays of states."""
+    (j11, j12), (j21, j22) = jacobian_at(c, (x1, x2))
+    p = 0.5 * (j11 + j22)
+    disc = p * p - (j11 * j22 - j12 * j21)
+    real = disc >= 0.0
+    s = np.sqrt(np.where(real, disc, -disc))
+    re1, re2 = np.where(real, p - s, p), np.where(real, p + s, p)
+    return np.select(
+        [(np.abs(re1) <= tol_eig) | (np.abs(re2) <= tol_eig),
+         (re1 < 0.0) & (re2 < 0.0), (re1 > 0.0) & (re2 > 0.0)],
+        ["d", "a", "r"], "s")
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +196,21 @@ def stable_quadratic_roots(a: float, b: float, c: float,
     return r_plus, r_minus
 
 
-def _axis1_roots(c: Coeffs, tol: Tolerances):
-    return stable_quadratic_roots(c.N, c.theta, c.mu1, tol.quad_floor)
-
-
-def _axis2_roots(c: Coeffs, tol: Tolerances):
-    return stable_quadratic_roots(c.P, c.delta, c.mu2, tol.quad_floor)
+def _quadratic_roots_array(a, b, c, quad_floor: float):
+    """stable_quadratic_roots over arrays: (r_plus, has_plus, r_minus,
+    has_minus), with the same branches and the same arithmetic."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    linear = np.abs(a) <= quad_floor * np.maximum(1.0, np.abs(b))
+    disc = b * b - 4.0 * a * c
+    s = np.sqrt(disc)
+    up = b >= 0.0
+    big = np.where(up, -b - s, -b + s) / (2.0 * a)
+    small = np.where(big != 0.0, c / (a * big),
+                     np.where(up, -b + s, -b - s) / (2.0 * a))
+    quad = ~linear & ~(disc < 0.0)
+    return (np.where(linear, -c / b, np.where(up, small, big)),
+            np.where(linear, b != 0.0, quad),
+            np.where(up, big, small), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +219,10 @@ def _axis2_roots(c: Coeffs, tol: Tolerances):
 
 def seed_e3(sys: ReducedSystem, mu: ParamPoint) -> tuple[float, float]:
     """Closed-form leading-order coordinates of the interior equilibrium."""
-    c = sys.at(mu)
+    return _seed_e3(sys, sys.at(mu))
+
+
+def _seed_e3(sys: ReducedSystem, c: Coeffs):
     m1, m2 = c.mu1, c.mu2
     if sys.degeneracy == NONDEGENERATE:
         den = c.theta * c.delta - 1.0
@@ -216,15 +246,24 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
 
     The bracket Jacobian stays nonsingular through equilibrium collisions,
     so the solve is well conditioned on the bifurcation curves themselves.
-    At a ParamArray it solves every point at once and returns arrays.
+    At a ParamArray it solves every point at once and returns arrays; it
+    raises if the solve fails at any point.
     """
     if isinstance(mu, ParamArray):
-        return _refine_e3_array(sys, mu, seed, tol)
+        x1, x2, ok = _refine_e3_array(sys, sys.at(mu), mu.norm, seed, tol)
+        if not ok.all():
+            raise NewtonDivergence(f"the interior solve failed at "
+                                   f"{np.count_nonzero(~ok)} of {ok.size} points")
+        return (x1, x2)
     mu = ParamPoint.coerce(mu)
-    c = sys.at(mu)
-    x1, x2 = seed_e3(sys, mu) if seed is None else (float(seed[0]), float(seed[1]))
-    target = tol.newton_tol * (1.0 + mu.norm)
-    ball = 10.0 * (math.hypot(x1, x2) + mu.norm) + 1e-6
+    return _refine_e3_point(sys, sys.at(mu), mu.norm, seed, tol)
+
+
+def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
+                     tol: Tolerances) -> tuple[float, float]:
+    x1, x2 = _seed_e3(sys, c) if seed is None else (float(seed[0]), float(seed[1]))
+    target = tol.newton_tol * (1.0 + norm)
+    ball = 10.0 * (math.hypot(x1, x2) + norm) + 1e-6
     g1 = bracket1(c, x1, x2)
     g2 = bracket2(c, x1, x2)
     res = math.hypot(g1, g2)
@@ -239,7 +278,7 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
         dx2 = -(-d * g1 + a * g2) / det
         step = 1.0
         improved = False
-        for _ in range(12):
+        for _ in range(_HALVINGS + 1):
             nx1, nx2 = x1 + step * dx1, x2 + step * dx2
             ng1 = bracket1(c, nx1, nx2)
             ng2 = bracket2(c, nx1, nx2)
@@ -264,74 +303,87 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
         f"no convergence in {tol.max_iter} iterations (residual {res:.3e})")
 
 
-def _refine_e3_array(sys: ReducedSystem, mu: ParamArray, seed,
-                     tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """refine_e3 at many points at once.
+# step halvings after the full Newton step, and their factors as a column
+_HALVINGS = 11
+_HALF_STEPS = 0.5 ** np.arange(1, _HALVINGS + 1)[:, None]
+
+
+def _take(c: Coeffs, idx: np.ndarray) -> Coeffs:
+    return Coeffs(*(f[idx] if isinstance(f, np.ndarray) else f for f in c))
+
+
+def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
+                     tol: Tolerances):
+    """_refine_e3_point at many points at once: (x1, x2, ok).
 
     Every point takes the steps and step halvings the scalar solve takes;
     a point leaves the iteration where the scalar solve would return, and
-    any point where it would raise makes the whole solve raise.
+    ok is False where it would raise.  Each Newton step evaluates the
+    brackets twice: at the full step for every active point, then at all
+    11 halvings at once for the points the full step did not improve.
     """
-    c = sys.at(mu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x1, x2 = seed_e3(sys, mu) if seed is None else seed
-        target = tol.newton_tol * (1.0 + mu.norm)
-        ball = 10.0 * (np.hypot(x1, x2) + mu.norm) + 1e-6
+        if seed is None:
+            seed = _seed_e3(sys, c)
+        x1, x2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(*seed))
+        target = tol.newton_tol * (1.0 + norm)
+        ball = 10.0 * (hypot(x1, x2) + norm) + 1e-6
         g1 = bracket1(c, x1, x2)
         g2 = bracket2(c, x1, x2)
-        res = np.hypot(g1, g2)
-        active = np.ones(res.shape, dtype=bool)
+        res = hypot(g1, g2)
+        ok = res == 0.0
+        idx = np.flatnonzero(~ok)   # the active points
         for _ in range(tol.max_iter):
-            active &= res != 0.0
-            if not active.any():
-                return (x1, x2)
-            (a, b), (d, e) = bracket_jacobian_at(c, (x1, x2))
+            if idx.size == 0:
+                break
+            ci = _take(c, idx)
+            a1, a2, h1, h2, hres = x1[idx], x2[idx], g1[idx], g2[idx], res[idx]
+            (a, b), (d, e) = bracket_jacobian_at(ci, (a1, a2))
             det = a * e - b * d
-            if (active & (det == 0.0)).any():
-                raise NewtonDivergence("singular bracket Jacobian")
-            dx1 = -(e * g1 - b * g2) / det
-            dx2 = -(-d * g1 + a * g2) / det
-            nx1, nx2, ng1, ng2, nres = x1, x2, g1, g2, res
-            searching = active
-            step = 1.0
-            for _ in range(12):
-                tx1, tx2 = x1 + step * dx1, x2 + step * dx2
-                tg1 = bracket1(c, tx1, tx2)
-                tg2 = bracket2(c, tx1, tx2)
-                tres = np.hypot(tg1, tg2)
-                ok = searching & (tres < res)
-                nx1, nx2 = np.where(ok, tx1, nx1), np.where(ok, tx2, nx2)
-                ng1, ng2 = np.where(ok, tg1, ng1), np.where(ok, tg2, ng2)
-                nres = np.where(ok, tres, nres)
-                searching = searching & ~ok
-                if not searching.any():
-                    break
-                step *= 0.5
+            dx1 = -(e * h1 - b * h2) / det
+            dx2 = -(-d * h1 + a * h2) / det
+            n1, n2 = a1 + dx1, a2 + dx2
+            m1, m2 = bracket1(ci, n1, n2), bracket2(ci, n1, n2)
+            nres = hypot(m1, m2)
+            improved = nres < hres
+            stall = np.flatnonzero(~improved & (det != 0.0))
+            if stall.size:
+                cs = _take(ci, stall)
+                t1 = a1[stall] + _HALF_STEPS * dx1[stall]
+                t2 = a2[stall] + _HALF_STEPS * dx2[stall]
+                u1, u2 = bracket1(cs, t1, t2), bracket2(cs, t1, t2)
+                ures = hypot(u1, u2)
+                better = ures < hres[stall]
+                col = np.flatnonzero(better.any(axis=0))
+                first = (better.argmax(axis=0)[col], col)   # first improving
+                k = stall[col]
+                n1[k], n2[k], m1[k], m2[k] = t1[first], t2[first], u1[first], u2[first]
+                nres[k] = ures[first]
+                improved[k] = True
             # stagnation: accepted where already at the requested tolerance
             # (a NaN residual fails, as in the scalar solve)
-            if (searching & ~(res <= target)).any():
-                worst = float(np.max(res[searching]))
-                raise NewtonDivergence(
-                    f"line search stalled at residual {worst:.3e}")
-            active &= ~searching
-            x1, x2, g1, g2, res = nx1, nx2, ng1, ng2, nres
-            if (active & (np.hypot(x1, x2) > ball)).any():
-                raise NewtonDivergence("iterate left the seed neighborhood")
-    if (active & ~(res <= target)).any():
-        worst = float(np.max(res[active]))
-        raise NewtonDivergence(f"no convergence in {tol.max_iter} iterations "
-                               f"(residual {worst:.3e})")
-    return (x1, x2)
+            stop = ~improved & (det != 0.0) & (hres <= target[idx])
+            ok[idx[stop]] = True
+            keep = improved & (det != 0.0)
+            idx, n1, n2 = idx[keep], n1[keep], n2[keep]
+            x1[idx], x2[idx], g1[idx], g2[idx] = n1, n2, m1[keep], m2[keep]
+            res[idx] = nres[keep]
+            idx = idx[~(hypot(n1, n2) > ball[idx])]
+            zero = res[idx] == 0.0
+            ok[idx[zero]] = True
+            idx = idx[~zero]
+        ok[idx] = res[idx] <= target[idx]
+    return (x1, x2, ok)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
-def _make_equilibrium(sys: ReducedSystem, mu: ParamPoint, label: str,
+def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
                       xi: tuple[float, float], tol: Tolerances,
                       notes: tuple[str, ...] = ()) -> Equilibrium:
-    cls = classify(sys, mu, xi, tol)
+    cls = _classify(c, xi, tol.tol_eig * mu.norm)
     band = tol.tol_proper * mu.norm
     proper = xi[0] >= -band and xi[1] >= -band
     extra = ()
@@ -341,6 +393,11 @@ def _make_equilibrium(sys: ReducedSystem, mu: ParamPoint, label: str,
     return Equilibrium(label=label, xi=xi, eigenvalues=cls.eigenvalues,
                        kind=cls.kind, proper=proper,
                        notes=notes + extra)
+
+
+def _skip_e3(sys: ReducedSystem, tol: Tolerances) -> bool:
+    return (sys.degeneracy == NONDEGENERATE
+            and abs(sys.theta0 * sys.delta0 - 1.0) <= tol.hyperbola_tol)
 
 
 def find_equilibria(sys: ReducedSystem, mu,
@@ -359,16 +416,18 @@ def find_equilibria(sys: ReducedSystem, mu,
     out = EquilibriumList()
     c = sys.at(mu)
 
-    e0 = _make_equilibrium(sys, mu, "E0", (0.0, 0.0), tol)
-    out.append(e0)
+    out.append(_make_equilibrium(c, mu, "E0", (0.0, 0.0), tol))
     if mu.norm == 0.0:
         return out
 
     # axis roots, labeled per degeneracy class
-    r1_plus, r1_minus = _axis1_roots(c, tol)
-    r2_plus, r2_minus = _axis2_roots(c, tol)
+    r1_plus, r1_minus = stable_quadratic_roots(c.N, c.theta, c.mu1,
+                                               tol.quad_floor)
+    r2_plus, r2_minus = stable_quadratic_roots(c.P, c.delta, c.mu2,
+                                               tol.quad_floor)
 
     def near_root(rp, rm, seed_val):
+        # a tie goes to the plus root
         cands = [r for r in (rp, rm) if r is not None]
         if not cands:
             return None
@@ -378,34 +437,32 @@ def find_equilibria(sys: ReducedSystem, mu,
         seed1 = -mu.mu1 / c.theta if c.theta != 0.0 else 0.0
         root = near_root(r1_plus, r1_minus, seed1)
         if root is not None:
-            out.append(_make_equilibrium(sys, mu, "E1", (root, 0.0), tol))
+            out.append(_make_equilibrium(c, mu, "E1", (root, 0.0), tol))
     else:  # ThetaZero: both axis roots carry labels
         if r1_plus is not None:
-            out.append(_make_equilibrium(sys, mu, "E11", (r1_plus, 0.0), tol))
+            out.append(_make_equilibrium(c, mu, "E11", (r1_plus, 0.0), tol))
         if r1_minus is not None:
-            out.append(_make_equilibrium(sys, mu, "E12", (r1_minus, 0.0), tol))
+            out.append(_make_equilibrium(c, mu, "E12", (r1_minus, 0.0), tol))
 
     if sys.degeneracy in (NONDEGENERATE, THETA_ZERO):
         seed2 = -mu.mu2 / c.delta if c.delta != 0.0 else 0.0
         root = near_root(r2_plus, r2_minus, seed2)
         if root is not None:
-            out.append(_make_equilibrium(sys, mu, "E2", (0.0, root), tol))
+            out.append(_make_equilibrium(c, mu, "E2", (0.0, root), tol))
     else:  # DeltaZero: both axis roots carry labels
         if r2_plus is not None:
-            out.append(_make_equilibrium(sys, mu, "E21", (0.0, r2_plus), tol))
+            out.append(_make_equilibrium(c, mu, "E21", (0.0, r2_plus), tol))
         if r2_minus is not None:
-            out.append(_make_equilibrium(sys, mu, "E22", (0.0, r2_minus), tol))
+            out.append(_make_equilibrium(c, mu, "E22", (0.0, r2_minus), tol))
 
     # interior point
-    skip_e3 = (sys.degeneracy == NONDEGENERATE
-               and abs(sys.theta0 * sys.delta0 - 1.0) <= tol.hyperbola_tol)
-    if skip_e3:
+    if _skip_e3(sys, tol):
         out.notes.append(
             "DegenerateCase: theta*delta - 1 vanishes; interior refinement skipped")
     else:
         try:
-            xi3 = refine_e3(sys, mu, tol=tol)
-            out.append(_make_equilibrium(sys, mu, "E3", xi3, tol))
+            xi3 = _refine_e3_point(sys, c, mu.norm, None, tol)
+            out.append(_make_equilibrium(c, mu, "E3", xi3, tol))
         except NewtonDivergence as exc:
             out.notes.append(f"NewtonDivergence: E3 absent ({exc})")
 
@@ -437,6 +494,88 @@ def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint, tol: Tolerances) -> N
                             f"{eqs[a].label} and {eqs[b].label}, which are "
                             "distinct")
         eqs[k] = replace(eqs[k], trivial=True)
+
+
+class EquilibriumArrays(NamedTuple):
+    """One label's equilibrium at many parameter points."""
+
+    present: np.ndarray    # bool
+    x1: np.ndarray
+    x2: np.ndarray
+    letter: np.ndarray     # s/a/r/d
+    proper: np.ndarray     # bool
+    trivial: np.ndarray    # bool
+
+
+def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
+                           tol: Tolerances = TOL) -> dict[str, EquilibriumArrays]:
+    """find_equilibria at many points at once, per label of the family.
+
+    A label is present where find_equilibria lists it, with the letter,
+    properness and collision flag find_equilibria gives it there; it raises
+    what find_equilibria raises at any of the points.
+    """
+    norm = mu.norm
+    bad = np.flatnonzero(norm >= tol.epsilon_disk)
+    if bad.size:
+        k = bad[0]
+        check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])),
+                   tol.epsilon_disk)
+    if sys.degeneracy == DOUBLY_DEGENERATE:
+        raise UnsupportedCase(
+            "equilibrium labeling is not defined for the DoublyDegenerate class")
+    c = sys.at(mu)
+    labels = LABELS_BY_FAMILY[sys.degeneracy]
+    moving = norm != 0.0
+    zero = np.zeros(norm.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        found = {"E0": (np.ones(norm.shape, dtype=bool), zero, zero)}
+        axes = (("E1", ("E11", "E12"), c.N, c.theta, c.mu1),
+                ("E2", ("E21", "E22"), c.P, c.delta, c.mu2))
+        for axis, (single, pair, a, b, m) in enumerate(axes):
+            rp, has_p, rm, has_m = _quadratic_roots_array(a, b, m,
+                                                          tol.quad_floor)
+            has_p, has_m = has_p & moving, has_m & moving
+            if single in labels:
+                # the root nearest the seed; a tie goes to the plus root
+                seed = np.where(b != 0.0, -m / b, 0.0)
+                minus = has_m & (~has_p | (np.abs(rm - seed) < np.abs(rp - seed)))
+                roots = {single: (has_p | has_m, np.where(minus, rm, rp))}
+            else:
+                roots = {pair[0]: (has_p, rp), pair[1]: (has_m, rm)}
+            for label, (has, r) in roots.items():
+                found[label] = (has, r, zero) if axis == 0 else (has, zero, r)
+        if _skip_e3(sys, tol):
+            found["E3"] = (np.zeros(norm.shape, dtype=bool), zero, zero)
+        else:
+            x1, x2, ok = _refine_e3_array(sys, c, norm, None, tol)
+            found["E3"] = (ok & moving, x1, x2)
+
+        thresh = tol.tol_collide * norm
+        dist, close = {}, {}
+        for i, a in enumerate(labels):
+            for b in labels[i + 1:]:
+                (ha, a1, a2), (hb, b1, b2) = found[a], found[b]
+                dist[a, b] = dist[b, a] = d = hypot(a1 - b1, a2 - b2)
+                close[a, b] = close[b, a] = ha & hb & (d <= thresh)
+        for k in labels:
+            partners = [j for j in labels if j != k]
+            for i, a in enumerate(partners):
+                for b in partners[i + 1:]:
+                    amb = close[k, a] & close[k, b] & (dist[a, b] > thresh)
+                    if amb.any():
+                        raise AmbiguousLabel(
+                            f"{k} collides with both {a} and {b}, which are "
+                            f"distinct (at point {int(np.argmax(amb))})")
+        band = tol.tol_proper * norm
+        out = {}
+        for k in labels:
+            has, x1, x2 = found[k]
+            out[k] = EquilibriumArrays(
+                has, x1, x2, _letters(c, x1, x2, tol.tol_eig * norm),
+                (x1 >= -band) & (x2 >= -band),
+                np.any([close[k, j] for j in labels if j != k], axis=0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,18 @@ class ParamPoint:
         return cls(r * math.cos(phi), r * math.sin(phi))
 
 
+def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot over equal-shape arrays, element for element.
+
+    np.hypot differs from math.hypot in the last bit on about 0.5% of
+    inputs, and a value compared against a band must be the value the
+    scalar code compares.
+    """
+    x, y = np.broadcast_arrays(x, y)
+    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()),
+                       float, x.size).reshape(x.shape)
+
+
 class ParamArray(NamedTuple):
     """Many points of the small-parameter plane, as equal-shape arrays."""
 
@@ -82,7 +94,14 @@ class ParamArray(NamedTuple):
 
     @property
     def norm(self) -> np.ndarray:
-        return np.hypot(self.mu1, self.mu2)
+        return hypot(self.mu1, self.mu2)
+
+    @classmethod
+    def from_polar(cls, r: float, phis) -> "ParamArray":
+        """The points ParamPoint.from_polar(r, phi) gives, phi in phis."""
+        phis = np.asarray(phis, dtype=float).tolist()
+        return cls(np.array([r * math.cos(p) for p in phis]),
+                   np.array([r * math.sin(p) for p in phis]))
 
 
 def check_disk(mu: ParamPoint, epsilon_disk: float = EPSILON_DISK) -> ParamPoint:
@@ -465,7 +484,7 @@ def load_system(path) -> LoadedSystem:
 __all__ = [
     "NONDEGENERATE", "DELTA_ZERO", "THETA_ZERO", "DOUBLY_DEGENERATE",
     "CLASS_TOL", "EPSILON_DISK",
-    "ParamPoint", "ParamArray", "check_disk", "Coeffs", "RawSystem",
+    "ParamPoint", "ParamArray", "hypot", "check_disk", "Coeffs", "RawSystem",
     "ReducedSystem",
     "classify_degeneracy", "reduce", "reduce_negative",
     "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",

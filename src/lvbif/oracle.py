@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import TOL, Tolerances
-from .model import (Coeffs, ParamPoint, ReducedSystem, bracket1, bracket2,
-                    field_at)
+from .model import (Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1,
+                    bracket2, field_at)
 
 
 def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
@@ -58,14 +58,16 @@ def _bisect_1d(fn, a: float, b: float, tol: float = 1e-12) -> float:
 
 
 def _axis_roots_scan(fn, lo: float, hi: float, n: int) -> list[float]:
+    """Zeros of fn on [lo, hi] from n + 1 samples, taken in one array call;
+    fn must broadcast.  Each sign change is bisected on scalars."""
     xs = np.linspace(lo, hi, n + 1)
-    vals = [fn(x) for x in xs]
+    vals = fn(xs)
+    va, vb = vals[:-1], vals[1:]
     roots = []
-    for k in range(n):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0:
+    for k in np.flatnonzero((va == 0.0) | (va * vb < 0.0)).tolist():
+        if va[k] == 0.0:
             roots.append(xs[k])
-        elif va * vb < 0.0:
+        else:
             roots.append(_bisect_1d(fn, xs[k], xs[k + 1]))
     if vals[-1] == 0.0:
         roots.append(xs[-1])
@@ -74,11 +76,22 @@ def _axis_roots_scan(fn, lo: float, hi: float, n: int) -> list[float]:
 
 def _fd_newton(c: Coeffs, x1: float, x2: float, tol: float = 1e-12,
                max_iter: int = 40) -> tuple[float, float] | None:
+    """Finite-difference Newton on the bracket system.
+
+    Once the residual is below tol, iterates are polished while the residual
+    still falls, so two cells refining the same root agree to roundoff.
+    """
     scale = 1.0 + math.hypot(x1, x2)
+    polished = None   # (residual, point) once below tol
     for _ in range(max_iter):
         g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
-        if math.hypot(g1, g2) <= tol * scale:
+        res = math.hypot(g1, g2)
+        if polished is not None and res >= polished[0]:
+            return polished[1]
+        if res == 0.0:
             return (x1, x2)
+        if res <= tol * scale:
+            polished = (res, (x1, x2))
         h = 1e-7 * (1.0 + math.hypot(x1, x2))
         a = (bracket1(c, x1 + h, x2) - bracket1(c, x1 - h, x2)) / (2 * h)
         b = (bracket1(c, x1, x2 + h) - bracket1(c, x1, x2 - h)) / (2 * h)
@@ -86,9 +99,11 @@ def _fd_newton(c: Coeffs, x1: float, x2: float, tol: float = 1e-12,
         e = (bracket2(c, x1, x2 + h) - bracket2(c, x1, x2 - h)) / (2 * h)
         det = a * e - b * d
         if det == 0.0:
-            return None
+            return None if polished is None else polished[1]
         x1 -= (e * g1 - b * g2) / det
         x2 -= (-d * g1 + a * g2) / det
+    if polished is not None:
+        return polished[1]
     g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
     if math.hypot(g1, g2) <= 1e-9 * scale:
         return (x1, x2)
@@ -132,7 +147,7 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
     for sx, sy in shifts:
         xs = np.linspace(x_lo + sx * dx, x_hi + sx * dx, n + 1)
         ys = np.linspace(y_lo + sy * dy, y_hi + sy * dy, n + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
         G1, G2 = bracket1(c, X, Y), bracket2(c, X, Y)
         s1 = np.sign(G1)
         s2 = np.sign(G2)
@@ -206,7 +221,7 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
     step = 2.0 * math.pi / n_angles
     angles = [(k + 0.5) * step for k in range(n_angles)]
     sig = lambda phi: signature_at(sys, ParamPoint.from_polar(r, phi), tol)
-    sigs = [sig(phi) for phi in angles]
+    sigs = signature_at(sys, ParamArray.from_polar(r, angles), tol)
 
     events: list[tuple[float, tuple[str, ...]]] = []
 

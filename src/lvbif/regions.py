@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
 from .equilibria import (LABELS_BY_FAMILY, TOL, EquilibriumList, Tolerances,
-                         find_equilibria, sar_letter)
+                         _find_equilibria_array, find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
-                    ParamPoint, ReducedSystem)
+                    ParamArray, ParamPoint, ReducedSystem)
 from .reference import (EXPECTED_REGION_COUNT, EXPECTED_SIGNATURES,
                         ROW_DISPLAY, expected_column)
 
@@ -132,7 +134,15 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
 
 def signature_at(sys: ReducedSystem, mu, tol: Tolerances = TOL,
                  eqs: EquilibriumList | None = None) -> tuple[str, ...]:
-    """Type-signature over the family's labels at a parameter point."""
+    """Type-signature over the family's labels at a parameter point.
+
+    At a ParamArray it returns the list of signatures, one per point.
+    """
+    if isinstance(mu, ParamArray):
+        cols = [np.where(e.present & e.proper & ~e.trivial, e.letter,
+                         "-").tolist()
+                for e in _find_equilibria_array(sys, mu, tol).values()]
+        return list(zip(*cols))
     if eqs is None:
         eqs = find_equilibria(sys, mu, tol)
     out = []

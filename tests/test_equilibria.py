@@ -420,3 +420,36 @@ def test_batched_e3_raises_on_a_nan_seed():
                   seed=(x1[5], x2[5]))
     with pytest.raises(NewtonDivergence):
         refine_e3(sys_, circle, seed=(x1, x2))
+
+
+def test_batched_e3_evaluates_the_brackets_at_most_twice_per_step(monkeypatch):
+    # one evaluation at the full Newton step, one for all 11 halvings of
+    # the points it did not improve
+    import lvbif.equilibria as eqm
+    from lvbif.cases import CANONICAL_BY_FAMILY
+    counts = {"bracket1": 0, "bracket_jacobian_at": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(eqm, name), _n=name):
+            counts[_n] += 1
+            return _f(*args)
+        monkeypatch.setattr(eqm, name, counted)
+    for cases in CANONICAL_BY_FAMILY.values():
+        for _, sys_ in cases:
+            counts.update(bracket1=0, bracket_jacobian_at=0)
+            x1, x2 = refine_e3(sys_, scan_circle(1e-3))
+            assert counts["bracket1"] <= 1 + 2 * counts["bracket_jacobian_at"]
+            for k, phi in enumerate(SCAN_PHIS):
+                assert (x1[k], x2[k]) == refine_e3(
+                    sys_, ParamPoint.from_polar(1e-3, phi))
+
+
+def test_array_hypot_and_norm_equal_the_scalar_ones(rng):
+    from lvbif.model import ParamArray, hypot
+    x = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 2, 20000)
+    y = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 2, 20000)
+    assert hypot(x, y).tolist() == [math.hypot(a, b) for a, b in
+                                    zip(x.tolist(), y.tolist())]
+    mu = ParamArray(x[:400].reshape(20, 20), y[:400].reshape(20, 20))
+    assert mu.norm.shape == (20, 20)
+    assert mu.norm.ravel().tolist() == [
+        ParamPoint(a, b).norm for a, b in zip(x[:400].tolist(), y[:400].tolist())]

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from lvbif.cases import deltazero_case, nondegenerate_case
-from lvbif.equilibria import find_equilibria
+from lvbif.equilibria import TOL, find_equilibria
+from lvbif.model import ParamArray, ParamPoint
 from lvbif.oracle import blocks_from, fd_jacobian, grid_equilibria, sign_scan
 from lvbif.regions import decompose
 
@@ -104,3 +106,98 @@ def test_sign_scan_block_boundaries_near_decompose_boundaries():
     assert len(starts) == len(expected)
     for a, b in zip(starts, expected):
         assert abs(a - b) < 1e-4
+
+
+def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
+    # the reference scan takes every base signature from a scalar call at
+    # its own point; the bisection is shared, so blocks must be identical
+    import lvbif.regions as regions
+    from lvbif.cases import CANONICAL_BY_FAMILY
+    batched = regions.signature_at
+
+    def per_angle(sys_, mu, tol=TOL, eqs=None):
+        if isinstance(mu, ParamArray):
+            return [batched(sys_, ParamPoint(m1, m2), tol)
+                    for m1, m2 in zip(mu.mu1.tolist(), mu.mu2.tolist())]
+        return batched(sys_, mu, tol, eqs)
+
+    systems = [s for cases in CANONICAL_BY_FAMILY.values() for _, s in cases]
+    got = [sign_scan(s, 1e-3).blocks for s in systems]
+    monkeypatch.setattr(regions, "signature_at", per_angle)
+    want = [sign_scan(s, 1e-3).blocks for s in systems]
+    assert got == want
+
+
+def test_sign_scan_points_are_the_scalar_points():
+    phis = [(k + 0.5) * 2.0 * math.pi / 1440 for k in range(1440)]
+    mu = ParamArray.from_polar(3e-3, phis)
+    pts = [ParamPoint.from_polar(3e-3, p) for p in phis]
+    assert mu.mu1.tolist() == [p.mu1 for p in pts]
+    assert mu.mu2.tolist() == [p.mu2 for p in pts]
+    assert mu.norm.tolist() == [p.norm for p in pts]
+
+
+# a random NonDegenerate system whose grid roots used to come back twice:
+# finite-difference Newton stopped at the first residual below 1e-12, leaving
+# copies of one root 3-5e-12 apart against a dedupe distance of about 1e-12
+_DUPLICATE_ROOTS_SYSTEM = {
+    "form": "reduced", "degree": 2,
+    "theta": {"(0,0)": 1.3771897368105903, "(0,1)": 0.030514650575422575,
+              "(0,2)": -0.15744413656668402, "(1,0)": 0.20281048693984527,
+              "(1,1)": 0.23074296274272343, "(2,0)": -0.13621462680072627},
+    "gamma": {"(0,0)": 2.3921638389882123, "(0,1)": -0.17567299361116806,
+              "(0,2)": 0.3693257549310295, "(1,0)": 0.2002917381040421,
+              "(1,1)": 0.384589759840991, "(2,0)": -0.011847220454691942},
+    "delta": {"(0,0)": 0.5315671092551576, "(0,1)": -0.2927666422022682,
+              "(0,2)": -0.1901493276465204, "(1,0)": -0.03720168841547877,
+              "(1,1)": -0.23723580745908032, "(2,0)": -0.07750961084229663},
+    "M": {"(0,0)": -0.18816854798951455, "(0,1)": 0.03298148443794735,
+          "(0,2)": 0.3759403305729061, "(1,0)": 0.1798319526188269,
+          "(1,1)": -0.2714783929798985, "(2,0)": -0.17848703676370337},
+    "N": {"(0,0)": -0.07667355102742435, "(0,1)": -0.30730751002338375,
+          "(0,2)": 0.09040264084243238, "(1,0)": 0.012854868438302969,
+          "(1,1)": 0.22134649147383845, "(2,0)": 0.09879180443000035},
+    "L": {"(0,0)": 0.32770259382044176, "(0,1)": -0.36832569866863774,
+          "(0,2)": -0.35012033668009956, "(1,0)": 0.33383816383272213,
+          "(1,1)": -0.03253129369167701, "(2,0)": 0.02287141060801734},
+    "S": {"(0,0)": -0.09080086363083872, "(0,1)": 0.28210627078452544,
+          "(0,2)": 0.271905216825127, "(1,0)": 0.11306253531150001,
+          "(1,1)": -0.19192204181022143, "(2,0)": 0.07435281448342723},
+    "P": {"(0,0)": 0.049593687673059494, "(0,1)": 0.008711107573226406,
+          "(0,2)": 0.2557013752954216, "(1,0)": 0.007596705217207511,
+          "(1,1)": -0.28166237137203476, "(2,0)": 0.2024241661617423},
+    "R": {"(0,0)": -0.47244088675693163, "(0,1)": 0.22967755324384087,
+          "(0,2)": -0.2469408591542398, "(1,0)": 0.14662952480260572,
+          "(1,1)": 0.241891328907624, "(2,0)": -0.24670699278389183},
+}
+
+
+@pytest.mark.parametrize("mu", [
+    (0.0004257903715867173, 4.673321514812851e-05),
+    (-0.00042578937209781153, -4.674232068037969e-05),
+    (-0.000414316220414092, -0.00010873593442748161),
+])
+def test_grid_roots_are_not_duplicated(mu):
+    from lvbif.model import system_from_dict
+    sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM).system
+    eqs = find_equilibria(sys_, mu)
+    m = max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * 1.7 + 4.283e-5
+    roots = grid_equilibria(sys_, mu, ((-m, m), (-m, m)), n=300,
+                            jitter_seed=997654866)
+    assert len(roots) == len(eqs)
+    assert sets_agree([e.xi for e in eqs], roots)
+
+
+def test_axis_scan_roots_equal_a_per_sample_scan():
+    # the axis samples come from one array call; the roots must be the
+    # roots a sample-by-sample scan with the same bisection finds
+    from lvbif.model import bracket1
+    from lvbif.oracle import _axis_roots_scan, _bisect_1d
+    sys_ = nondegenerate_case(-2.0, -1.0)
+    c = sys_.at((1e-3, 1e-3))
+    fn = lambda x: bracket1(c, x, 0.0)
+    xs = np.linspace(-5e-3, 5e-3, 301)
+    vals = [fn(x) for x in xs]
+    want = [_bisect_1d(fn, xs[k], xs[k + 1]) for k in range(300)
+            if vals[k] * vals[k + 1] < 0.0]
+    assert want and _axis_roots_scan(fn, -5e-3, 5e-3, 300) == want

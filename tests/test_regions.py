@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
                          deltazero_case, nondegenerate_case, thetazero_case)
-from lvbif.errors import OnCurve, UnsupportedCase
-from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
-                         ReducedSystem)
+from lvbif.equilibria import Tolerances, find_equilibria
+from lvbif.errors import AmbiguousLabel, DiskError, OnCurve, UnsupportedCase
+from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
+                         ParamPoint, ReducedSystem)
+from lvbif.poly import linear_poly
 from lvbif.reference import EXPECTED_REGION_COUNT, expected_column
 from lvbif.regions import (decompose, region_membership, select_case,
                            signature_at, verify_tables)
@@ -358,3 +361,66 @@ def test_truncation_equivalence_sector_by_sector():
         # boundary angles agree to the O(r^2) curvature corrections
         for a, b in zip(full, cut):
             assert abs(a.angles[0] - b.angles[0]) < 5e-3
+
+
+# -- batched signatures ---------------------------------------------------------
+
+def _base_angles(n=1440):
+    step = 2.0 * math.pi / n
+    return [(k + 0.5) * step for k in range(n)]
+
+
+@pytest.mark.parametrize("r", [1e-3, 3e-3])
+def test_batched_signatures_equal_scalar_at_every_base_angle(r):
+    from conftest import scan_systems
+    phis = _base_angles()
+    for sys_ in scan_systems():
+        batched = signature_at(sys_, ParamArray.from_polar(r, phis))
+        scalar = [signature_at(sys_, ParamPoint.from_polar(r, p)) for p in phis]
+        assert batched == scalar, sys_
+
+
+def test_batched_signatures_drop_e3_where_its_newton_diverges():
+    sys_ = ReducedSystem.from_coeffs(theta=1.0, gamma=1.0, P=1.0,
+                                     delta=linear_poly(0.0, 1.0, 0.5))
+    tol = Tolerances(max_iter=1)
+    phis = _base_angles()
+    diverged = [any(n.startswith("NewtonDivergence") for n in
+                    find_equilibria(sys_, ParamPoint.from_polar(1e-3, p),
+                                    tol).notes)
+                for p in phis]
+    assert 0 < sum(diverged) < len(phis)
+    batched = signature_at(sys_, ParamArray.from_polar(1e-3, phis), tol)
+    assert batched == [signature_at(sys_, ParamPoint.from_polar(1e-3, p), tol)
+                       for p in phis]
+    assert all(sig[-1] == "-" for sig, d in zip(batched, diverged) if d)
+    assert any(sig[-1] != "-" for sig in batched)
+
+
+def test_batched_signatures_raise_where_the_scalar_path_raises():
+    sys_ = nondegenerate_case(2.0, 2.0)
+    tol = Tolerances(tol_collide=0.3)
+    phis = _base_angles()
+
+    def ambiguous(p):
+        try:
+            find_equilibria(sys_, ParamPoint.from_polar(1e-3, p), tol)
+        except AmbiguousLabel:
+            return True
+        return False
+    flags = [ambiguous(p) for p in phis]
+    assert 0 < sum(flags) < len(phis)
+    with pytest.raises(AmbiguousLabel):
+        signature_at(sys_, ParamArray.from_polar(1e-3, phis), tol)
+    clean = [p for p, f in zip(phis, flags) if not f]
+    assert signature_at(sys_, ParamArray.from_polar(1e-3, clean), tol) == [
+        signature_at(sys_, ParamPoint.from_polar(1e-3, p), tol) for p in clean]
+    # one point outside the disk fails the whole array, as it fails alone
+    mu = ParamArray(np.array([1e-3, 2e-2]), np.array([0.0, 0.0]))
+    with pytest.raises(DiskError):
+        signature_at(sys_, ParamPoint(2e-2, 0.0))
+    with pytest.raises(DiskError):
+        signature_at(sys_, mu)
+    with pytest.raises(UnsupportedCase):
+        signature_at(ReducedSystem.from_coeffs(theta=0.0, delta=0.0, gamma=1.0),
+                     ParamArray.from_polar(1e-3, phis[:3]))
