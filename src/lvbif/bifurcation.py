@@ -11,7 +11,6 @@ derivatives and central finite differences in the bifurcation parameter.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
                      UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                     ParamPoint, ReducedSystem, field_at, hessian_form_at,
-                    jacobian_at)
+                    jacobian_at, mirror, mirror_name)
 
 # curve kinds
 T1 = "T1"
@@ -213,18 +212,15 @@ def predicted_leading(sys: ReducedSystem, kind: str) -> float | None:
     if kind == H:
         den = th * g * (g - de)
         return (th * g - 1.0) * de / den if den != 0.0 else None
+    if sys.degeneracy == THETA_ZERO:
+        # mu1 = a mu2^2 on the system is nu2 = a nu1^2 on its mirror
+        return predicted_leading(mirror(sys), mirror_name(kind))
     if sys.degeneracy == DELTA_ZERO:
         d1, P0 = sys.delta1, sys.P0
         if kind in (D_NEG, D_POS):
             return d1 * d1 / (4.0 * P0) if P0 != 0.0 else None
         if kind in (T3, T3_PLUS):
             return (d1 * g - P0) / (g * g)
-    if sys.degeneracy == THETA_ZERO:
-        t2, N0 = sys.theta2, sys.N0
-        if kind in (D_NEG, D_POS):
-            return t2 * t2 / (4.0 * N0) if N0 != 0.0 else None
-        if kind in (T4, T4_PLUS):
-            return g * (t2 - N0 * g)
     return None
 
 
@@ -311,41 +307,22 @@ def circle_intersections(sys: ReducedSystem, kind: str, r: float,
     return [p for p, _ in zeros if pred(p)]
 
 
-def parse_halfline(text: str):
-    """Predicate for a simple sign condition like 'mu1>0' or 'mu2<0'."""
-    m = re.fullmatch(r"\s*(mu1|mu2)\s*([<>])\s*0\s*", text)
-    if not m:
-        raise ValueError(f"bad half-line constraint {text!r}")
-    coord, op = m.group(1), m.group(2)
-    pick = (lambda mu: mu.mu1) if coord == "mu1" else (lambda mu: mu.mu2)
-    if op == ">":
-        return lambda mu: pick(mu) > 0.0
-    return lambda mu: pick(mu) < 0.0
-
-
 def trace_curve(sys: ReducedSystem, kind: str, radii,
-                tol: Tolerances = TOL,
-                halfline: str | None = None) -> BifurcationCurve:
+                tol: Tolerances = TOL) -> BifurcationCurve:
     """Sample a curve at the given radii and fit its leading coefficient.
 
-    halfline adds a further sign condition on top of the kind's own one
-    (the curve refuses samples violating its constraint either way).
-    Returns an empty curve with a note when no sample satisfies the
-    constraints (the curve is absent for this sign pattern).  Raises
-    NotApplicable when the kind does not exist for the class.
+    Returns an empty curve with a note when no sample satisfies the kind's
+    half-line constraint (the curve is absent for this sign pattern).
+    Raises NotApplicable when the kind does not exist for the class.
     """
     if kind not in admissible_kinds(sys):
         raise NotApplicable(
             f"curve {kind} is not admissible for class {sys.degeneracy}")
     desc, _ = halfline_constraint(sys, kind)
-    extra = parse_halfline(halfline) if halfline is not None else None
-    curve = BifurcationCurve(kind=kind, halfline=desc if halfline is None
-                             else f"{desc} & {halfline}")
+    curve = BifurcationCurve(kind=kind, halfline=desc)
     residual = curve_residual(sys, kind, tol)
     for r in sorted(radii, reverse=True):
         pts = circle_intersections(sys, kind, r, tol)
-        if extra is not None:
-            pts = [p for p in pts if extra(p)]
         if not pts:
             curve.notes.append(f"NoRoot: no {kind} point on |mu| = {r:.3e}")
             continue
@@ -374,15 +351,12 @@ def parabola_point(sys: ReducedSystem, kind: str, coord: float,
     seed = lead * coord * coord
     span = max(abs(seed), 1e-3 * coord * coord, 1e-18)
     if sys.degeneracy == DELTA_ZERO:
-        f = lambda m2: residual(ParamPoint(coord, m2))
-        lo, hi = seed - 60.0 * span, seed + 60.0 * span
-        m2 = brentq(f, lo, hi, xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
-        mu = ParamPoint(coord, m2)
+        point = lambda m: ParamPoint(coord, m)
     else:
-        f = lambda m1: residual(ParamPoint(m1, coord))
-        lo, hi = seed - 60.0 * span, seed + 60.0 * span
-        m1 = brentq(f, lo, hi, xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
-        mu = ParamPoint(m1, coord)
+        point = lambda m: ParamPoint(m, coord)
+    m = brentq(lambda m: residual(point(m)), seed - 60.0 * span,
+               seed + 60.0 * span, xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
+    mu = point(m)
     if not pred(mu):
         raise HypothesisViolation(
             f"{kind} point at coordinate {coord!r} violates {desc}")
@@ -433,26 +407,16 @@ def axis_kernel_vectors(A, xi0: tuple[float, float]
     return v, w
 
 
-def _fd_parameter_field(sys: ReducedSystem, mu: ParamPoint, xi, param: int,
-                        h: float) -> np.ndarray:
+def _fd_parameter(evaluate, sys: ReducedSystem, mu: ParamPoint, xi,
+                  param: int, h: float) -> np.ndarray:
+    """Central difference of evaluate(coeffs, xi) in mu[param], step h."""
     def shift(s):
         m = [mu.mu1, mu.mu2]
         m[param] += s
         return ParamPoint(m[0], m[1])
-    fp = field_at(sys.at(shift(+h)), xi)
-    fm = field_at(sys.at(shift(-h)), xi)
-    return (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
-
-
-def _fd_parameter_jacobian(sys: ReducedSystem, mu: ParamPoint, xi, param: int,
-                           h: float) -> np.ndarray:
-    def shift(s):
-        m = [mu.mu1, mu.mu2]
-        m[param] += s
-        return ParamPoint(m[0], m[1])
-    jp = np.asarray(jacobian_at(sys.at(shift(+h)), xi))
-    jm = np.asarray(jacobian_at(sys.at(shift(-h)), xi))
-    return (jp - jm) / (2.0 * h)
+    fp = np.asarray(evaluate(sys.at(shift(+h)), xi))
+    fm = np.asarray(evaluate(sys.at(shift(-h)), xi))
+    return (fp - fm) / (2.0 * h)
 
 
 def sotomayor_quantities(sys: ReducedSystem, mu0: ParamPoint,
@@ -464,8 +428,8 @@ def sotomayor_quantities(sys: ReducedSystem, mu0: ParamPoint,
     A = jacobian_at(sys.at(mu0), xi0)
     v, w = axis_kernel_vectors(A, xi0)
     h = 1e-7 * (1.0 + mu0.norm)
-    c1 = float(w @ _fd_parameter_field(sys, mu0, xi0, param, h))
-    c2 = float(w @ (_fd_parameter_jacobian(sys, mu0, xi0, param, h) @ v))
+    c1 = float(w @ _fd_parameter(field_at, sys, mu0, xi0, param, h))
+    c2 = float(w @ (_fd_parameter(jacobian_at, sys, mu0, xi0, param, h) @ v))
     c3 = float(w @ np.asarray(
         hessian_form_at(sys.at(mu0), xi0, (float(v[0]), float(v[1])))))
     return v, w, c1, c2, c3
@@ -526,12 +490,11 @@ def sotomayor_saddle_node(sys: ReducedSystem, mu0,
 
 def transcritical_branch(sys: ReducedSystem) -> str:
     """Label of the axis point that meets the interior equilibrium."""
-    g = sys.gamma0
-    if sys.degeneracy == DELTA_ZERO:
-        return "E21" if g * sys.delta1 - 2.0 * sys.P0 < 0.0 else "E22"
     if sys.degeneracy == THETA_ZERO:
-        return "E11" if sys.theta2 - 2.0 * sys.N0 * g < 0.0 else "E12"
-    raise NotApplicable("no collision branch rule for this class")
+        return mirror_name(transcritical_branch(mirror(sys)))
+    if sys.degeneracy != DELTA_ZERO:
+        raise NotApplicable("no collision branch rule for this class")
+    return "E21" if sys.gamma0 * sys.delta1 - 2.0 * sys.P0 < 0.0 else "E22"
 
 
 def sotomayor_transcritical(sys: ReducedSystem, mu0,
@@ -613,14 +576,16 @@ class CollisionRecord:
     companion_kind: str | None
 
 
+# the other root of an axis pair: the companion of a transcritical collision
+_PARTNER = {"E11": "E12", "E12": "E11", "E21": "E22", "E22": "E21"}
+
+
 def expected_collision_pair(sys: ReducedSystem, kind: str) -> tuple[str, str]:
     if kind == T1:
         return ("E1", "E3")
     if kind == T2:
         return ("E2", "E3")
-    if kind == T3:
-        return (transcritical_branch(sys), "E3")
-    if kind == T4:
+    if kind in (T3, T4):
         return (transcritical_branch(sys), "E3")
     raise NotApplicable(f"no collision assignment for curve {kind}")
 
@@ -635,6 +600,7 @@ def collision_check(sys: ReducedSystem, curve: BifurcationCurve,
     from .equilibria import find_equilibria
 
     expected = expected_collision_pair(sys, curve.kind)
+    companion = _PARTNER.get(expected[0])
     records = []
     for mu in curve.samples:
         eqs = find_equilibria(sys, mu, tol)
@@ -658,7 +624,6 @@ def collision_check(sys: ReducedSystem, curve: BifurcationCurve,
                 f"pair {pair} distance {d:.3e} above the collision tolerance")
         axis_eq = ea if ea.label != "E3" else eb
         lam = min(axis_eq.eigenvalues, key=lambda z: abs(z.real))
-        companion = _companion_label(sys, curve.kind)
         companion_kind = None
         if companion is not None:
             comp = eqs.get(companion)
@@ -669,14 +634,6 @@ def collision_check(sys: ReducedSystem, curve: BifurcationCurve,
             vanishing_eig=float(lam.real), companion=companion,
             companion_kind=companion_kind))
     return records
-
-
-def _companion_label(sys: ReducedSystem, kind: str) -> str | None:
-    if kind == T3:
-        return "E22" if transcritical_branch(sys) == "E21" else "E21"
-    if kind == T4:
-        return "E12" if transcritical_branch(sys) == "E11" else "E11"
-    return None
 
 
 __all__ = [

@@ -8,7 +8,8 @@ but subdominant.
 
 from __future__ import annotations
 
-from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem
+from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem,
+                    mirror)
 from .poly import linear_poly
 
 HIGHER = 0.1
@@ -31,10 +32,8 @@ def deltazero_case(theta: float, delta1: float, P: float = 1.0,
 
 def thetazero_case(delta: float, theta2: float, N: float = 1.0,
                    gamma: float = 1.0, theta1: float = HIGHER) -> ReducedSystem:
-    return ReducedSystem.from_coeffs(
-        delta=delta, gamma=gamma,
-        theta=linear_poly(0.0, theta1, theta2),
-        N=N, M=HIGHER, P=HIGHER, L=HIGHER, S=HIGHER, R=HIGHER)
+    """The mirror of deltazero_case(delta, theta2, N, 1 / gamma, theta1)."""
+    return mirror(deltazero_case(delta, theta2, N, 1.0 / gamma, theta1))
 
 
 # one entry per case cell: (case id, descriptive signs, system)
@@ -58,16 +57,10 @@ CANONICAL_DELTAZERO: tuple[tuple[str, ReducedSystem], ...] = (
     ("VIII", deltazero_case(-1.0, -1.0)),
 )
 
-CANONICAL_THETAZERO: tuple[tuple[str, ReducedSystem], ...] = (
-    ("I", thetazero_case(1.0, 1.5)),    # t2-N*g>0, t2-2N*g<0
-    ("II", thetazero_case(1.0, 3.0)),   # t2-N*g>0, t2-2N*g>0
-    ("III", thetazero_case(1.0, 0.5)),  # t2-N*g<0
-    ("IV", thetazero_case(-1.0, 1.5)),
-    ("V", thetazero_case(-1.0, 3.0)),
-    ("VI", thetazero_case(-1.0, 0.5)),
-    ("VII", thetazero_case(1.0, -1.0)),
-    ("VIII", thetazero_case(-1.0, -1.0)),
-)
+# ThetaZero case k is the mirror of DeltaZero case k (delta = theta,
+# theta2 = delta1, N = P)
+CANONICAL_THETAZERO: tuple[tuple[str, ReducedSystem], ...] = tuple(
+    (case_id, mirror(sys_)) for case_id, sys_ in CANONICAL_DELTAZERO)
 
 CANONICAL_BY_FAMILY = {
     NONDEGENERATE: CANONICAL_NONDEGENERATE,

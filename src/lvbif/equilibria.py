@@ -13,6 +13,10 @@ degeneracy class.  Labels follow the class conventions:
     NonDegenerate:  E0, E1, E2, E3
     DeltaZero:      E0, E1, E21, E22, E3
     ThetaZero:      E0, E11, E12, E2, E3
+
+One rule labels the axes of every class, at a point or at an array of
+points: a single label (E1, E2) takes the root nearest the seed -mu/theta
+or -mu/delta, a label pair takes both roots, the plus root first.
 """
 
 from __future__ import annotations
@@ -395,6 +399,13 @@ def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
                        notes=notes + extra)
 
 
+def _axis_quadratics(c: Coeffs):
+    """Per axis: the label of its single root, the labels of its root pair,
+    and the coefficients of its quadratic (x^2, x, 1)."""
+    return (("E1", ("E11", "E12"), c.N, c.theta, c.mu1),
+            ("E2", ("E21", "E22"), c.P, c.delta, c.mu2))
+
+
 def _skip_e3(sys: ReducedSystem, tol: Tolerances) -> bool:
     return (sys.degeneracy == NONDEGENERATE
             and abs(sys.theta0 * sys.delta0 - 1.0) <= tol.hyperbola_tol)
@@ -420,40 +431,21 @@ def find_equilibria(sys: ReducedSystem, mu,
     if mu.norm == 0.0:
         return out
 
-    # axis roots, labeled per degeneracy class
-    r1_plus, r1_minus = stable_quadratic_roots(c.N, c.theta, c.mu1,
-                                               tol.quad_floor)
-    r2_plus, r2_minus = stable_quadratic_roots(c.P, c.delta, c.mu2,
-                                               tol.quad_floor)
-
-    def near_root(rp, rm, seed_val):
-        # a tie goes to the plus root
-        cands = [r for r in (rp, rm) if r is not None]
-        if not cands:
-            return None
-        return min(cands, key=lambda r: abs(r - seed_val))
-
-    if sys.degeneracy in (NONDEGENERATE, DELTA_ZERO):
-        seed1 = -mu.mu1 / c.theta if c.theta != 0.0 else 0.0
-        root = near_root(r1_plus, r1_minus, seed1)
-        if root is not None:
-            out.append(_make_equilibrium(c, mu, "E1", (root, 0.0), tol))
-    else:  # ThetaZero: both axis roots carry labels
-        if r1_plus is not None:
-            out.append(_make_equilibrium(c, mu, "E11", (r1_plus, 0.0), tol))
-        if r1_minus is not None:
-            out.append(_make_equilibrium(c, mu, "E12", (r1_minus, 0.0), tol))
-
-    if sys.degeneracy in (NONDEGENERATE, THETA_ZERO):
-        seed2 = -mu.mu2 / c.delta if c.delta != 0.0 else 0.0
-        root = near_root(r2_plus, r2_minus, seed2)
-        if root is not None:
-            out.append(_make_equilibrium(c, mu, "E2", (0.0, root), tol))
-    else:  # DeltaZero: both axis roots carry labels
-        if r2_plus is not None:
-            out.append(_make_equilibrium(c, mu, "E21", (0.0, r2_plus), tol))
-        if r2_minus is not None:
-            out.append(_make_equilibrium(c, mu, "E22", (0.0, r2_minus), tol))
+    labels = LABELS_BY_FAMILY[sys.degeneracy]
+    for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
+        rp, rm = stable_quadratic_roots(a, b, m, tol.quad_floor)
+        if single in labels:
+            # the root nearest the seed; a tie goes to the plus root
+            seed = -m / b if b != 0.0 else 0.0
+            cands = [r for r in (rp, rm) if r is not None]
+            roots = {single: min(cands, key=lambda r: abs(r - seed))
+                     if cands else None}
+        else:
+            roots = {pair[0]: rp, pair[1]: rm}
+        for label, r in roots.items():
+            if r is not None:
+                xi = (r, 0.0) if axis == 0 else (0.0, r)
+                out.append(_make_equilibrium(c, mu, label, xi, tol))
 
     # interior point
     if _skip_e3(sys, tol):
@@ -530,9 +522,7 @@ def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
     zero = np.zeros(norm.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         found = {"E0": (np.ones(norm.shape, dtype=bool), zero, zero)}
-        axes = (("E1", ("E11", "E12"), c.N, c.theta, c.mu1),
-                ("E2", ("E21", "E22"), c.P, c.delta, c.mu2))
-        for axis, (single, pair, a, b, m) in enumerate(axes):
+        for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
             rp, has_p, rm, has_m = _quadratic_roots_array(a, b, m,
                                                           tol.quad_floor)
             has_p, has_m = has_p & moving, has_m & moving

@@ -361,6 +361,40 @@ def reduce_negative(raw: RawSystem) -> ReducedSystem:
 
 
 # ---------------------------------------------------------------------------
+# the coordinate-swap mirror
+# ---------------------------------------------------------------------------
+
+# equilibrium labels and curve kinds that trade places under the mirror;
+# every other name (D_branch_neg and D_branch_pos among them) is its own
+_SWAPPED = (("E1", "E2"), ("E11", "E21"), ("E12", "E22"), ("T1", "T2"),
+            ("T3", "T4"), ("T3plus", "T4plus"), ("Xplus", "Yplus"),
+            ("Xminus", "Yminus"))
+MIRROR_NAMES = {**dict(_SWAPPED), **{b: a for a, b in _SWAPPED}}
+
+
+def mirror_name(name: str) -> str:
+    """The name a label or curve kind takes in the mirrored system."""
+    return MIRROR_NAMES.get(name, name)
+
+
+def mirror(sys: ReducedSystem) -> ReducedSystem:
+    """The same system with xi1 <-> xi2 and mu1 <-> mu2 swapped.
+
+    (theta, gamma, delta, M, N, L, S, P, R) become (delta, 1/gamma, theta,
+    S, P, R, M, N, L), each a function of the swapped parameters; 1/gamma is
+    a truncated series quotient, valid because gamma(0) > 0.  The mirror
+    maps DeltaZero to ThetaZero and back, and NonDegenerate to itself.
+    """
+    swap = lambda p: p.swap_arguments()
+    inv_gamma = CoefficientPoly.constant(1.0, sys.degree).truncated_div(sys.gamma)
+    return ReducedSystem(
+        theta=swap(sys.delta), gamma=swap(inv_gamma), delta=swap(sys.theta),
+        M=swap(sys.S), N=swap(sys.P), L=swap(sys.R),
+        S=swap(sys.M), P=swap(sys.N), R=swap(sys.L),
+        degree=sys.degree, mu_negated=sys.mu_negated)
+
+
+# ---------------------------------------------------------------------------
 # field evaluation (scalar fast paths on Coeffs, public wrappers on systems)
 # ---------------------------------------------------------------------------
 
@@ -487,6 +521,7 @@ __all__ = [
     "ParamPoint", "ParamArray", "hypot", "check_disk", "Coeffs", "RawSystem",
     "ReducedSystem",
     "classify_degeneracy", "reduce", "reduce_negative",
+    "MIRROR_NAMES", "mirror_name", "mirror",
     "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",
     "hessian_form_at", "eval_field", "eval_jacobian",
     "LoadedSystem", "system_from_dict", "load_system",

@@ -183,6 +183,11 @@ class CoefficientPoly:
             {k: v if (k[0] + k[1]) % 2 == 0 else -v for k, v in self._c.items()},
             self.degree)
 
+    def swap_arguments(self) -> "CoefficientPoly":
+        """Return p(mu2, mu1) as a polynomial in the new arguments."""
+        return CoefficientPoly({(j, i): v for (i, j), v in self._c.items()},
+                               self.degree)
+
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

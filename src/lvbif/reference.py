@@ -10,14 +10,14 @@ distinct signatures; column numbers are only used for reporting.
 
 from __future__ import annotations
 
-from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO
+from .equilibria import LABELS_BY_FAMILY
+from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, mirror_name
 
 # row headers use the classical naming ("O" for the origin in the
 # degenerate families)
 ROW_DISPLAY = {
     NONDEGENERATE: ("E0", "E1", "E2", "E3"),
     DELTA_ZERO: ("O", "E1", "E21", "E22", "E3"),
-    THETA_ZERO: ("O", "E11", "E12", "E2", "E3"),
 }
 
 EXPECTED_SIGNATURES = {
@@ -75,29 +75,26 @@ EXPECTED_SIGNATURES = {
         ("r", "-", "r", "s", "-"),   # 19
         ("r", "s", "r", "s", "-"),   # 20
     ),
-    THETA_ZERO: (
-        ("r", "-", "-", "-", "-"),   # 1
-        ("s", "r", "-", "-", "-"),   # 2
-        ("a", "r", "-", "s", "-"),   # 3
-        ("a", "r", "-", "r", "s"),   # 4
-        ("s", "r", "a", "r", "s"),   # 5
-        ("s", "s", "a", "r", "-"),   # 6
-        ("s", "-", "-", "r", "-"),   # 7
-        ("s", "r", "s", "r", "-"),   # 8
-        ("a", "s", "-", "r", "-"),   # 9
-        ("a", "s", "-", "-", "-"),   # 10
-        ("r", "-", "-", "s", "-"),   # 11
-        ("s", "r", "-", "s", "-"),   # 12
-        ("s", "r", "-", "a", "s"),   # 13
-        ("a", "r", "-", "-", "s"),   # 14
-        ("s", "r", "a", "-", "s"),   # 15
-        ("s", "s", "a", "-", "-"),   # 16
-        ("s", "-", "-", "-", "-"),   # 17
-        ("s", "r", "s", "-", "-"),   # 18
-        ("r", "r", "s", "-", "-"),   # 19
-        ("r", "r", "s", "s", "-"),   # 20
-    ),
 }
+
+# ThetaZero is the coordinate-swap mirror of DeltaZero.  Its rows (O, E11,
+# E12, E2, E3) are the mirrored DeltaZero rows (O, E21, E22, E1, E3), and
+# its columns, in the paper's numbering, are these DeltaZero columns.
+_MIRROR_ROWS = tuple(LABELS_BY_FAMILY[DELTA_ZERO].index(mirror_name(label))
+                     for label in LABELS_BY_FAMILY[THETA_ZERO])
+_MIRROR_COLUMNS = (1, 7, 6, 5, 4, 3, 2, 8, 9, 18,
+                   10, 16, 15, 14, 13, 12, 11, 17, 19, 20)
+
+
+def _mirror_rows(column: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(column[i] for i in _MIRROR_ROWS)
+
+
+ROW_DISPLAY[THETA_ZERO] = _mirror_rows(
+    tuple(mirror_name(n) for n in ROW_DISPLAY[DELTA_ZERO]))
+EXPECTED_SIGNATURES[THETA_ZERO] = tuple(
+    _mirror_rows(EXPECTED_SIGNATURES[DELTA_ZERO][j - 1])
+    for j in _MIRROR_COLUMNS)
 
 EXPECTED_REGION_COUNT = {
     NONDEGENERATE: 30,

@@ -20,8 +20,8 @@ from .cases import CANONICAL_BY_FAMILY
 from .equilibria import (LABELS_BY_FAMILY, TOL, EquilibriumList, Tolerances,
                          _find_equilibria_array, find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
-from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
-                    ParamArray, ParamPoint, ReducedSystem)
+from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE, THETA_ZERO,
+                    ParamArray, ParamPoint, ReducedSystem, mirror)
 from .reference import (EXPECTED_REGION_COUNT, EXPECTED_SIGNATURES,
                         ROW_DISPLAY, expected_column)
 
@@ -72,6 +72,16 @@ def _sign_of(value: float, tol: float = 1e-12) -> int:
     return 0
 
 
+# names of the DeltaZero case quantities theta, delta1, delta2, P,
+# gamma*delta1-P, gamma*delta1-2P, and of their mirror images
+_CASE_NAMES = {
+    DELTA_ZERO: ("theta", "delta1", "delta2", "P",
+                 "gamma*delta1-P", "gamma*delta1-2P"),
+    THETA_ZERO: ("delta", "theta2", "theta1", "N",
+                 "theta2-N*gamma", "theta2-2N*gamma"),
+}
+
+
 def select_case(sys: ReducedSystem) -> CaseDescriptor:
     """Sign tuple of the case cell the system falls into.
 
@@ -80,7 +90,6 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
     quadratic has the sign the tables do not cover (noted, not fatal).
     """
     fam = sys.degeneracy
-    g = sys.gamma0
     if fam == DOUBLY_DEGENERATE:
         raise UnsupportedCase(
             "theta(0) = delta(0) = 0 is outside the analyzed cases")
@@ -95,36 +104,19 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
         if signs[2][1] > 0 and signs[0][1] * signs[1][1] <= 0:
             raise UnsupportedCase("inconsistent sign tuple")
         return CaseDescriptor(fam, signs)
-    if fam == DELTA_ZERO:
-        th, d1, d2, P0 = sys.theta0, sys.delta1, sys.delta2, sys.P0
-        if d1 == 0.0 or d2 == 0.0 or P0 == 0.0 or th == 0.0:
-            raise UnsupportedCase(
-                "DeltaZero analysis requires theta, delta1, delta2, P nonzero")
-        q1, q2 = g * d1 - P0, g * d1 - 2.0 * P0
-        signs = (("theta", _sign_of(th)), ("delta1", _sign_of(d1)),
-                 ("gamma*delta1-P", _sign_of(q1)),
-                 ("gamma*delta1-2P", _sign_of(q2)))
-        notes: tuple[str, ...] = ()
-        supported = P0 > 0.0
-        if not supported:
-            notes = ("table verification limited to P>0",)
-        if P0 > 0.0 and q1 < 0.0 <= q2:
-            raise UnsupportedCase("inconsistent sign tuple (P>0 forces "
-                                  "gamma*delta1-2P<0 when gamma*delta1-P<0)")
-        return CaseDescriptor(fam, signs, supported, notes)
-    # ThetaZero
-    de, t1, t2, N0 = sys.delta0, sys.theta1, sys.theta2, sys.N0
-    if de == 0.0 or t1 == 0.0 or t2 == 0.0 or N0 == 0.0:
-        raise UnsupportedCase(
-            "ThetaZero analysis requires delta, theta1, theta2, N nonzero")
-    q1, q2 = t2 - N0 * g, t2 - 2.0 * N0 * g
-    signs = (("delta", _sign_of(de)), ("theta2", _sign_of(t2)),
-             ("theta2-N*gamma", _sign_of(q1)),
-             ("theta2-2N*gamma", _sign_of(q2)))
-    notes = ()
-    supported = N0 > 0.0
-    if not supported:
-        notes = ("table verification limited to N>0",)
+    # ThetaZero is read as the DeltaZero case of its mirror; gamma > 0, so
+    # gamma*delta1-P of the mirror has the sign of theta2-N*gamma
+    dz = sys if fam == DELTA_ZERO else mirror(sys)
+    th, d1, d2, P0, g = dz.theta0, dz.delta1, dz.delta2, dz.P0, dz.gamma0
+    th_n, d1_n, d2_n, p_n, q1_n, q2_n = _CASE_NAMES[fam]
+    if d1 == 0.0 or d2 == 0.0 or P0 == 0.0 or th == 0.0:
+        raise UnsupportedCase(f"{fam} analysis requires {th_n}, {d1_n}, "
+                              f"{d2_n}, {p_n} nonzero")
+    q1, q2 = g * d1 - P0, g * d1 - 2.0 * P0
+    signs = ((th_n, _sign_of(th)), (d1_n, _sign_of(d1)),
+             (q1_n, _sign_of(q1)), (q2_n, _sign_of(q2)))
+    supported = P0 > 0.0
+    notes = () if supported else (f"table verification limited to {p_n}>0",)
     return CaseDescriptor(fam, signs, supported, notes)
 
 
@@ -295,6 +287,7 @@ def region_membership(sys: ReducedSystem, mu,
 @dataclass
 class DiagramReport:
     case_id: str
+    system: ReducedSystem
     descriptor: CaseDescriptor
     sectors: list[RegionReport]
 
@@ -396,7 +389,7 @@ def verify_tables(family: str, r: float = 1e-3,
             raise UnsupportedCase(
                 f"case {case_id}: {'; '.join(desc.notes)}")
         sectors = decompose(sys_, desc, r, tol)
-        diagrams.append(DiagramReport(case_id, desc, sectors))
+        diagrams.append(DiagramReport(case_id, sys_, desc, sectors))
         for s in sectors:
             seen.setdefault(s.signature, []).append(case_id)
     distinct = sorted(seen)

@@ -60,9 +60,6 @@ def test_collision_line_respects_halfline():
     curve = bif.trace_curve(sys_, bif.T1, [1e-3])
     assert len(curve.samples) == 1
     assert curve.samples[0].mu1 < 0.0  # theta > 0 forces mu1 < 0
-    wrong = bif.trace_curve(sys_, bif.T1, [1e-3], halfline="mu1>0")
-    assert wrong.empty
-    assert any("NoRoot" in n for n in wrong.notes)
 
 
 def test_kind_admissibility():

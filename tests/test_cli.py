@@ -185,3 +185,27 @@ def test_verify_oracle_passes_every_family(capsys, family):
                        "--oracle", "--seed", "7")
     assert code == 0, out
     assert "FAIL" not in out
+
+
+def test_verify_oracle_checks_the_config_system(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "thetazero",
+                       "--config", fixture_path("thetazero_iii.json"),
+                       "--oracle")
+    assert code == 0, out
+    assert "[ok ] case config: sector RLE matches, grid roots match" in out
+
+
+def shipped_fixtures():
+    return sorted(p.name for p in (resources.files("lvbif") / "fixtures")
+                  .iterdir() if p.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--mu", "1e-3,1e-3"),
+                                  ("curves", "--radii", "1e-3,1e-4")])
+def test_readme_commands_exit_zero_on_every_shipped_fixture(capsys, argv):
+    names = shipped_fixtures()
+    assert len(names) == 23
+    for name in names:
+        code, _, err = run(capsys, argv[0], "--config", fixture_path(name),
+                           *argv[1:])
+        assert code == 0, (name, err)

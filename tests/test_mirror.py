@@ -1,0 +1,104 @@
+"""The coordinate-swap mirror: xi1 <-> xi2 and mu1 <-> mu2.
+
+ThetaZero systems mirror to DeltaZero ones and NonDegenerate systems to
+themselves; equilibria, signatures and sector boundaries map across with
+the labels renamed by mirror_name.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lvbif.equilibria import LABELS_BY_FAMILY, find_equilibria
+from lvbif.model import (DELTA_ZERO, NONDEGENERATE, REDUCED_NAMES, THETA_ZERO,
+                         ParamArray, ParamPoint, mirror, mirror_name)
+from lvbif.regions import decompose, signature_at
+
+from conftest import rand_nondegenerate, rand_thetazero
+
+R = 1e-3
+N_SYSTEMS = 8
+N_ANGLES = 300
+
+FAMILIES = [(rand_thetazero, THETA_ZERO, DELTA_ZERO),
+            (rand_nondegenerate, NONDEGENERATE, NONDEGENERATE)]
+
+
+def systems(gen):
+    rng = np.random.default_rng(20250809)
+    return [gen(rng) for _ in range(N_SYSTEMS)]
+
+
+def swapped(mu):
+    return type(mu)(mu.mu2, mu.mu1)
+
+
+def unmirror(sig, family, image):
+    """A signature over the image family's labels, read over the family's."""
+    return tuple(sig[LABELS_BY_FAMILY[image].index(mirror_name(label))]
+                 for label in LABELS_BY_FAMILY[family])
+
+
+def circular_gap(a, b):
+    gap = abs(a - b) % (2.0 * math.pi)
+    return min(gap, 2.0 * math.pi - gap)
+
+
+@pytest.mark.parametrize("gen, family, image", FAMILIES)
+def test_mirror_maps_family_and_round_trips(gen, family, image):
+    for sys_ in systems(gen):
+        assert sys_.degeneracy == family
+        assert mirror(sys_).degeneracy == image
+        back = mirror(mirror(sys_))
+        for name in REDUCED_NAMES:
+            p, q = getattr(sys_, name), getattr(back, name)
+            keys = set(p.coeffs()) | set(q.coeffs())
+            assert all(abs(p.coeff(*k) - q.coeff(*k)) <= 1e-14 for k in keys), \
+                name
+
+
+@pytest.mark.parametrize("gen, family, image", FAMILIES)
+def test_mirrored_signatures_match(gen, family, image):
+    phis = [(k + 0.5) * 2.0 * math.pi / N_ANGLES for k in range(N_ANGLES)]
+    mu = ParamArray.from_polar(R, phis)
+    for sys_ in systems(gen):
+        own = signature_at(sys_, mu)
+        image_sigs = signature_at(mirror(sys_), swapped(mu))
+        assert own == [unmirror(s, family, image) for s in image_sigs]
+
+
+@pytest.mark.parametrize("gen, family, image", FAMILIES)
+def test_mirrored_equilibria_match(gen, family, image):
+    for sys_ in systems(gen):
+        msys = mirror(sys_)
+        for k in range(6):
+            mu = ParamPoint.from_polar(R, 0.3 + k * math.pi / 3.0)
+            own = find_equilibria(sys_, mu)
+            image_eqs = find_equilibria(msys, swapped(mu))
+            assert sorted(mirror_name(e.label) for e in own) == sorted(
+                e.label for e in image_eqs)
+            for e in own:
+                m = image_eqs.get(mirror_name(e.label))
+                assert math.hypot(e.xi[0] - m.xi[1],
+                                  e.xi[1] - m.xi[0]) <= 1e-7 * mu.norm
+                assert (e.kind, e.proper, e.trivial) == \
+                    (m.kind, m.proper, m.trivial)
+
+
+@pytest.mark.parametrize("gen, family, image", FAMILIES)
+def test_mirrored_decompose_matches(gen, family, image):
+    for sys_ in systems(gen):
+        own = decompose(sys_, None, R)
+        image_sectors = decompose(mirror(sys_), None, R)
+        assert len(own) == len(image_sectors)
+        # the swap maps the angle phi to pi/2 - phi: a sector (lo, hi)
+        # becomes (pi/2 - hi, pi/2 - lo), with the same signature
+        for s in own:
+            match = [m for m in image_sectors
+                     if circular_gap(s.angles[0],
+                                     0.5 * math.pi - m.angles[1]) <= 1e-8]
+            assert len(match) == 1
+            assert circular_gap(s.angles[1],
+                                0.5 * math.pi - match[0].angles[0]) <= 1e-8
+            assert s.signature == unmirror(match[0].signature, family, image)
