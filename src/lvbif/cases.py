@@ -8,9 +8,11 @@ but subdominant.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem,
                     mirror)
-from .poly import linear_poly
+from .poly import as_poly, linear_poly
 
 HIGHER = 0.1
 
@@ -33,7 +35,9 @@ def deltazero_case(theta: float, delta1: float, P: float = 1.0,
 def thetazero_case(delta: float, theta2: float, N: float = 1.0,
                    gamma: float = 1.0, theta1: float = HIGHER) -> ReducedSystem:
     """The mirror of deltazero_case(delta, theta2, N, 1 / gamma, theta1)."""
-    return mirror(deltazero_case(delta, theta2, N, 1.0 / gamma, theta1))
+    twin = mirror(deltazero_case(delta, theta2, N, 1.0 / gamma, theta1))
+    # the mirror's 1/(1/gamma) can miss gamma in the last bit
+    return replace(twin, gamma=as_poly(gamma, twin.degree))
 
 
 # one entry per case cell: (case id, descriptive signs, system)

@@ -6,9 +6,9 @@ quadratics
     mu1 + theta(mu) xi1 + N(mu) xi1^2 = 0      (xi1-axis)
     mu2 + delta(mu) xi2 + P(mu) xi2^2 = 0      (xi2-axis)
 
-and the interior point E3 is refined by damped Newton on the bracket system,
-seeded from the closed-form leading-order coordinates of the active
-degeneracy class.  Labels follow the class conventions:
+and the interior point E3 is refined by Newton on the bracket system, polished
+while the residual falls, from the closed-form leading-order coordinates of
+the active degeneracy class.  Labels follow the class conventions:
 
     NonDegenerate:  E0, E1, E2, E3
     DeltaZero:      E0, E1, E21, E22, E3
@@ -246,7 +246,8 @@ def _seed_e3(sys: ReducedSystem, c: Coeffs):
 
 def refine_e3(sys: ReducedSystem, mu, seed=None,
               tol: Tolerances = TOL) -> tuple[float, float]:
-    """Damped Newton on the bracket system (g1, g2) = (0, 0).
+    """Newton on the bracket system (g1, g2) = (0, 0), polished while the
+    residual falls; it raises if the residual stops falling above target.
 
     The bracket Jacobian stays nonsingular through equilibrium collisions,
     so the solve is well conditioned on the bifurcation curves themselves.
@@ -268,8 +269,7 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
     x1, x2 = _seed_e3(sys, c) if seed is None else (float(seed[0]), float(seed[1]))
     target = tol.newton_tol * (1.0 + norm)
     ball = 10.0 * (math.hypot(x1, x2) + norm) + 1e-6
-    g1 = bracket1(c, x1, x2)
-    g2 = bracket2(c, x1, x2)
+    g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
     res = math.hypot(g1, g2)
     for _ in range(tol.max_iter):
         if res == 0.0:
@@ -278,26 +278,16 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
         det = a * e - b * d
         if det == 0.0:
             raise NewtonDivergence("singular bracket Jacobian")
-        dx1 = -(e * g1 - b * g2) / det
-        dx2 = -(-d * g1 + a * g2) / det
-        step = 1.0
-        improved = False
-        for _ in range(_HALVINGS + 1):
-            nx1, nx2 = x1 + step * dx1, x2 + step * dx2
-            ng1 = bracket1(c, nx1, nx2)
-            ng2 = bracket2(c, nx1, nx2)
-            nres = math.hypot(ng1, ng2)
-            if nres < res:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            # stagnation: accept if already at the requested tolerance
-            # (iterates are polished to roundoff before this happens)
+        nx1 = x1 - (e * g1 - b * g2) / det
+        nx2 = x2 - (a * g2 - d * g1) / det
+        ng1, ng2 = bracket1(c, nx1, nx2), bracket2(c, nx1, nx2)
+        nres = math.hypot(ng1, ng2)
+        if not nres < res:
+            # the residual stopped falling: roundoff, if at the target
             if res <= target:
                 return (x1, x2)
             raise NewtonDivergence(
-                f"line search stalled at residual {res:.3e}")
+                f"Newton step did not lower the residual {res:.3e}")
         x1, x2, g1, g2, res = nx1, nx2, ng1, ng2, nres
         if math.hypot(x1, x2) > ball:
             raise NewtonDivergence("iterate left the seed neighborhood")
@@ -307,24 +297,14 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
         f"no convergence in {tol.max_iter} iterations (residual {res:.3e})")
 
 
-# step halvings after the full Newton step, and their factors as a column
-_HALVINGS = 11
-_HALF_STEPS = 0.5 ** np.arange(1, _HALVINGS + 1)[:, None]
-
-
-def _take(c: Coeffs, idx: np.ndarray) -> Coeffs:
-    return Coeffs(*(f[idx] if isinstance(f, np.ndarray) else f for f in c))
-
-
 def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
                      tol: Tolerances):
     """_refine_e3_point at many points at once: (x1, x2, ok).
 
-    Every point takes the steps and step halvings the scalar solve takes;
-    a point leaves the iteration where the scalar solve would return, and
-    ok is False where it would raise.  Each Newton step evaluates the
-    brackets twice: at the full step for every active point, then at all
-    11 halvings at once for the points the full step did not improve.
+    Every point takes the steps the scalar solve takes; a point leaves the
+    iteration where the scalar solve would return, and ok is False where it
+    would raise.  Each Newton step evaluates the brackets once, at the full
+    step of every active point.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if seed is None:
@@ -332,43 +312,25 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
         x1, x2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(*seed))
         target = tol.newton_tol * (1.0 + norm)
         ball = 10.0 * (hypot(x1, x2) + norm) + 1e-6
-        g1 = bracket1(c, x1, x2)
-        g2 = bracket2(c, x1, x2)
+        g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
         res = hypot(g1, g2)
         ok = res == 0.0
         idx = np.flatnonzero(~ok)   # the active points
         for _ in range(tol.max_iter):
             if idx.size == 0:
                 break
-            ci = _take(c, idx)
+            ci = Coeffs(*(f[idx] if isinstance(f, np.ndarray) else f for f in c))
             a1, a2, h1, h2, hres = x1[idx], x2[idx], g1[idx], g2[idx], res[idx]
             (a, b), (d, e) = bracket_jacobian_at(ci, (a1, a2))
             det = a * e - b * d
-            dx1 = -(e * h1 - b * h2) / det
-            dx2 = -(-d * h1 + a * h2) / det
-            n1, n2 = a1 + dx1, a2 + dx2
+            n1 = a1 - (e * h1 - b * h2) / det
+            n2 = a2 - (a * h2 - d * h1) / det
             m1, m2 = bracket1(ci, n1, n2), bracket2(ci, n1, n2)
             nres = hypot(m1, m2)
-            improved = nres < hres
-            stall = np.flatnonzero(~improved & (det != 0.0))
-            if stall.size:
-                cs = _take(ci, stall)
-                t1 = a1[stall] + _HALF_STEPS * dx1[stall]
-                t2 = a2[stall] + _HALF_STEPS * dx2[stall]
-                u1, u2 = bracket1(cs, t1, t2), bracket2(cs, t1, t2)
-                ures = hypot(u1, u2)
-                better = ures < hres[stall]
-                col = np.flatnonzero(better.any(axis=0))
-                first = (better.argmax(axis=0)[col], col)   # first improving
-                k = stall[col]
-                n1[k], n2[k], m1[k], m2[k] = t1[first], t2[first], u1[first], u2[first]
-                nres[k] = ures[first]
-                improved[k] = True
-            # stagnation: accepted where already at the requested tolerance
-            # (a NaN residual fails, as in the scalar solve)
-            stop = ~improved & (det != 0.0) & (hres <= target[idx])
-            ok[idx[stop]] = True
-            keep = improved & (det != 0.0)
+            keep = (nres < hres) & (det != 0.0)
+            # the residual stopped falling: accepted where already at the
+            # target (a NaN residual fails, as in the scalar solve)
+            ok[idx[~keep & (det != 0.0) & (hres <= target[idx])]] = True
             idx, n1, n2 = idx[keep], n1[keep], n2[keep]
             x1[idx], x2[idx], g1[idx], g2[idx] = n1, n2, m1[keep], m2[keep]
             res[idx] = nres[keep]

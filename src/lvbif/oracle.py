@@ -199,15 +199,21 @@ class SignScan:
         return [b.signature for b in self.blocks]
 
 
+# sign_scan stops bisecting below this angular width (radians)
+REFINE_RES = 1e-10
+
+# sign_scan drops signature blocks narrower than this (radians)
+NARROW_FLOOR = 2e-6
+
+
 def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
-              tol: Tolerances = TOL, refine_res: float = 1e-10,
-              narrow_floor: float = 2e-6) -> SignScan:
+              tol: Tolerances = TOL) -> SignScan:
     """Run-length-encoded signature structure of the circle |mu| = r.
 
     Samples n_angles directions (offset by half a step so the axes are never
     hit exactly) and recursively bisects every pair of neighbouring samples
     with different signatures, so blocks far narrower than the base step are
-    still resolved.  Blocks narrower than narrow_floor (radians) are the
+    still resolved.  Blocks narrower than NARROW_FLOOR (radians) are the
     classification tolerance bands hugging each boundary (collision and
     properness flags have radius-independent angular width well below 1e-6)
     and are dropped; genuine sectors are never that thin for admissible
@@ -227,7 +233,7 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
 
     def refine(a: float, sa, b: float, sb):
         # invariant: sa != sb; record every signature block inside (a, b)
-        if b - a < refine_res:
+        if b - a < REFINE_RES:
             events.append((b, sb))
             return
         m = 0.5 * (a + b)
@@ -271,7 +277,7 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
         return (b.end - b.start) % two_pi or two_pi
 
     merged = cyclic_merge(blocks)
-    wide = [b for b in merged if width(b) >= narrow_floor]
+    wide = [b for b in merged if width(b) >= NARROW_FLOOR]
     if wide:
         merged = cyclic_merge(wide)
     merged.sort(key=lambda b: b.start)

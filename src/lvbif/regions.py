@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
-from .equilibria import (LABELS_BY_FAMILY, TOL, EquilibriumList, Tolerances,
+from .equilibria import (LABELS_BY_FAMILY, TOL, Tolerances,
                          _find_equilibria_array, find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE, THETA_ZERO,
@@ -33,6 +33,10 @@ SEP_TOL = 1e-3
 
 # brentq resolution on boundary angles
 ANGLE_TOL = 1e-13
+
+# retries of a decomposition whose boundary angles nearly coincide, each at
+# a quarter of the previous radius
+RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class RegionReport:
     representative: ParamPoint
     signature: tuple[str, ...]
     bounding: tuple[str, str]              # curve kinds left/right
-    equilibria: EquilibriumList | None = None
 
     @property
     def width(self) -> float:
@@ -124,8 +127,8 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
 # decomposition
 # ---------------------------------------------------------------------------
 
-def signature_at(sys: ReducedSystem, mu, tol: Tolerances = TOL,
-                 eqs: EquilibriumList | None = None) -> tuple[str, ...]:
+def signature_at(sys: ReducedSystem, mu,
+                 tol: Tolerances = TOL) -> tuple[str, ...]:
     """Type-signature over the family's labels at a parameter point.
 
     At a ParamArray it returns the list of signatures, one per point.
@@ -135,8 +138,7 @@ def signature_at(sys: ReducedSystem, mu, tol: Tolerances = TOL,
                          "-").tolist()
                 for e in _find_equilibria_array(sys, mu, tol).values()]
         return list(zip(*cols))
-    if eqs is None:
-        eqs = find_equilibria(sys, mu, tol)
+    eqs = find_equilibria(sys, mu, tol)
     out = []
     for label in LABELS_BY_FAMILY[sys.degeneracy]:
         eq = eqs.get(label)
@@ -170,25 +172,25 @@ def boundary_candidates(sys: ReducedSystem, r: float,
 
 
 def decompose(sys: ReducedSystem, case: CaseDescriptor | None, r: float,
-              tol: Tolerances = TOL, retries: int = 3) -> list[RegionReport]:
+              tol: Tolerances = TOL) -> list[RegionReport]:
     """Cut the circle |mu| = r into sectors of constant type-signature.
 
     When two boundary angles nearly coincide at this radius the
-    decomposition is retried at r/4 (parabola/axis angular separation grows
-    relative to the resolution as r shrinks); the sector structure itself is
-    radius-stable.
+    decomposition is retried at r/4, r/16 and r/64, but not below 1e-4
+    (parabola/axis angular separation grows relative to the resolution as
+    r shrinks); the sector structure itself is radius-stable.
     """
     if case is None:
         case = select_case(sys)
     if not (1e-4 <= r < tol.epsilon_disk):
         raise ValueError(
             f"radius {r!r} outside [1e-4, epsilon_disk={tol.epsilon_disk!r})")
-    try:
-        return _decompose_at(sys, r, tol)
-    except SectorTooThin:
-        if retries <= 0 or r / 4.0 < 1e-4:
-            raise
-        return decompose(sys, case, r / 4.0, tol, retries - 1)
+    for k in range(RETRIES + 1):
+        try:
+            return _decompose_at(sys, r / 4.0 ** k, tol)
+        except SectorTooThin:
+            if k == RETRIES or r / 4.0 ** (k + 1) < 1e-4:
+                raise
 
 
 def _decompose_at(sys: ReducedSystem, r: float,
@@ -214,11 +216,10 @@ def _decompose_at(sys: ReducedSystem, r: float,
             raise SectorTooThin(
                 f"sector ({lo_ang!r}, {hi_ang!r}) thinner than 2*sep_tol")
         rep = ParamPoint.from_polar(r, mid)
-        eqs = find_equilibria(sys, rep, tol)
         return RegionReport(sector_id=k, angles=(lo_ang, hi_ang),
                             representative=rep,
-                            signature=signature_at(sys, rep, tol, eqs),
-                            bounding=(lo_kind, hi_kind), equilibria=eqs)
+                            signature=signature_at(sys, rep, tol),
+                            bounding=(lo_kind, hi_kind))
 
     sectors = [probe(k) for k in range(m)]
 
@@ -238,8 +239,7 @@ def _decompose_at(sys: ReducedSystem, r: float,
                     angles=(a.angles[0], b.angles[1]),
                     representative=a.representative,
                     signature=a.signature,
-                    bounding=(a.bounding[0], b.bounding[1]),
-                    equilibria=a.equilibria)
+                    bounding=(a.bounding[0], b.bounding[1]))
                 sectors = [s for i, s in enumerate(sectors)
                            if i not in (k, nxt)]
                 sectors.insert(min(k, nxt), merged)

@@ -422,25 +422,43 @@ def test_batched_e3_raises_on_a_nan_seed():
         refine_e3(sys_, circle, seed=(x1, x2))
 
 
-def test_batched_e3_evaluates_the_brackets_at_most_twice_per_step(monkeypatch):
-    # one evaluation at the full Newton step, one for all 11 halvings of
-    # the points it did not improve
+def _count_calls(monkeypatch, *names):
     import lvbif.equilibria as eqm
-    from lvbif.cases import CANONICAL_BY_FAMILY
-    counts = {"bracket1": 0, "bracket_jacobian_at": 0}
-    for name in counts:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _f=getattr(eqm, name), _n=name):
             counts[_n] += 1
             return _f(*args)
         monkeypatch.setattr(eqm, name, counted)
-    for cases in CANONICAL_BY_FAMILY.values():
-        for _, sys_ in cases:
+    return counts
+
+
+def _canonical_systems():
+    from lvbif.cases import CANONICAL_BY_FAMILY
+    return [sys_ for cases in CANONICAL_BY_FAMILY.values() for _, sys_ in cases]
+
+
+def test_scalar_e3_evaluates_the_brackets_once_per_step(monkeypatch):
+    # one evaluation at the seed, then one at each full Newton step
+    counts = _count_calls(monkeypatch, "bracket1", "bracket_jacobian_at")
+    for sys_ in _canonical_systems():
+        for phi in SCAN_PHIS:
             counts.update(bracket1=0, bracket_jacobian_at=0)
-            x1, x2 = refine_e3(sys_, scan_circle(1e-3))
-            assert counts["bracket1"] <= 1 + 2 * counts["bracket_jacobian_at"]
-            for k, phi in enumerate(SCAN_PHIS):
-                assert (x1[k], x2[k]) == refine_e3(
-                    sys_, ParamPoint.from_polar(1e-3, phi))
+            refine_e3(sys_, ParamPoint.from_polar(1e-3, phi))
+            assert counts["bracket1"] == 1 + counts["bracket_jacobian_at"]
+
+
+def test_batched_e3_evaluates_the_brackets_once_per_step(monkeypatch):
+    # one evaluation at the seeds, then one at the full Newton step of
+    # every active point
+    counts = _count_calls(monkeypatch, "bracket1", "bracket_jacobian_at")
+    for sys_ in _canonical_systems():
+        counts.update(bracket1=0, bracket_jacobian_at=0)
+        x1, x2 = refine_e3(sys_, scan_circle(1e-3))
+        assert counts["bracket1"] <= 1 + counts["bracket_jacobian_at"]
+        for k, phi in enumerate(SCAN_PHIS):
+            assert (x1[k], x2[k]) == refine_e3(
+                sys_, ParamPoint.from_polar(1e-3, phi))
 
 
 def test_array_hypot_and_norm_equal_the_scalar_ones(rng):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from lvbif.cases import deltazero_case, thetazero_case
 from lvbif.equilibria import LABELS_BY_FAMILY, find_equilibria
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, REDUCED_NAMES, THETA_ZERO,
                          ParamArray, ParamPoint, mirror, mirror_name)
@@ -102,3 +103,14 @@ def test_mirrored_decompose_matches(gen, family, image):
             assert circular_gap(s.angles[1],
                                 0.5 * math.pi - match[0].angles[0]) <= 1e-8
             assert s.signature == unmirror(match[0].signature, family, image)
+
+
+def test_thetazero_case_keeps_gamma_exactly():
+    # 1/(1/0.9) is 0.8999999999999999; the returned system carries 0.9
+    sys_ = thetazero_case(1.0, 1.5, N=0.7, gamma=0.9, theta1=0.2)
+    assert sys_.gamma.coeffs() == {(0, 0): 0.9}
+    twin = mirror(deltazero_case(1.0, 1.5, 0.7, 1.0 / 0.9, 0.2))
+    for name in REDUCED_NAMES:
+        if name != "gamma":
+            assert getattr(sys_, name) == getattr(twin, name), name
+    assert sys_.degeneracy == THETA_ZERO

@@ -115,11 +115,11 @@ def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
     from lvbif.cases import CANONICAL_BY_FAMILY
     batched = regions.signature_at
 
-    def per_angle(sys_, mu, tol=TOL, eqs=None):
+    def per_angle(sys_, mu, tol=TOL):
         if isinstance(mu, ParamArray):
             return [batched(sys_, ParamPoint(m1, m2), tol)
                     for m1, m2 in zip(mu.mu1.tolist(), mu.mu2.tolist())]
-        return batched(sys_, mu, tol, eqs)
+        return batched(sys_, mu, tol)
 
     systems = [s for cases in CANONICAL_BY_FAMILY.values() for _, s in cases]
     got = [sign_scan(s, 1e-3).blocks for s in systems]

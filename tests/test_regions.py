@@ -424,3 +424,22 @@ def test_batched_signatures_raise_where_the_scalar_path_raises():
     with pytest.raises(UnsupportedCase):
         signature_at(ReducedSystem.from_coeffs(theta=0.0, delta=0.0, gamma=1.0),
                      ParamArray.from_polar(1e-3, phis[:3]))
+
+
+def test_decompose_retries_thin_sectors_at_quarter_radii(monkeypatch):
+    import lvbif.regions as rg
+    from lvbif.errors import SectorTooThin
+    tried = []
+
+    def thin(sys_, r, tol):
+        tried.append(r)
+        raise SectorTooThin("boundary angles nearly coincide")
+
+    monkeypatch.setattr(rg, "_decompose_at", thin)
+    sys_ = nondegenerate_case(0.5, 0.5)
+    for r, radii in ((8e-3, (8e-3, 8e-3 / 4, 8e-3 / 16, 8e-3 / 64)),
+                     (1e-3, (1e-3, 1e-3 / 4))):
+        tried.clear()
+        with pytest.raises(SectorTooThin):
+            rg.decompose(sys_, None, r)
+        assert tuple(tried) == radii
