@@ -1,17 +1,18 @@
 """Trajectory integration, separatrices, and phase portraits.
 
-The field is a smooth cubic at O(|mu|) scale, so a standard adaptive 5(4)
-embedded pair (rtol 1e-10, atol 1e-12) is used throughout.  Linearization
-rates are O(|mu|), hence the default time horizon scales as 50/|mu|.
+The field is a smooth cubic at O(|mu|) scale, so a batched in-repo
+Dormand–Prince 5(4) pair (rtol 1e-10, atol 1e-12) integrates every seed of
+a call, a whole portrait included, as one row of an array; its controller
+and events follow scipy's RK45 (Hairer–Nørsett–Wanner, *Solving ODEs I*,
+§II.4, §II.6).  Linearization rates are O(|mu|), hence the default time
+horizon scales as 50/|mu|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .equilibria import SADDLE, TOL, Equilibrium, EquilibriumList, Tolerances, find_equilibria
 from .errors import StepFailure
@@ -23,6 +24,19 @@ ATOL = 1e-12
 CONVERGED = "ConvergedToEquilibrium"
 LEFT_WINDOW = "LeftWindow"
 MAX_TIME = "MaxTime"
+
+# Dormand–Prince 5(4): stage rows A, weights B, error weights E, and D for
+# the quartic dense output (Hairer–Nørsett–Wanner I, §II.6, as in DOPRI5)
+_A = ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
+      (19372/6561, -25360/2187, 64448/6561, -212/729),
+      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+_E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_D = (-12715105075/11282082432, 0.0, 87487479700/32700410799,
+      -10690763975/1880347072, 701980252875/199316789632,
+      -1453857185/822651844, 69997945/29380423)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -48,6 +62,174 @@ class Portrait:
     separatrices: list[Trajectory] = field(default_factory=list)
 
 
+def _combo(weights, K):
+    """sum_i w_i K_i as row-wise multiply-adds, so no row sees another."""
+    return sum(w * k for w, k in zip(weights, K))
+
+
+def _rms(v):
+    return np.sqrt(v[0] * v[0] + v[1] * v[1]) / np.sqrt(2.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _roots(F, a, b, fa, fb, ftol):
+    """Zeros of F(x, idx) on the brackets [a, b], all together, by the
+    Illinois method (Dowell & Jarratt 1971).  A bracket is done, and left
+    alone, once |F| <= ftol (the rounding floor of F) or it is below 4 eps
+    relative; one whose ends do not change sign keeps the end nearer zero."""
+    out = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    live = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+    while live.size:
+        x = b - fb * (b - a) / (fb - fa)
+        f = F(x, live)
+        flip = np.sign(f) != np.sign(fb)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = x, f
+        tol = 4.0 * _EPS * (np.abs(b) + 1.0)
+        done = (np.abs(f) <= ftol) | (np.abs(b - a) < tol)
+        out[live[done]] = b[done]
+        live, a, b, fa, fb = (v[~done] for v in (live, a, b, fa, fb))
+    return out
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
+                   t_max: float | None, window: float,
+                   equilibria: EquilibriumList) -> list[Trajectory]:
+    """Integrate (seed, direction) pairs as the rows of one array with
+    scipy RK45's controller until t_max or an event: falling to 1e-8 window
+    of a proper equilibrium, or leaving the box.  The earliest root in a
+    step wins and the row ends on the dense output there; see ``integrate``.
+    """
+    c, n = sys.at(mu), len(seeds)
+    if t_max is None:
+        t_max = 50.0 / max(mu.norm, 1e-12)
+    targets = [e for e in equilibria if e.proper]
+    y = np.array([x0 for x0, _ in seeds], dtype=float).reshape(-1, 2).T.copy()
+    sign = np.array([1.0 if d == "forward" else -1.0 for _, d in seeds])
+    box, margin, radius = 2.0 * window, 1e-6 * window, 1e-8 * window
+    ex, ey = np.array([e.xi for e in targets] + [(0.0, 0.0)]).T
+    every = np.arange(len(ex))[:, None]
+    rows, t, rejected = np.arange(n), np.zeros(n), np.zeros(n, dtype=bool)
+    out = [(rows, np.zeros(n), y.copy())]
+
+    def rhs(y, sign):
+        return sign * np.array(field_at(c, y))
+
+    def events(y, e):
+        near = np.hypot(y[0] - ex[e], y[1] - ey[e]) - radius
+        inside = np.minimum(np.minimum(box - y[0], box - y[1]),
+                            np.minimum(y[0] + margin, y[1] + margin))
+        return np.where(e == len(targets), inside, near)
+
+    def check(bad, why):
+        if bad.any():
+            x0, _ = seeds[rows[np.argmax(bad)]]
+            raise StepFailure(f"integration failed from {x0}: {why}")
+
+    f = rhs(y, sign)
+    check(~np.isfinite(f).all(axis=0), "the field is not finite at the seed")
+    # scipy's select_initial_step
+    scale = ATOL + np.abs(y) * RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_max)
+    d2 = _rms((rhs(y + h0 * f, sign) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.fmax(d1, d2)) ** 0.2)
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), t_max)
+    g = events(y, every)
+    ended = np.full(n, -1)
+    while rows.size:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        check(h_abs < min_step, "the step size fell below 10 ulp(t)")
+        t_new = np.minimum(t + h_abs, t_max)
+        h = t_new - t
+        K = [f]
+        for a in _A:
+            K.append(rhs(y + h * _combo(a, K), sign))
+        y_new = y + h * _combo(_B, K)
+        K.append(rhs(y_new, sign))
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        err = _rms(_combo(_E, K) * h / scale)
+        ok = err < 1.0
+        step = SAFETY * err ** -0.2
+        grow = np.where(err == 0.0, MAX_FACTOR, np.minimum(MAX_FACTOR, step))
+        grow = np.where(rejected, np.minimum(1.0, grow), grow)
+        h_abs = h * np.where(ok, grow, np.fmax(MIN_FACTOR, step))
+        rejected = ~ok
+        acc = np.flatnonzero(ok)
+        t_a, y_a = t_new[acc], y_new[:, acc]
+        g_a = events(y_a, every)
+        fire = (g[:, acc] >= 0.0) & (g_a <= 0.0)
+        fire[-1] |= (g[-1, acc] <= 0.0) & (g_a[-1] >= 0.0)
+        finished = t_a >= t_max
+        ev, j = np.nonzero(fire)
+        if j.size:
+            # locate every fired event of the step on the dense output
+            r = acc[j]
+            dy = y_new[:, r] - y[:, r]
+            c3 = h[r] * K[0][:, r] - dy
+            c4 = dy - h[r] * K[-1][:, r] - c3
+            c5 = h[r] * _combo(_D, [k[:, r] for k in K])
+
+            def dense(x, i):
+                s = (x - t[r[i]]) / h[r[i]]
+                return y[:, r[i]] + s * (dy[:, i] + (1.0 - s) * (
+                    c3[:, i] + s * (c4[:, i] + (1.0 - s) * c5[:, i])))
+
+            def F(x, i):
+                return events(dense(x, i), ev[i])
+
+            ends = np.arange(j.size)
+            root = _roots(F, t[r], t_a[j], F(t[r], ends), F(t_a[j], ends),
+                          4.0 * _EPS * window)
+            # earliest root per row, the lower event index on a tie
+            order = np.lexsort((ev, root, j))
+            first = order[np.r_[True, j[order][1:] != j[order][:-1]]]
+            t_a[j[first]] = root[first]
+            y_a[:, j[first]] = dense(root[first], first)
+            ended[rows[r[first]]] = ev[first]
+            finished[j[first]] = True
+        out.append((rows[acc], t_a, y_a))
+        t[acc], y[:, acc], f[:, acc], g[:, acc] = t_a, y_a, K[-1][:, acc], g_a
+        keep = ~np.isin(np.arange(rows.size), acc[finished])
+        rows, t, h_abs, rejected, sign = (
+            v[keep] for v in (rows, t, h_abs, rejected, sign))
+        y, f, g = (v[:, keep] for v in (y, f, g))
+    rows, times, states = (np.concatenate(v, axis=-1) for v in zip(*out))
+    order = np.argsort(rows, kind="stable")
+    cuts = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    states = states.T[order]
+    states[(states < 0.0) & (states > -10.0 * ATOL * (1.0 + window))] = 0.0
+    trs = []
+    for (x0, direction), times, states, e in zip(
+            seeds, np.split(times[order], cuts), np.split(states, cuts), ended):
+        terminal, label = MAX_TIME, None
+        if e == len(targets):
+            terminal = LEFT_WINDOW
+        elif e >= 0 and np.hypot(*field_at(c, states[-1])) < 1e-12:
+            terminal, label = CONVERGED, targets[e].label
+        trs.append(Trajectory(initial=x0, direction=direction, times=times,
+                              states=states, terminal=terminal,
+                              terminal_label=label))
+    return trs
+
+
+def _frame(sys: ReducedSystem, mu, tol: Tolerances,
+           equilibria: EquilibriumList | None, window: float | None):
+    """mu as a ParamPoint, its equilibria and the default window."""
+    mu = ParamPoint.coerce(mu)
+    if equilibria is None:
+        equilibria = find_equilibria(sys, mu, tol)
+    if window is None:
+        coords = [max(e.xi) for e in equilibria if e.proper and max(e.xi) > 0.0]
+        window = 3.0 * (max(coords) if coords else max(mu.norm, 1e-12))
+    return mu, equilibria, window
+
+
 def integrate(sys: ReducedSystem, mu, x0, direction: str = "forward",
               t_max: float | None = None, window: float | None = None,
               equilibria: EquilibriumList | None = None,
@@ -59,75 +241,27 @@ def integrate(sys: ReducedSystem, mu, x0, direction: str = "forward",
     for arrival.  Tiny negative coordinates (axis invariance is exact in the
     model) are clamped to zero in the output.
     """
-    mu = ParamPoint.coerce(mu)
-    c = sys.at(mu)
-    sign = 1.0 if direction == "forward" else -1.0
-    if t_max is None:
-        t_max = 50.0 / max(mu.norm, 1e-12)
-    if equilibria is None:
-        equilibria = find_equilibria(sys, mu, tol)
-    if window is None:
-        window = _default_window(mu, equilibria)
-    conv_radius = 1e-8 * window
-    field_tol = 1e-12
-
-    def rhs(_t, y):
-        fx, fy = field_at(c, (y[0], y[1]))
-        return (sign * fx, sign * fy)
-
-    targets = [e for e in equilibria if e.proper]
-
-    def make_conv_event(eq: Equilibrium):
-        ex, ey = eq.xi
-
-        def ev(_t, y):
-            return math.hypot(y[0] - ex, y[1] - ey) - conv_radius
-        ev.terminal = True
-        ev.direction = -1.0
-        return ev
-
-    def exit_event(_t, y):
-        m = 1e-6 * window
-        return min(2.0 * window - y[0], 2.0 * window - y[1],
-                   y[0] + m, y[1] + m)
-    exit_event.terminal = True
-
-    events = [make_conv_event(e) for e in targets] + [exit_event]
+    mu, equilibria, window = _frame(sys, mu, tol, equilibria, window)
     x0 = (float(x0[0]), float(x0[1]))
-    try:
-        sol = solve_ivp(rhs, (0.0, t_max), x0, method="RK45",
-                        rtol=RTOL, atol=ATOL, events=events, dense_output=False)
-    except Exception as exc:  # scipy signals step failures via exceptions
-        raise StepFailure(f"integration failed from {x0}: {exc}") from exc
-    if not sol.success and sol.status == -1:
-        raise StepFailure(f"integration failed from {x0}: {sol.message}")
-
-    times = sol.t
-    states = sol.y.T.copy()
-    clamp = 10.0 * ATOL * (1.0 + window)
-    states[(states < 0.0) & (states > -clamp)] = 0.0
-
-    terminal = MAX_TIME
-    label = None
-    if sol.status == 1:
-        hit = [k for k, te in enumerate(sol.t_events) if len(te)]
-        if hit and hit[0] < len(targets):
-            eq = targets[hit[0]]
-            fmag = math.hypot(*field_at(c, tuple(states[-1])))
-            if fmag < field_tol:
-                terminal = CONVERGED
-                label = eq.label
-        else:
-            terminal = LEFT_WINDOW
-    return Trajectory(initial=x0, direction=direction, times=times,
-                      states=states, terminal=terminal, terminal_label=label)
+    return _integrate_all(sys, mu, [(x0, direction)], t_max, window,
+                          equilibria)[0]
 
 
-def _default_window(mu: ParamPoint, equilibria: EquilibriumList) -> float:
-    coords = [max(e.xi) for e in equilibria if e.proper and max(e.xi) > 0.0]
-    if coords:
-        return 3.0 * max(coords)
-    return 3.0 * max(mu.norm, 1e-12)
+def _separatrix_seeds(sys: ReducedSystem, mu: ParamPoint, saddle: Equilibrium,
+                      window: float) -> list[tuple[tuple[float, float], str]]:
+    if saddle.kind != SADDLE:
+        raise ValueError(f"separatrices need a saddle, got {saddle.kind}")
+    lams, vecs = np.linalg.eig(np.asarray(jacobian_at(sys.at(mu), saddle.xi)))
+    h = 1e-6 * window
+    out = []
+    for lam, v in zip(lams.real, vecs.real.T):
+        v = v / np.linalg.norm(v)
+        direction = "forward" if lam > 0.0 else "backward"
+        for s in (+1.0, -1.0):
+            seed = saddle.xi + s * h * v
+            if seed.min() >= -1e-12 * window:
+                out.append((tuple(np.maximum(seed, 0.0).tolist()), direction))
+    return out
 
 
 def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
@@ -140,53 +274,26 @@ def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
     fall outside the closed first quadrant are skipped, so boundary saddles
     emit fewer branches.
     """
-    if saddle.kind != SADDLE:
-        raise ValueError(f"separatrices need a saddle, got {saddle.kind}")
-    mu = ParamPoint.coerce(mu)
-    if equilibria is None:
-        equilibria = find_equilibria(sys, mu, tol)
-    if window is None:
-        window = _default_window(mu, equilibria)
-    J = np.asarray(jacobian_at(sys.at(mu), saddle.xi))
-    lams, vecs = np.linalg.eig(J)
-    h = 1e-6 * window
-    out: list[Trajectory] = []
-    for k in range(2):
-        lam = lams[k].real
-        v = vecs[:, k].real
-        v = v / np.linalg.norm(v)
-        direction = "forward" if lam > 0.0 else "backward"
-        for s in (+1.0, -1.0):
-            seed = (saddle.xi[0] + s * h * v[0], saddle.xi[1] + s * h * v[1])
-            if seed[0] < -1e-12 * window or seed[1] < -1e-12 * window:
-                continue
-            seed = (max(seed[0], 0.0), max(seed[1], 0.0))
-            out.append(integrate(sys, mu, seed, direction=direction,
-                                 window=window, equilibria=equilibria,
-                                 tol=tol))
-    return out
+    mu, equilibria, window = _frame(sys, mu, tol, equilibria, window)
+    return _integrate_all(sys, mu, _separatrix_seeds(sys, mu, saddle, window),
+                          None, window, equilibria)
 
 
 def portrait(sys: ReducedSystem, mu, grid_density: int = 10,
              tol: Tolerances = TOL) -> Portrait:
-    """Phase portrait: a lattice of forward trajectories plus separatrices."""
-    mu = ParamPoint.coerce(mu)
-    equilibria = find_equilibria(sys, mu, tol)
-    window = _default_window(mu, equilibria)
-    port = Portrait(mu=mu, window=window, equilibria=equilibria)
-    for i in range(grid_density):
-        for j in range(grid_density):
-            x0 = ((i + 0.5) * window / grid_density,
-                  (j + 0.5) * window / grid_density)
-            port.trajectories.append(
-                integrate(sys, mu, x0, window=window,
-                          equilibria=equilibria, tol=tol))
+    """Phase portrait: a lattice of forward trajectories plus separatrices,
+    all integrated in one batch."""
+    mu, equilibria, window = _frame(sys, mu, tol, None, None)
+    seeds = [(((i + 0.5) * window / grid_density,
+               (j + 0.5) * window / grid_density), "forward")
+             for i in range(grid_density) for j in range(grid_density)]
     for eq in equilibria:
         if eq.kind == SADDLE and eq.proper and not eq.trivial:
-            port.separatrices.extend(
-                separatrices(sys, mu, eq, window=window,
-                             equilibria=equilibria, tol=tol))
-    return port
+            seeds += _separatrix_seeds(sys, mu, eq, window)
+    trs = _integrate_all(sys, mu, seeds, None, window, equilibria)
+    n = grid_density * grid_density
+    return Portrait(mu=mu, window=window, equilibria=equilibria,
+                    trajectories=trs[:n], separatrices=trs[n:])
 
 
 __all__ = ["RTOL", "ATOL", "CONVERGED", "LEFT_WINDOW", "MAX_TIME",

@@ -37,8 +37,9 @@ def trajectories_csv(trajectories: list[Trajectory]) -> str:
         term = tr.terminal
         if tr.terminal_label:
             term = f"{term}({tr.terminal_label})"
-        for t, (x1, x2) in zip(tr.times, tr.states):
-            out.write(f"{fmt(t)},{fmt(x1)},{fmt(x2)},{tid},{term}\n")
+        out.writelines(f"{t:.17g},{x1:.17g},{x2:.17g},{tid},{term}\n"
+                       for t, (x1, x2) in zip(tr.times.tolist(),
+                                              tr.states.tolist()))
     return out.getvalue()
 
 
@@ -70,6 +71,11 @@ def portrait_svg(port: Portrait, size: int = 480) -> str:
     def sy(y: float) -> str:
         return fmt(size - (y + pad) * scale)
 
+    def points(tr: Trajectory) -> str:
+        px = ((tr.states[:, 0] + pad) * scale).tolist()
+        py = (size - (tr.states[:, 1] + pad) * scale).tolist()
+        return " ".join(f"{x:.17g},{y:.17g}" for x, y in zip(px, py))
+
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -83,13 +89,11 @@ def portrait_svg(port: Portrait, size: int = 480) -> str:
     order: dict[str, int] = {}
     for tr in port.trajectories:
         color = _color_for(tr.terminal_label, tr.terminal, order)
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in tr.states)
-        out.write(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                  'stroke-width="0.8"/>\n')
+        out.write(f'<polyline points="{points(tr)}" fill="none" '
+                  f'stroke="{color}" stroke-width="0.8"/>\n')
     for tr in port.separatrices:
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in tr.states)
-        out.write(f'<polyline points="{pts}" fill="none" stroke="#000000" '
-                  'stroke-width="2"/>\n')
+        out.write(f'<polyline points="{points(tr)}" fill="none" '
+                  'stroke="#000000" stroke-width="2"/>\n')
     for eq in port.equilibria:
         if not eq.proper:
             continue

@@ -81,7 +81,7 @@ def test_curves_prints_half_trace_slope(capsys):
 
 
 def test_portrait_outputs_deterministic(tmp_path, capsys):
-    svgs = []
+    svgs, csvs = [], []
     for name in ("p1.svg", "p2.svg"):
         svg = tmp_path / name
         csv = tmp_path / (name + ".csv")
@@ -91,9 +91,12 @@ def test_portrait_outputs_deterministic(tmp_path, capsys):
                            "--svg", str(svg), "--csv", str(csv))
         assert code == 0
         svgs.append(svg.read_bytes())
+        csvs.append(csv.read_bytes())
         assert "E3" in out
     assert svgs[0] == svgs[1]
     assert b"<svg" in svgs[0]
+    assert csvs[0] == csvs[1]
+    assert csvs[0].startswith(b"t,xi1,xi2,trajectory_id,terminal\n")
 
 
 def test_verify_family_passes(capsys):

@@ -1,12 +1,15 @@
 import math
 
 import numpy as np
+import pytest
 
+from lvbif import bifurcation as bif
 from lvbif.cases import deltazero_case, nondegenerate_case
-from lvbif.dynamics import (CONVERGED, LEFT_WINDOW, MAX_TIME, integrate,
-                            portrait, separatrices)
+from lvbif.dynamics import (ATOL, CONVERGED, LEFT_WINDOW, MAX_TIME, RTOL,
+                            integrate, portrait, separatrices)
 from lvbif.equilibria import Tolerances, find_equilibria
-from lvbif.model import ParamPoint, ReducedSystem
+from lvbif.errors import StepFailure
+from lvbif.model import ParamPoint, ReducedSystem, field_at
 
 
 def test_axis_trajectory_stays_on_axis():
@@ -142,3 +145,93 @@ def test_portrait_on_fold_curve_shows_one_sided_attraction():
         abs(below.final[1] - x2) < abs(0.6 * x2 - x2)
     above = integrate(sys_, mu0, (0.0, 1.4 * x2), t_max=2e5, tol=tol)
     assert above.final[1] > 1.4 * x2  # drifts away upward
+
+
+def _polar(deg):
+    return ParamPoint.from_polar(1e-3, math.radians(deg))
+
+
+# the criterion-13 attractor at three angles, an interior saddle, and a point
+# on the fold curve, as the portraits benchmark draws them
+PORTRAIT_INPUTS = {
+    "attractor@45": (nondegenerate_case(-2.0, -1.0), _polar(45.0), Tolerances()),
+    "attractor@112.5": (nondegenerate_case(-2.0, -1.0), _polar(112.5),
+                        Tolerances()),
+    "attractor@157": (nondegenerate_case(-2.0, -1.0), _polar(157.0),
+                      Tolerances()),
+    "saddle@216": (nondegenerate_case(0.5, 0.5), _polar(216.0), Tolerances()),
+    "fold": (deltazero_case(1.0, 1.5),
+             bif.parabola_point(deltazero_case(1.0, 1.5), bif.D_NEG, -2e-3),
+             Tolerances(epsilon_disk=2e-2)),
+}
+
+
+def _scipy_rk45(sys_, mu, tr, window, equilibria):
+    """Terminal, label and final state of ``tr`` as scipy's RK45 finds them
+    with the same tolerances, horizon and terminal events."""
+    from scipy.integrate import solve_ivp
+
+    c = sys_.at(mu)
+    sign = 1.0 if tr.direction == "forward" else -1.0
+    targets = [e for e in equilibria if e.proper]
+
+    def near(eq):
+        def ev(_t, y):
+            return math.hypot(y[0] - eq.xi[0], y[1] - eq.xi[1]) - 1e-8 * window
+        ev.terminal, ev.direction = True, -1.0
+        return ev
+
+    def leave(_t, y):
+        m = 1e-6 * window
+        return min(2.0 * window - y[0], 2.0 * window - y[1], y[0] + m, y[1] + m)
+    leave.terminal = True
+
+    sol = solve_ivp(lambda _t, y: [sign * v for v in field_at(c, y)],
+                    (0.0, 50.0 / mu.norm), tr.initial, method="RK45",
+                    rtol=RTOL, atol=ATOL,
+                    events=[near(e) for e in targets] + [leave])
+    assert sol.status >= 0, sol.message
+    final = sol.y[:, -1].copy()
+    final[(final < 0.0) & (final > -10.0 * ATOL * (1.0 + window))] = 0.0
+    hit = [k for k, te in enumerate(sol.t_events) if len(te)]
+    if not hit:
+        return MAX_TIME, None, final
+    if hit[0] == len(targets):
+        return LEFT_WINDOW, None, final
+    if math.hypot(*field_at(c, final)) < 1e-12:
+        return CONVERGED, targets[hit[0]].label, final
+    return MAX_TIME, None, final
+
+
+@pytest.mark.parametrize("name", sorted(PORTRAIT_INPUTS))
+def test_portrait_terminals_match_scipy_rk45(name):
+    sys_, mu, tol = PORTRAIT_INPUTS[name]
+    port = portrait(sys_, mu, grid_density=5, tol=tol)
+    for tr in port.trajectories + port.separatrices:
+        terminal, label, final = _scipy_rk45(sys_, mu, tr, port.window,
+                                             port.equilibria)
+        assert (tr.terminal, tr.terminal_label) == (terminal, label), tr.initial
+        assert np.hypot(*(tr.states[-1] - final)) <= 1e-9 * port.window
+
+
+def test_integrate_alone_equals_its_row_in_a_portrait():
+    sys_, mu, tol = PORTRAIT_INPUTS["saddle@216"]
+    port = portrait(sys_, mu, grid_density=4, tol=tol)
+    alone = [integrate(sys_, mu, tr.initial, tol=tol)
+             for tr in port.trajectories]
+    e3 = port.equilibria.get("E3")
+    alone += separatrices(sys_, mu, e3, tol=tol)
+    assert len(alone) == len(port.trajectories + port.separatrices)
+    for a, b in zip(alone, port.trajectories + port.separatrices):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert (a.terminal, a.terminal_label) == (b.terminal, b.terminal_label)
+
+
+def test_non_finite_field_raises_step_failure():
+    sys_ = nondegenerate_case(1.0, 2.0)
+    with pytest.raises(StepFailure, match=r"from \(1e\+200, 1e\+200\)"):
+        integrate(sys_, (1e-3, 1e-3), (1e200, 1e200))
+    # a finite-time blow-up inside a huge box ends in a too-small step
+    with pytest.raises(StepFailure, match="fell below 10 ulp"):
+        integrate(sys_, (1e-3, 1e-3), (1e-3, 1e-3), window=1e300)
