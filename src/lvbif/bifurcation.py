@@ -2,10 +2,10 @@
 
 Curves are traced by radius sweep: on each circle |mu| = r the defining
 scalar residual (a collision coordinate of the interior equilibrium, an axis
-discriminant, or the interior half-trace) is root-solved in the angle.  The
-saddle-node and transcritical quantities C1 = w.f_b, C2 = w.[Df_b v],
-C3 = w.[D^2 f (v,v)] are evaluated at collision points with analytic state
-derivatives and central finite differences in the bifurcation parameter.
+discriminant, or the interior half-trace) is root-solved in the angle by the
+Illinois solve model._roots.  The saddle-node and transcritical quantities
+C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)] at collisions use analytic
+state derivatives and central differences in the bifurcation parameter.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .equilibria import TOL, Tolerances, refine_e3, stable_quadratic_roots
 from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
                      UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
-                    ParamPoint, ReducedSystem, field_at, hessian_form_at,
-                    jacobian_at, mirror, mirror_name)
+                    ParamPoint, ReducedSystem, _EPS, _roots, field_at,
+                    hessian_form_at, jacobian_at, mirror, mirror_name)
 
 # curve kinds
 T1 = "T1"
@@ -253,32 +252,14 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
-def _circle_roots(residual, r: float, vals) -> list[float]:
-    """All angles phi in [0, 2pi) with residual(mu(r, phi)) = 0.
-
-    vals are the residual's values at the scan points of the circle; each
-    sign change between them is refined by scalar brentq.
-    """
-    phis = _SCAN_PHIS
-    a, b = vals[:-1], vals[1:]
-    roots = []
-    for k in np.flatnonzero((a == 0.0) | (a * b < 0.0)).tolist():
-        if a[k] == 0.0:
-            roots.append(phis[k])
-            continue
-        f = lambda p: residual(ParamPoint.from_polar(r, p))
-        roots.append(brentq(f, phis[k], phis[k + 1],
-                            xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
-    return sorted(p % (2.0 * math.pi) for p in roots)
-
-
 def circle_zeros(sys: ReducedSystem, kinds, r: float,
                  tol: Tolerances = TOL) -> list[tuple[ParamPoint, str]]:
     """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
 
     The interior equilibrium is solved once for the whole circle, and kinds
     that share a residual are scanned once; a zero of a shared residual is
-    labelled with the kind whose half-line holds it.
+    labelled with the kind whose half-line holds it.  All sign changes on
+    the circle are refined by one Illinois solve.
     """
     scans = [(kind, curve_residual(sys, kind, tol)) for kind in kinds
              if kind not in AXES and SHARED_RESIDUAL.get(kind) not in kinds]
@@ -290,10 +271,22 @@ def circle_zeros(sys: ReducedSystem, kinds, r: float,
                 X_MINUS: math.pi, Y_MINUS: 1.5 * math.pi}
     out = [(ParamPoint.from_polar(r, axis_phi[kind]), kind)
            for kind in kinds if kind in AXES]
-    for kind, residual in scans:
+    vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
+    a, b = vals[:, :-1], vals[:, 1:]
+    rows, j = np.nonzero((a == 0.0) | (a * b < 0.0))
+
+    def F(phis, idx):
+        return np.array([scans[rows[i]][1](ParamPoint.from_polar(r, p))
+                         for i, p in zip(idx.tolist(), phis.tolist())])
+    # a bracket is done at the residuals' rounding floor: 4 eps of the
+    # smallest residual's size on the circle
+    ftol = 4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0).min()
+    phis = _roots(F, _SCAN_PHIS[j], _SCAN_PHIS[j + 1], a[rows, j], b[rows, j],
+                  ftol) % (2.0 * math.pi)
+    for row, (kind, _) in enumerate(scans):
         preds = [(k, halfline_constraint(sys, k)[1]) for k in kinds
                  if k == kind or SHARED_RESIDUAL.get(k) == kind]
-        for phi in _circle_roots(residual, r, residual(circle, xi)):
+        for phi in sorted(phis[rows == row].tolist()):
             p = ParamPoint.from_polar(r, phi)
             out.append((p, next((k for k, pred in preds if pred(p)), kind)))
     return out
@@ -341,7 +334,8 @@ def parabola_point(sys: ReducedSystem, kind: str, coord: float,
     """Point of a parabola-like curve at a pinned dominant coordinate.
 
     For the DeltaZero class the dominant coordinate is mu1 and the solve is
-    in mu2; the ThetaZero class mirrors the roles.
+    in mu2 = seed + span u, |u| <= 60; the ThetaZero class mirrors the roles.
+    A fold point keeps a discriminant >= 0, where its axis pair exists.
     """
     residual = curve_residual(sys, kind, tol)
     desc, pred = halfline_constraint(sys, kind)
@@ -354,8 +348,15 @@ def parabola_point(sys: ReducedSystem, kind: str, coord: float,
         point = lambda m: ParamPoint(coord, m)
     else:
         point = lambda m: ParamPoint(m, coord)
-    m = brentq(lambda m: residual(point(m)), seed - 60.0 * span,
-               seed + 60.0 * span, xtol=1e-18, rtol=4.0 * np.finfo(float).eps)
+    F = lambda x, _: np.array([residual(point(seed + span * v))
+                               for v in x.tolist()])
+    u = np.array([-60.0, 60.0])
+    fe = F(u, None)
+    if fe[0] * fe[1] > 0.0:
+        raise HypothesisViolation(f"no sign change of {kind} near {coord!r}")
+    m = float(seed + span * _roots(F, u[:1], u[1:], fe[:1], fe[1:], 0.0)[0])
+    while kind in (D_NEG, D_POS) and residual(point(m)) < 0.0:
+        m = math.nextafter(m, seed + span * u[fe.argmax()])
     mu = point(m)
     if not pred(mu):
         raise HypothesisViolation(
@@ -436,8 +437,7 @@ def sotomayor_quantities(sys: ReducedSystem, mu0: ParamPoint,
 
 
 def _nonzero_tol(scale: float) -> float:
-    eps = np.finfo(float).eps
-    return 1e3 * eps * max(abs(scale), eps)
+    return 1e3 * _EPS * max(abs(scale), _EPS)
 
 
 def sotomayor_saddle_node(sys: ReducedSystem, mu0,

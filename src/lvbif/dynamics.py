@@ -16,7 +16,7 @@ import numpy as np
 
 from .equilibria import SADDLE, TOL, Equilibrium, EquilibriumList, Tolerances, find_equilibria
 from .errors import StepFailure
-from .model import ParamPoint, ReducedSystem, field_at, jacobian_at
+from .model import ParamPoint, ReducedSystem, _roots, field_at, jacobian_at
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -36,7 +36,6 @@ _D = (-12715105075/11282082432, 0.0, 87487479700/32700410799,
       -10690763975/1880347072, 701980252875/199316789632,
       -1453857185/822651844, 69997945/29380423)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -69,28 +68,6 @@ def _combo(weights, K):
 
 def _rms(v):
     return np.sqrt(v[0] * v[0] + v[1] * v[1]) / np.sqrt(2.0)
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _roots(F, a, b, fa, fb, ftol):
-    """Zeros of F(x, idx) on the brackets [a, b], all together, by the
-    Illinois method (Dowell & Jarratt 1971).  A bracket is done, and left
-    alone, once |F| <= ftol (the rounding floor of F) or it is below 4 eps
-    relative; one whose ends do not change sign keeps the end nearer zero."""
-    out = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    live = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
-    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
-    while live.size:
-        x = b - fb * (b - a) / (fb - fa)
-        f = F(x, live)
-        flip = np.sign(f) != np.sign(fb)
-        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-        b, fb = x, f
-        tol = 4.0 * _EPS * (np.abs(b) + 1.0)
-        done = (np.abs(f) <= ftol) | (np.abs(b - a) < tol)
-        out[live[done]] = b[done]
-        live, a, b, fa, fb = (v[~done] for v in (live, a, b, fa, fb))
-    return out
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -185,7 +162,7 @@ def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
 
             ends = np.arange(j.size)
             root = _roots(F, t[r], t_a[j], F(t[r], ends), F(t_a[j], ends),
-                          4.0 * _EPS * window)
+                          4.0 * np.finfo(float).eps * window)
             # earliest root per row, the lower event index on a tie
             order = np.lexsort((ev, root, j))
             first = order[np.r_[True, j[order][1:] != j[order][:-1]]]

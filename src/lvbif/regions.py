@@ -31,7 +31,8 @@ TWO_PI = 2.0 * math.pi
 # per unit radius
 SEP_TOL = 1e-3
 
-# brentq resolution on boundary angles
+# resolution of boundary angles, which the circle-scan solve refines to a
+# few ulp
 ANGLE_TOL = 1e-13
 
 # retries of a decomposition whose boundary angles nearly coincide, each at

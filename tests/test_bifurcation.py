@@ -5,12 +5,13 @@ import pytest
 from scipy.optimize import brentq
 
 from lvbif import bifurcation as bif
-from lvbif.cases import deltazero_case, nondegenerate_case
+from lvbif.cases import (CANONICAL_BY_FAMILY, deltazero_case,
+                         nondegenerate_case)
 from lvbif.equilibria import find_equilibria
 from lvbif.errors import (CollisionMismatch, HypothesisViolation,
                           NotApplicable)
 from lvbif.model import (DELTA_ZERO, THETA_ZERO, ParamArray, ParamPoint,
-                         ReducedSystem)
+                         ReducedSystem, mirror)
 from lvbif.poly import linear_poly
 from lvbif.verification import sotomayor_fixture
 
@@ -81,6 +82,21 @@ def test_leading_coefficient_convergence():
             curve = bif.trace_curve(sys_, kind, [r])
             errs.append(abs(curve.leading - pred))
         assert errs[1] < 0.3 * errs[0]
+
+
+def test_fold_points_keep_their_axis_pair():
+    # a fold point a few ulps inside the discriminant's negative side has no
+    # colliding axis pair at all
+    fold = deltazero_case(1.0, 1.5)
+    for family, extra, pair in ((DELTA_ZERO, fold, {"E21", "E22"}),
+                                (THETA_ZERO, mirror(fold), {"E11", "E12"})):
+        systems = [s for _, s in CANONICAL_BY_FAMILY[family]] + [extra]
+        for sys_ in systems:
+            for kind, sign in ((bif.D_NEG, -1.0), (bif.D_POS, 1.0)):
+                for c in np.geomspace(1e-4, 5e-3, 40):
+                    mu = bif.parabola_point(sys_, kind, sign * c)
+                    labels = {e.label for e in find_equilibria(sys_, mu)}
+                    assert pair <= labels, (family, kind, c)
 
 
 def test_parabola_ordering_t3_below_d():
@@ -305,6 +321,14 @@ def scalar_circle_roots(residual, r):
     return vals, sorted(p % (2.0 * math.pi) for p in roots)
 
 
+# the axis kinds that share a zero set: circle_zeros places both of its
+# points on the axis directions, and the scalar scan finds both as roots
+AXIS_ZERO_SET = {bif.X_PLUS: [bif.X_PLUS, bif.X_MINUS],
+                 bif.X_MINUS: [bif.X_PLUS, bif.X_MINUS],
+                 bif.Y_PLUS: [bif.Y_PLUS, bif.Y_MINUS],
+                 bif.Y_MINUS: [bif.Y_PLUS, bif.Y_MINUS]}
+
+
 def test_batched_scan_matches_scalar_scan():
     r = 1e-3
     for sys_ in scan_systems(n_random=6):
@@ -317,7 +341,13 @@ def test_batched_scan_matches_scalar_scan():
             batched = residual(bif.scan_circle(r))
             assert np.array_equal(np.sign(batched), np.sign(vals)), kind
             assert np.allclose(batched, vals, rtol=1e-12, atol=1e-18), kind
-            assert bif._circle_roots(residual, r, batched) == roots, kind
+            # brentq and the Illinois solve stop at different last bits
+            got = [p.angle for p, _ in
+                   bif.circle_zeros(sys_, AXIS_ZERO_SET.get(kind, [kind]), r)]
+            assert len(got) == len(roots), kind
+            for g, want in zip(got, roots):
+                gap = abs((g - want + math.pi) % (2.0 * math.pi) - math.pi)
+                assert gap <= 1e-14, (kind, g, want)
 
 
 def test_circle_zeros_solves_e3_once_on_both_half_lines(monkeypatch):

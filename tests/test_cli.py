@@ -212,3 +212,32 @@ def test_readme_commands_exit_zero_on_every_shipped_fixture(capsys, argv):
         code, _, err = run(capsys, argv[0], "--config", fixture_path(name),
                            *argv[1:])
         assert code == 0, (name, err)
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-time reference only; with it unimportable, every
+    # family still verifies and a portrait still integrates
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lvbif
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from lvbif.cli import main
+codes = [main(["verify", "--family", f])
+         for f in ("nondegenerate", "deltazero", "thetazero")]
+codes.append(main(["portrait", "--config", {fixture_path("nondegenerate_iv.json")!r},
+                   "--mu", "1e-3,1e-3", "--grid", "4",
+                   "--svg", {str(tmp_path / "p.svg")!r}]))
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "scipy" and mod is not None]
+print("codes", codes, "scipy modules", loaded)
+sys.exit(0 if codes == [0, 0, 0, 0] and not loaded else 1)
+"""
+    src = str(Path(lvbif.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
