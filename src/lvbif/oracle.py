@@ -2,10 +2,10 @@
 
 These deliberately avoid the closed-form seeds and quadratic formulas of the
 primary path: equilibria come from sign-change scans (1-D bisection on the
-axes, cell flags plus finite-difference Newton in the interior), Jacobians
-from central differences, and sector structure from direct angular sampling
-with recursive boundary refinement.  They may be orders of magnitude slower
-than the primary paths; that is fine.
+axes; in the interior, lattice cells flagged by g1, then by g2 at their
+corners only, refined by finite-difference Newton), Jacobians from central
+differences, and sector structure from direct angular sampling with recursive
+boundary refinement.  They may be orders of magnitude slower; that is fine.
 """
 
 from __future__ import annotations
@@ -110,6 +110,26 @@ def _fd_newton(c: Coeffs, x1: float, x2: float, tol: float = 1e-12,
     return None
 
 
+def _straddles(G):
+    """Cells of the lattice G (its first two axes) whose four corners are
+    neither all > 0 nor all < 0, so an exact-zero corner flags its cell."""
+    pos, neg = G > 0, G < 0
+    pos, neg = pos[:-1] & pos[1:], neg[:-1] & neg[1:]
+    return ~((pos[:, :-1] & pos[:, 1:]) | (neg[:, :-1] & neg[:, 1:]))
+
+
+def _flagged_cells(c: Coeffs, xs, ys):
+    """Row-major (i, j) of the lattice cells where both brackets straddle
+    zero; g2 is evaluated only at the corners of the cells g1 straddles."""
+    G1 = np.empty((len(xs), len(ys)))
+    for a in range(0, len(xs), 32):   # row bands keep temporaries in cache
+        G1[a:a + 32] = bracket1(c, xs[a:a + 32, None], ys)
+    i, j = np.divmod(np.flatnonzero(_straddles(G1)), len(ys) - 1)
+    keep = _straddles(bracket2(c, xs[np.stack([i, i + 1])[:, None]],
+                               ys[np.stack([j, j + 1])[None]]))[0, 0]
+    return i[keep], j[keep]
+
+
 def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
                     jitter_seed: int | None = None) -> list[tuple[float, float]]:
     """Equilibria of the reduced field inside a rectangular window.
@@ -117,15 +137,19 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
     window is ((x_lo, x_hi), (y_lo, y_hi)); n is the lattice resolution per
     axis (n <= 2000).  The origin and the axis roots are found by 1-D
     bisection scans, interior roots by flagging lattice cells where both
-    bracket functions change sign and refining with finite-difference
-    Newton.  A second, half-cell-shifted pass catches roots that straddle
-    cell boundaries; passing jitter_seed adds a small random shift as well.
+    bracket functions straddle zero (corners not all > 0 nor all < 0; g2 is
+    evaluated only at the corners of the cells g1 flags) and refining with
+    finite-difference Newton.  A second, half-cell-shifted pass catches roots
+    that straddle cell boundaries; passing jitter_seed adds a small random
+    shift as well.  Window bounds and coefficients must be finite.
     """
     if n > 2000:
         raise ValueError("n must be at most 2000 per axis")
     mu = ParamPoint.coerce(mu)
     c = sys.at(mu)
     (x_lo, x_hi), (y_lo, y_hi) = window
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, *c))):
+        raise ValueError("window bounds and coefficients must be finite")
     roots: list[tuple[float, float]] = []
     # the origin is an equilibrium by the factored structure of the field
     if x_lo <= 0.0 <= x_hi and y_lo <= 0.0 <= y_hi:
@@ -147,17 +171,7 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
     for sx, sy in shifts:
         xs = np.linspace(x_lo + sx * dx, x_hi + sx * dx, n + 1)
         ys = np.linspace(y_lo + sy * dy, y_hi + sy * dy, n + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-        G1, G2 = bracket1(c, X, Y), bracket2(c, X, Y)
-        s1 = np.sign(G1)
-        s2 = np.sign(G2)
-        flag1 = ((s1[:-1, :-1] * s1[1:, :-1] <= 0)
-                 | (s1[:-1, :-1] * s1[:-1, 1:] <= 0)
-                 | (s1[:-1, :-1] * s1[1:, 1:] <= 0))
-        flag2 = ((s2[:-1, :-1] * s2[1:, :-1] <= 0)
-                 | (s2[:-1, :-1] * s2[:-1, 1:] <= 0)
-                 | (s2[:-1, :-1] * s2[1:, 1:] <= 0))
-        ii, jj = np.nonzero(flag1 & flag2)
+        ii, jj = _flagged_cells(c, xs, ys)
         for i, j in zip(ii.tolist(), jj.tolist()):
             got = _fd_newton(c, 0.5 * (xs[i] + xs[i + 1]),
                              0.5 * (ys[j] + ys[j + 1]))

@@ -5,7 +5,8 @@ import pytest
 
 from lvbif.cases import deltazero_case, nondegenerate_case
 from lvbif.equilibria import TOL, find_equilibria
-from lvbif.model import ParamArray, ParamPoint
+from lvbif.model import (ParamArray, ParamPoint, ReducedSystem, bracket1,
+                         bracket2)
 from lvbif.oracle import blocks_from, fd_jacobian, grid_equilibria, sign_scan
 from lvbif.regions import decompose
 
@@ -72,6 +73,107 @@ def test_grid_resolution_cap():
     with pytest.raises(ValueError):
         grid_equilibria(nondegenerate_case(1.0, 2.0), (0.0, 0.0),
                         ((-1e-3, 1e-3), (-1e-3, 1e-3)), n=4000)
+
+
+@pytest.mark.parametrize("coeffs, mu, window", [
+    ({}, (1e-3, 1e-3), ((-1e-3, math.nan), (-1e-3, 1e-3))),
+    ({}, (1e-3, 1e-3), ((-1e-3, 1e-3), (-math.inf, 1e-3))),
+    ({}, (math.nan, 1e-3), ((-1e-3, 1e-3), (-1e-3, 1e-3))),
+    ({"L": math.inf}, (1e-3, 1e-3), ((-1e-3, 1e-3), (-1e-3, 1e-3))),
+    ({"P": math.nan}, (1e-3, 1e-3), ((-1e-3, 1e-3), (-1e-3, 1e-3))),
+])
+def test_grid_rejects_non_finite_input(coeffs, mu, window):
+    # a NaN lattice value would flag every cell it touches, where the sign
+    # products it replaced flagged none, so such input is refused up front
+    sys_ = ReducedSystem.from_coeffs(
+        **{"theta": -1.0, "gamma": 1.0, "delta": -2.0, **coeffs})
+    with pytest.raises(ValueError, match="finite"):
+        grid_equilibria(sys_, mu, window, n=50)
+
+
+def _sign_product_rule(G):
+    # the flagging rule before the two-stage scan, kept as the reference
+    s = np.sign(G)
+    return ((s[:-1, :-1] * s[1:, :-1] <= 0)
+            | (s[:-1, :-1] * s[:-1, 1:] <= 0)
+            | (s[:-1, :-1] * s[1:, 1:] <= 0))
+
+
+def _sign_product_cells(c, xs, ys):
+    X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    return np.nonzero(_sign_product_rule(bracket1(c, X, Y))
+                      & _sign_product_rule(bracket2(c, X, Y)))
+
+
+_ZERO_CORNER = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 1.0], [2.0, 1.0, 5.0]])
+
+
+@pytest.mark.parametrize("G, flagged", [
+    (_ZERO_CORNER, [(0, 0)]),
+    (-_ZERO_CORNER, [(0, 0)]),
+    (_ZERO_CORNER[::-1, ::-1], [(1, 1)]),
+    (np.array([[2.0, 1.0, 3.0], [0.0, 0.0, -0.0], [4.0, 1.0, 2.0]]),
+     [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (np.array([[-2.0, -1.0, 0.0], [-1.0, -3.0, 0.0], [-4.0, -1.0, 0.0]]),
+     [(0, 1), (1, 1)]),
+    (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+     [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],
+               [2.0, 3.0, 4.0, 0.0], [3.0, 4.0, 0.0, 6.0]]),
+     [(0, 0), (1, 2), (2, 1), (2, 2)]),
+    (np.array([[1.0, -1.0, 2.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+     [(0, 0), (0, 1)]),
+])
+def test_straddles_flags_zero_corners_like_the_sign_products(G, flagged):
+    # exact zeros at a corner, along an edge (both signs of zero) and on
+    # the diagonal, in lattices of positive, negative and mixed values
+    from lvbif.oracle import _straddles
+    got = _straddles(G)
+    assert list(zip(*np.nonzero(got))) == flagged
+    assert np.array_equal(got, _sign_product_rule(G))
+    # the same cells through the lattice-axes-first layout g2 is flagged in
+    cells = np.stack([np.stack([G[:-1, :-1], G[:-1, 1:]]),
+                      np.stack([G[1:, :-1], G[1:, 1:]])])
+    assert np.array_equal(_straddles(cells)[0, 0], got)
+
+
+def test_grid_flags_equal_the_sign_product_rule(monkeypatch):
+    # every lattice of every grid_equilibria call at the sector
+    # representatives of the scan systems must flag exactly the cells the
+    # sign-product rule flags, in its order, and give the same roots; the
+    # systems alternate between two pairings of n with the jitter pass so
+    # that all four combinations occur
+    import lvbif.oracle as oracle
+    from conftest import scan_systems
+    two_stage = oracle._flagged_cells
+
+    def recorder(flag, cells):
+        def record(c, xs, ys):
+            ii, jj = flag(c, xs, ys)
+            cells.append((ii.tolist(), jj.tolist()))
+            return ii, jj
+        return record
+
+    r = 1e-3
+    for k, sys_ in enumerate(scan_systems()):
+        for sector in decompose(sys_, None, r):
+            mu = sector.representative
+            eqs = find_equilibria(sys_, mu)
+            m = max(max(map(abs, e.xi)) for e in eqs) * 1.7 + r / 10
+            for n in (250, 300):
+                jitter = 1000 + k if (n == 250) == (k % 2 == 1) else None
+                args = (sys_, mu, ((-m, m), (-m, m)), n, jitter)
+                got_cells, want_cells = [], []
+                monkeypatch.setattr(oracle, "_flagged_cells",
+                                    recorder(two_stage, got_cells))
+                got = grid_equilibria(*args)
+                monkeypatch.setattr(oracle, "_flagged_cells",
+                                    recorder(_sign_product_cells, want_cells))
+                want = grid_equilibria(*args)
+                assert len(want_cells) == (2 if jitter is None else 3)
+                assert got_cells == want_cells, (k, mu, n, jitter)
+                assert all(ii for ii, _ in want_cells)
+                assert got == want, (k, mu, n, jitter)
 
 
 def test_sign_scan_validates_arguments():
