@@ -5,7 +5,7 @@ scalar residual (a collision coordinate of the interior equilibrium, an axis
 discriminant, or the interior half-trace) is root-solved in the angle by the
 Illinois solve model._roots.  The saddle-node and transcritical quantities
 C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)] at collisions use analytic
-state derivatives and central differences in the bifurcation parameter.
+state derivatives and a complex step in the bifurcation parameter.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import TOL, Tolerances, refine_e3, stable_quadratic_roots
+from .equilibria import refine_e3, stable_quadratic_roots
 from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
                      UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
@@ -90,20 +90,14 @@ class SotomayorReport:
 # residuals
 # ---------------------------------------------------------------------------
 
-# collision curves: the interior coordinate that vanishes on the curve, and
-# the classes the curve exists in
-_E3_COORD = {
-    T1: (1, (NONDEGENERATE, DELTA_ZERO)),
-    T2: (0, (NONDEGENERATE, THETA_ZERO)),
-    T3: (0, (DELTA_ZERO,)), T3_PLUS: (0, (DELTA_ZERO,)),
-    T4: (1, (THETA_ZERO,)), T4_PLUS: (1, (THETA_ZERO,)),
-}
+# collision curves: the interior coordinate that vanishes on the curve
+_E3_COORD = {T1: 1, T2: 0, T3: 0, T3_PLUS: 0, T4: 1, T4_PLUS: 1}
 
 # kinds whose defining residual is another kind's, on the other half-line
 SHARED_RESIDUAL = {T3_PLUS: T3, T4_PLUS: T4, D_POS: D_NEG}
 
 
-def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
+def curve_residual(sys: ReducedSystem, kind: str):
     """The defining scalar residual of a curve kind, as a function of mu.
 
     The function is called as residual(mu, xi=None).  mu is a ParamPoint or
@@ -112,6 +106,8 @@ def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
     that do not need it ignore it.
     """
     fam = sys.degeneracy
+    if kind not in admissible_kinds(sys):
+        raise NotApplicable(f"{kind} is not defined for class {fam}")
 
     if kind in (X_PLUS, X_MINUS):
         return lambda mu, xi=None: mu.mu2
@@ -119,38 +115,30 @@ def curve_residual(sys: ReducedSystem, kind: str, tol: Tolerances = TOL):
         return lambda mu, xi=None: mu.mu1
 
     if kind in _E3_COORD:
-        k, families = _E3_COORD[kind]
-        if fam not in families:
-            raise NotApplicable(f"{kind} is not defined for class {fam}")
+        k = _E3_COORD[kind]
 
         def e3_res(mu, xi=None):
-            return (refine_e3(sys, mu, tol=tol) if xi is None else xi)[k]
+            return (refine_e3(sys, mu) if xi is None else xi)[k]
         return e3_res
 
     if kind in (D_NEG, D_POS):
         if fam == DELTA_ZERO:
             return lambda mu, xi=None: discriminant_axis2(sys, mu)
-        if fam == THETA_ZERO:
-            return lambda mu, xi=None: discriminant_axis1(sys, mu)
-        raise NotApplicable(f"{kind} is not defined for class {fam}")
+        return lambda mu, xi=None: discriminant_axis1(sys, mu)
 
-    if kind == H:
-        if fam != NONDEGENERATE:
-            raise NotApplicable(f"{kind} is not defined for class {fam}")
-        g = sys.gamma0
-        if abs(sys.theta0 * g - 1.0) < 1e-12 or abs(g - sys.delta0) < 1e-12:
-            raise NotApplicable(
-                "the half-trace zero set is not a unique curve here "
-                "(theta*gamma = 1 or gamma = delta)")
+    # the half-trace curve H
+    g = sys.gamma0
+    if abs(sys.theta0 * g - 1.0) < 1e-12 or abs(g - sys.delta0) < 1e-12:
+        raise NotApplicable(
+            "the half-trace zero set is not a unique curve here "
+            "(theta*gamma = 1 or gamma = delta)")
 
-        def h_res(mu, xi=None):
-            if xi is None:
-                xi = refine_e3(sys, mu, tol=tol)
-            (j11, _), (_, j22) = jacobian_at(sys.at(mu), xi)
-            return 0.5 * (j11 + j22)
-        return h_res
-
-    raise NotApplicable(f"unknown curve kind {kind!r}")
+    def h_res(mu, xi=None):
+        if xi is None:
+            xi = refine_e3(sys, mu)
+        (j11, _), (_, j22) = jacobian_at(sys.at(mu), xi)
+        return 0.5 * (j11 + j22)
+    return h_res
 
 
 def discriminant_axis2(sys: ReducedSystem, mu) -> float:
@@ -252,8 +240,8 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
-def circle_zeros(sys: ReducedSystem, kinds, r: float,
-                 tol: Tolerances = TOL) -> list[tuple[ParamPoint, str]]:
+def circle_zeros(sys: ReducedSystem, kinds,
+                 r: float) -> list[tuple[ParamPoint, str]]:
     """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
 
     The interior equilibrium is solved once for the whole circle, and kinds
@@ -261,12 +249,12 @@ def circle_zeros(sys: ReducedSystem, kinds, r: float,
     labelled with the kind whose half-line holds it.  All sign changes on
     the circle are refined by one Illinois solve.
     """
-    scans = [(kind, curve_residual(sys, kind, tol)) for kind in kinds
+    scans = [(kind, curve_residual(sys, kind)) for kind in kinds
              if kind not in AXES and SHARED_RESIDUAL.get(kind) not in kinds]
     circle = scan_circle(r)
     xi = None
     if any(kind in _E3_COORD or kind == H for kind, _ in scans):
-        xi = refine_e3(sys, circle, tol=tol)
+        xi = refine_e3(sys, circle)
     axis_phi = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi,
                 X_MINUS: math.pi, Y_MINUS: 1.5 * math.pi}
     out = [(ParamPoint.from_polar(r, axis_phi[kind]), kind)
@@ -292,16 +280,15 @@ def circle_zeros(sys: ReducedSystem, kinds, r: float,
     return out
 
 
-def circle_intersections(sys: ReducedSystem, kind: str, r: float,
-                         tol: Tolerances = TOL) -> list[ParamPoint]:
+def circle_intersections(sys: ReducedSystem, kind: str,
+                         r: float) -> list[ParamPoint]:
     """Points of the curve on the circle |mu| = r, halfline filtered."""
-    zeros = circle_zeros(sys, [kind], r, tol)
+    zeros = circle_zeros(sys, [kind], r)
     _, pred = halfline_constraint(sys, kind)
     return [p for p, _ in zeros if pred(p)]
 
 
-def trace_curve(sys: ReducedSystem, kind: str, radii,
-                tol: Tolerances = TOL) -> BifurcationCurve:
+def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     """Sample a curve at the given radii and fit its leading coefficient.
 
     Returns an empty curve with a note when no sample satisfies the kind's
@@ -313,9 +300,9 @@ def trace_curve(sys: ReducedSystem, kind: str, radii,
             f"curve {kind} is not admissible for class {sys.degeneracy}")
     desc, _ = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
-    residual = curve_residual(sys, kind, tol)
+    residual = curve_residual(sys, kind)
     for r in sorted(radii, reverse=True):
-        pts = circle_intersections(sys, kind, r, tol)
+        pts = circle_intersections(sys, kind, r)
         if not pts:
             curve.notes.append(f"NoRoot: no {kind} point on |mu| = {r:.3e}")
             continue
@@ -329,15 +316,14 @@ def trace_curve(sys: ReducedSystem, kind: str, radii,
     return curve
 
 
-def parabola_point(sys: ReducedSystem, kind: str, coord: float,
-                   tol: Tolerances = TOL) -> ParamPoint:
+def parabola_point(sys: ReducedSystem, kind: str, coord: float) -> ParamPoint:
     """Point of a parabola-like curve at a pinned dominant coordinate.
 
     For the DeltaZero class the dominant coordinate is mu1 and the solve is
     in mu2 = seed + span u, |u| <= 60; the ThetaZero class mirrors the roles.
     A fold point keeps a discriminant >= 0, where its axis pair exists.
     """
-    residual = curve_residual(sys, kind, tol)
+    residual = curve_residual(sys, kind)
     desc, pred = halfline_constraint(sys, kind)
     lead = predicted_leading(sys, kind)
     if lead is None:
@@ -408,16 +394,18 @@ def axis_kernel_vectors(A, xi0: tuple[float, float]
     return v, w
 
 
-def _fd_parameter(evaluate, sys: ReducedSystem, mu: ParamPoint, xi,
-                  param: int, h: float) -> np.ndarray:
-    """Central difference of evaluate(coeffs, xi) in mu[param], step h."""
-    def shift(s):
-        m = [mu.mu1, mu.mu2]
-        m[param] += s
-        return ParamPoint(m[0], m[1])
-    fp = np.asarray(evaluate(sys.at(shift(+h)), xi))
-    fm = np.asarray(evaluate(sys.at(shift(-h)), xi))
-    return (fp - fm) / (2.0 * h)
+# the complex step of the parameter derivatives: a power of two, so the
+# division by it is exact, and small enough that its square is lost
+_STEP = 2.0 ** -100
+
+
+def _d_parameter(evaluate, sys: ReducedSystem, mu: ParamPoint, xi,
+                 param: int) -> np.ndarray:
+    """Derivative of evaluate(coeffs, xi) in mu[param], exact to rounding:
+    the imaginary part of one complex step, which subtracts nothing."""
+    m = [mu.mu1, mu.mu2]
+    m[param] += 1j * _STEP
+    return np.imag(evaluate(sys.at(ParamPoint(m[0], m[1])), xi)) / _STEP
 
 
 def sotomayor_quantities(sys: ReducedSystem, mu0: ParamPoint,
@@ -428,9 +416,8 @@ def sotomayor_quantities(sys: ReducedSystem, mu0: ParamPoint,
     (0 or 1)."""
     A = jacobian_at(sys.at(mu0), xi0)
     v, w = axis_kernel_vectors(A, xi0)
-    h = 1e-7 * (1.0 + mu0.norm)
-    c1 = float(w @ _fd_parameter(field_at, sys, mu0, xi0, param, h))
-    c2 = float(w @ (_fd_parameter(jacobian_at, sys, mu0, xi0, param, h) @ v))
+    c1 = float(w @ _d_parameter(field_at, sys, mu0, xi0, param))
+    c2 = float(w @ (_d_parameter(jacobian_at, sys, mu0, xi0, param) @ v))
     c3 = float(w @ np.asarray(
         hessian_form_at(sys.at(mu0), xi0, (float(v[0]), float(v[1])))))
     return v, w, c1, c2, c3
@@ -440,8 +427,7 @@ def _nonzero_tol(scale: float) -> float:
     return 1e3 * _EPS * max(abs(scale), _EPS)
 
 
-def sotomayor_saddle_node(sys: ReducedSystem, mu0,
-                          tol: Tolerances = TOL) -> SotomayorReport:
+def sotomayor_saddle_node(sys: ReducedSystem, mu0) -> SotomayorReport:
     """Genericity quantities at the axis-pair collision on the discriminant
     curve, with the predicted leading values attached for comparison."""
     mu0 = ParamPoint.coerce(mu0)
@@ -469,7 +455,7 @@ def sotomayor_saddle_node(sys: ReducedSystem, mu0,
         raise NotApplicable(
             "saddle-node curves exist only in the degenerate classes")
 
-    residual = curve_residual(sys, kind, tol)
+    residual = curve_residual(sys, kind)
     res = residual(mu0)
     if abs(res) > CURVE_TOL * (1.0 + mu0.norm) * 1e3:
         notes.append(f"mu0 off the discriminant curve (residual {res:.3e})")
@@ -497,8 +483,7 @@ def transcritical_branch(sys: ReducedSystem) -> str:
     return "E21" if sys.gamma0 * sys.delta1 - 2.0 * sys.P0 < 0.0 else "E22"
 
 
-def sotomayor_transcritical(sys: ReducedSystem, mu0,
-                            tol: Tolerances = TOL) -> SotomayorReport:
+def sotomayor_transcritical(sys: ReducedSystem, mu0) -> SotomayorReport:
     """Genericity quantities at the interior/axis collision on the
     transcritical parabola of the active degenerate class."""
     mu0 = ParamPoint.coerce(mu0)
@@ -513,7 +498,7 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
         kind = T3
         param = 1
         branch = transcritical_branch(sys)
-        rp, rm = stable_quadratic_roots(c.P, c.delta, mu0.mu2, tol.quad_floor)
+        rp, rm = stable_quadratic_roots(c.P, c.delta, mu0.mu2)
         xi2 = rp if branch == "E21" else rm
         if xi2 is None:
             raise DegenerateJacobian("axis pair absent at mu0")
@@ -532,7 +517,7 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
         kind = T4
         param = 0
         branch = transcritical_branch(sys)
-        rp, rm = stable_quadratic_roots(c.N, c.theta, mu0.mu1, tol.quad_floor)
+        rp, rm = stable_quadratic_roots(c.N, c.theta, mu0.mu1)
         xi1 = rp if branch == "E11" else rm
         if xi1 is None:
             raise DegenerateJacobian("axis pair absent at mu0")
@@ -545,7 +530,7 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0,
         raise NotApplicable(
             "transcritical parabolas exist only in the degenerate classes")
 
-    residual = curve_residual(sys, kind, tol)
+    residual = curve_residual(sys, kind)
     res = residual(mu0)
     if abs(res) > CURVE_TOL * (1.0 + mu0.norm) * 1e3:
         notes.append(f"mu0 off the curve (residual {res:.3e})")
@@ -590,20 +575,20 @@ def expected_collision_pair(sys: ReducedSystem, kind: str) -> tuple[str, str]:
     raise NotApplicable(f"no collision assignment for curve {kind}")
 
 
-def collision_check(sys: ReducedSystem, curve: BifurcationCurve,
-                    tol: Tolerances = TOL) -> list[CollisionRecord]:
+def collision_check(sys: ReducedSystem,
+                    curve: BifurcationCurve) -> list[CollisionRecord]:
     """Verify which pair collides on each sample and which eigenvalue dies.
 
     Raises CollisionMismatch when the closest pair is not the expected one.
     """
     from .errors import CollisionMismatch
-    from .equilibria import find_equilibria
+    from .equilibria import TOL_COLLIDE, find_equilibria
 
     expected = expected_collision_pair(sys, curve.kind)
     companion = _PARTNER.get(expected[0])
     records = []
     for mu in curve.samples:
-        eqs = find_equilibria(sys, mu, tol)
+        eqs = find_equilibria(sys, mu)
         named = [e for e in eqs if e.label != "E0"]
         best = None
         for i in range(len(named)):
@@ -619,7 +604,7 @@ def collision_check(sys: ReducedSystem, curve: BifurcationCurve,
             raise CollisionMismatch(
                 f"expected {expected} to collide on {curve.kind}, found {pair} "
                 f"at mu = ({mu.mu1:.6e}, {mu.mu2:.6e})")
-        if d > tol.tol_collide * mu.norm:
+        if d > TOL_COLLIDE * mu.norm:
             raise CollisionMismatch(
                 f"pair {pair} distance {d:.3e} above the collision tolerance")
         axis_eq = ea if ea.label != "E3" else eb

@@ -6,8 +6,8 @@ Subcommands:
   portrait  integrate a phase portrait to SVG and/or CSV
   verify    region type-table verification plus the genericity suite
 
-Exit codes: 0 success, 1 verification mismatch, 2 configuration error,
-3 unsupported case.
+Exit codes: 0 success, 1 verification mismatch, 2 configuration error or
+bad argument value, 3 unsupported case.
 """
 
 from __future__ import annotations
@@ -39,27 +39,39 @@ FAMILY_ALIASES = {
 }
 
 
+class ConfigError(Exception):
+    """The config file cannot be read as a system."""
+
+
 def _parse_mu(text: str) -> ParamPoint:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--mu expects 'a,b', got {text!r}")
-    return ParamPoint(float(parts[0]), float(parts[1]))
+    try:
+        mu1, mu2 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--mu expects 'a,b', got {text!r}") from None
+    return ParamPoint(mu1, mu2)
+
+
+def _parse_radii(text: str) -> list[float]:
+    try:
+        radii = [float(r) for r in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--radii expects 'r1,r2,...', got {text!r}") from None
+    for r in radii:
+        if not 0.0 < r < TOL.epsilon_disk:
+            raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
+                             f"{TOL.epsilon_disk!r})")
+    return radii
 
 
 def _load(path: str):
     try:
         return load_system(path)
     except (LVError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(exc) from exc
 
 
 def _tolerances(args) -> Tolerances:
-    eps = getattr(args, "epsilon_disk", None)
-    if eps:
-        from dataclasses import replace
-        return replace(TOL, epsilon_disk=eps)
-    return TOL
+    return Tolerances(args.epsilon_disk) if args.epsilon_disk else TOL
 
 
 def cmd_analyze(args) -> int:
@@ -67,11 +79,7 @@ def cmd_analyze(args) -> int:
     sys_ = loaded.system
     mu = _parse_mu(args.mu)
     tol = _tolerances(args)
-    try:
-        desc = select_case(sys_)
-    except UnsupportedCase as exc:
-        print(f"unsupported case: {exc}", file=_sys.stderr)
-        return EXIT_UNSUPPORTED
+    desc = select_case(sys_)
     print(f"degeneracy class: {sys_.degeneracy}")
     if sys_.mu_negated:
         print("note: parameters relabeled nu = -mu by the mirrored reduction; "
@@ -109,7 +117,7 @@ def cmd_analyze(args) -> int:
 def cmd_curves(args) -> int:
     loaded = _load(args.config)
     sys_ = loaded.system
-    radii = [float(r) for r in args.radii.split(",")]
+    radii = _parse_radii(args.radii)
     curves = []
     for kind in bif.admissible_kinds(sys_):
         try:
@@ -138,6 +146,8 @@ def cmd_portrait(args) -> int:
     loaded = _load(args.config)
     sys_ = loaded.system
     mu = _parse_mu(args.mu)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     tol = _tolerances(args)
     port = portrait(sys_, mu, grid_density=args.grid, tol=tol)
     wrote = False
@@ -205,22 +215,14 @@ def cmd_verify(args) -> int:
     case_list = None
     if args.config:
         loaded = _load(args.config)
-        try:
-            desc = select_case(loaded.system)
-        except UnsupportedCase as exc:
-            print(f"unsupported case: {exc}", file=_sys.stderr)
-            return EXIT_UNSUPPORTED
+        desc = select_case(loaded.system)
         if desc.family != family:
             print(f"config system is {desc.family}, not {family}",
                   file=_sys.stderr)
             return EXIT_UNSUPPORTED
         case_list = list(cases.CANONICAL_BY_FAMILY[family]) + [
             ("config", loaded.system)]
-    try:
-        report = verify_tables(family, r=args.r, cases=case_list)
-    except UnsupportedCase as exc:
-        print(f"unsupported case: {exc}", file=_sys.stderr)
-        return EXIT_UNSUPPORTED
+    report = verify_tables(family, r=args.r, cases=case_list)
     print(report.render_text())
     soto = sotomayor_suite(family)
     for line in soto.lines:
@@ -298,14 +300,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except ConfigError as exc:
+        message, code = f"config error: {exc}", EXIT_CONFIG
     except UnsupportedCase as exc:
-        print(f"unsupported case: {exc}", file=_sys.stderr)
-        return EXIT_UNSUPPORTED
-    except LVError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
+        message, code = f"unsupported case: {exc}", EXIT_UNSUPPORTED
+    except (LVError, ValueError) as exc:
+        # a point outside the disk, a radius out of range, a malformed value
+        message, code = f"error: {exc}", EXIT_CONFIG
+    print(message, file=_sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

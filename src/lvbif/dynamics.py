@@ -209,16 +209,16 @@ def _frame(sys: ReducedSystem, mu, tol: Tolerances,
 
 def integrate(sys: ReducedSystem, mu, x0, direction: str = "forward",
               t_max: float | None = None, window: float | None = None,
-              equilibria: EquilibriumList | None = None,
-              tol: Tolerances = TOL) -> Trajectory:
+              equilibria: EquilibriumList | None = None) -> Trajectory:
     """Integrate one trajectory until convergence, window exit, or t_max.
 
     Convergence requires both closeness to a known equilibrium and a small
     field magnitude, so slow drift along a center manifold is not mistaken
     for arrival.  Tiny negative coordinates (axis invariance is exact in the
-    model) are clamped to zero in the output.
+    model) are clamped to zero in the output.  Without equilibria, those of
+    find_equilibria in the default disk are the targets.
     """
-    mu, equilibria, window = _frame(sys, mu, tol, equilibria, window)
+    mu, equilibria, window = _frame(sys, mu, TOL, equilibria, window)
     x0 = (float(x0[0]), float(x0[1]))
     return _integrate_all(sys, mu, [(x0, direction)], t_max, window,
                           equilibria)[0]
@@ -243,15 +243,14 @@ def _separatrix_seeds(sys: ReducedSystem, mu: ParamPoint, saddle: Equilibrium,
 
 def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
                  window: float | None = None,
-                 equilibria: EquilibriumList | None = None,
-                 tol: Tolerances = TOL) -> list[Trajectory]:
+                 equilibria: EquilibriumList | None = None) -> list[Trajectory]:
     """Invariant-manifold branches of a saddle, seeded along its eigenvectors.
 
     Stable directions are integrated backward, unstable forward.  Seeds that
     fall outside the closed first quadrant are skipped, so boundary saddles
     emit fewer branches.
     """
-    mu, equilibria, window = _frame(sys, mu, tol, equilibria, window)
+    mu, equilibria, window = _frame(sys, mu, TOL, equilibria, window)
     return _integrate_all(sys, mu, _separatrix_seeds(sys, mu, saddle, window),
                           None, window, equilibria)
 

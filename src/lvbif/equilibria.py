@@ -61,23 +61,18 @@ def sar_letter(kind: str) -> str:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances of the equilibrium analysis.
-
-    The proper/collide/eig tolerances scale with |mu|: the underlying
-    dichotomies are exact and the bands only absorb float noise.
-    """
+    """The radius of the parameter disk the analysis accepts points in."""
 
     epsilon_disk: float = EPSILON_DISK
-    newton_tol: float = 1e-13       # bracket residual, times (1 + |mu|)
-    max_iter: int = 25
-    tol_proper: float = 1e-9        # times |mu|
-    tol_collide: float = 1e-7       # times |mu|
-    tol_eig: float = 1e-9           # times |mu|
-    hyperbola_tol: float = 1e-9     # guard on theta*delta - 1
-    quad_floor: float = 1e-14       # quadratic coefficient floor on the axes
 
 
 TOL = Tolerances()
+
+# The band tolerances scale with |mu|: the underlying dichotomies are exact
+# and the bands only absorb float noise.
+TOL_PROPER = 1e-9       # properness band, times |mu|
+TOL_COLLIDE = 1e-7      # collision distance, times |mu|
+TOL_EIG = 1e-9          # zero band of an eigenvalue's real part, times |mu|
 
 
 @dataclass(frozen=True)
@@ -143,10 +138,10 @@ def _kind_from_eigs(lam1: complex, lam2: complex, tol_eig: float) -> str:
     return SADDLE
 
 
-def classify(sys: ReducedSystem, mu, xi, tol: Tolerances = TOL) -> Classification:
+def classify(sys: ReducedSystem, mu, xi) -> Classification:
     """Eigenvalues and kind at a state xi, by the closed 2x2 formulas."""
     mu = ParamPoint.coerce(mu)
-    return _classify(sys.at(mu), xi, tol.tol_eig * mu.norm)
+    return _classify(sys.at(mu), xi, TOL_EIG * mu.norm)
 
 
 def _classify(c: Coeffs, xi, tol_eig: float) -> Classification:
@@ -174,8 +169,11 @@ def _letters(c: Coeffs, x1, x2, tol_eig) -> np.ndarray:
 # axis quadratics
 # ---------------------------------------------------------------------------
 
-def stable_quadratic_roots(a: float, b: float, c: float,
-                           quad_floor: float = TOL.quad_floor
+# quadratic coefficient floor on the axes, relative to the linear one
+QUAD_FLOOR = 1e-14
+
+
+def stable_quadratic_roots(a: float, b: float, c: float
                            ) -> tuple[float | None, float | None]:
     """Roots of a x^2 + b x + c = 0 as ((-b+sqrt)/2a, (-b-sqrt)/2a).
 
@@ -183,7 +181,7 @@ def stable_quadratic_roots(a: float, b: float, c: float,
     from the product).  Degenerates to the single linear root when |a| is
     below the floor; returns (None, None) for complex roots.
     """
-    if abs(a) <= quad_floor * max(1.0, abs(b)):
+    if abs(a) <= QUAD_FLOOR * max(1.0, abs(b)):
         if b == 0.0:
             return None, None
         return -c / b, None
@@ -200,11 +198,11 @@ def stable_quadratic_roots(a: float, b: float, c: float,
     return r_plus, r_minus
 
 
-def _quadratic_roots_array(a, b, c, quad_floor: float):
+def _quadratic_roots_array(a, b, c):
     """stable_quadratic_roots over arrays: (r_plus, has_plus, r_minus,
     has_minus), with the same branches and the same arithmetic."""
     a, b, c = np.broadcast_arrays(a, b, c)
-    linear = np.abs(a) <= quad_floor * np.maximum(1.0, np.abs(b))
+    linear = np.abs(a) <= QUAD_FLOOR * np.maximum(1.0, np.abs(b))
     disc = b * b - 4.0 * a * c
     s = np.sqrt(disc)
     up = b >= 0.0
@@ -244,8 +242,13 @@ def _seed_e3(sys: ReducedSystem, c: Coeffs):
         "no interior-equilibrium seed for the DoublyDegenerate class")
 
 
-def refine_e3(sys: ReducedSystem, mu, seed=None,
-              tol: Tolerances = TOL) -> tuple[float, float]:
+# the interior Newton solve: its residual target, times (1 + |mu|), and its
+# iteration budget
+NEWTON_TOL = 1e-13
+MAX_ITER = 25
+
+
+def refine_e3(sys: ReducedSystem, mu, seed=None) -> tuple[float, float]:
     """Newton on the bracket system (g1, g2) = (0, 0), polished while the
     residual falls; it raises if the residual stops falling above target.
 
@@ -255,23 +258,23 @@ def refine_e3(sys: ReducedSystem, mu, seed=None,
     raises if the solve fails at any point.
     """
     if isinstance(mu, ParamArray):
-        x1, x2, ok = _refine_e3_array(sys, sys.at(mu), mu.norm, seed, tol)
+        x1, x2, ok = _refine_e3_array(sys, sys.at(mu), mu.norm, seed)
         if not ok.all():
             raise NewtonDivergence(f"the interior solve failed at "
                                    f"{np.count_nonzero(~ok)} of {ok.size} points")
         return (x1, x2)
     mu = ParamPoint.coerce(mu)
-    return _refine_e3_point(sys, sys.at(mu), mu.norm, seed, tol)
+    return _refine_e3_point(sys, sys.at(mu), mu.norm, seed)
 
 
-def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
-                     tol: Tolerances) -> tuple[float, float]:
+def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float,
+                     seed) -> tuple[float, float]:
     x1, x2 = _seed_e3(sys, c) if seed is None else (float(seed[0]), float(seed[1]))
-    target = tol.newton_tol * (1.0 + norm)
+    target = NEWTON_TOL * (1.0 + norm)
     ball = 10.0 * (math.hypot(x1, x2) + norm) + 1e-6
     g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
     res = math.hypot(g1, g2)
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         if res == 0.0:
             return (x1, x2)
         (a, b), (d, e) = bracket_jacobian_at(c, (x1, x2))
@@ -294,11 +297,10 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float, seed,
     if res <= target:
         return (x1, x2)
     raise NewtonDivergence(
-        f"no convergence in {tol.max_iter} iterations (residual {res:.3e})")
+        f"no convergence in {MAX_ITER} iterations (residual {res:.3e})")
 
 
-def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
-                     tol: Tolerances):
+def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
     """_refine_e3_point at many points at once: (x1, x2, ok).
 
     Every point takes the steps the scalar solve takes; a point leaves the
@@ -310,13 +312,13 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
         if seed is None:
             seed = _seed_e3(sys, c)
         x1, x2 = (np.array(v, dtype=float) for v in np.broadcast_arrays(*seed))
-        target = tol.newton_tol * (1.0 + norm)
+        target = NEWTON_TOL * (1.0 + norm)
         ball = 10.0 * (hypot(x1, x2) + norm) + 1e-6
         g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
         res = hypot(g1, g2)
         ok = res == 0.0
         idx = np.flatnonzero(~ok)   # the active points
-        for _ in range(tol.max_iter):
+        for _ in range(MAX_ITER):
             if idx.size == 0:
                 break
             ci = Coeffs(*(f[idx] if isinstance(f, np.ndarray) else f for f in c))
@@ -347,10 +349,10 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed,
 # ---------------------------------------------------------------------------
 
 def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
-                      xi: tuple[float, float], tol: Tolerances,
+                      xi: tuple[float, float],
                       notes: tuple[str, ...] = ()) -> Equilibrium:
-    cls = _classify(c, xi, tol.tol_eig * mu.norm)
-    band = tol.tol_proper * mu.norm
+    cls = _classify(c, xi, TOL_EIG * mu.norm)
+    band = TOL_PROPER * mu.norm
     proper = xi[0] >= -band and xi[1] >= -band
     extra = ()
     # an exact 0.0 coordinate is an on-axis point, not a boundary call
@@ -368,9 +370,13 @@ def _axis_quadratics(c: Coeffs):
             ("E2", ("E21", "E22"), c.P, c.delta, c.mu2))
 
 
-def _skip_e3(sys: ReducedSystem, tol: Tolerances) -> bool:
+# |theta*delta - 1| at or below this skips the interior solve
+HYPERBOLA_TOL = 1e-9
+
+
+def _skip_e3(sys: ReducedSystem) -> bool:
     return (sys.degeneracy == NONDEGENERATE
-            and abs(sys.theta0 * sys.delta0 - 1.0) <= tol.hyperbola_tol)
+            and abs(sys.theta0 * sys.delta0 - 1.0) <= HYPERBOLA_TOL)
 
 
 def find_equilibria(sys: ReducedSystem, mu,
@@ -389,13 +395,13 @@ def find_equilibria(sys: ReducedSystem, mu,
     out = EquilibriumList()
     c = sys.at(mu)
 
-    out.append(_make_equilibrium(c, mu, "E0", (0.0, 0.0), tol))
+    out.append(_make_equilibrium(c, mu, "E0", (0.0, 0.0)))
     if mu.norm == 0.0:
         return out
 
     labels = LABELS_BY_FAMILY[sys.degeneracy]
     for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
-        rp, rm = stable_quadratic_roots(a, b, m, tol.quad_floor)
+        rp, rm = stable_quadratic_roots(a, b, m)
         if single in labels:
             # the root nearest the seed; a tie goes to the plus root
             seed = -m / b if b != 0.0 else 0.0
@@ -407,30 +413,30 @@ def find_equilibria(sys: ReducedSystem, mu,
         for label, r in roots.items():
             if r is not None:
                 xi = (r, 0.0) if axis == 0 else (0.0, r)
-                out.append(_make_equilibrium(c, mu, label, xi, tol))
+                out.append(_make_equilibrium(c, mu, label, xi))
 
     # interior point
-    if _skip_e3(sys, tol):
+    if _skip_e3(sys):
         out.notes.append(
             "DegenerateCase: theta*delta - 1 vanishes; interior refinement skipped")
     else:
         try:
-            xi3 = _refine_e3_point(sys, c, mu.norm, None, tol)
-            out.append(_make_equilibrium(c, mu, "E3", xi3, tol))
+            xi3 = _refine_e3_point(sys, c, mu.norm, None)
+            out.append(_make_equilibrium(c, mu, "E3", xi3))
         except NewtonDivergence as exc:
             out.notes.append(f"NewtonDivergence: E3 absent ({exc})")
 
-    _flag_collisions(out, mu, tol)
+    _flag_collisions(out, mu)
     return out
 
 
-def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint, tol: Tolerances) -> None:
+def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint) -> None:
     """Mark colliding pairs trivial; reject genuinely ambiguous matchings.
 
     A root claiming two mutually distinct partners at once cannot be
     attributed to a single collision pair.
     """
-    thresh = tol.tol_collide * mu.norm
+    thresh = TOL_COLLIDE * mu.norm
     partners: dict[int, set[int]] = {}
     for i in range(len(eqs)):
         for j in range(i + 1, len(eqs)):
@@ -470,7 +476,7 @@ def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
     what find_equilibria raises at any of the points.
     """
     norm = mu.norm
-    bad = np.flatnonzero(norm >= tol.epsilon_disk)
+    bad = np.flatnonzero(~(norm < tol.epsilon_disk))
     if bad.size:
         k = bad[0]
         check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])),
@@ -485,8 +491,7 @@ def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         found = {"E0": (np.ones(norm.shape, dtype=bool), zero, zero)}
         for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
-            rp, has_p, rm, has_m = _quadratic_roots_array(a, b, m,
-                                                          tol.quad_floor)
+            rp, has_p, rm, has_m = _quadratic_roots_array(a, b, m)
             has_p, has_m = has_p & moving, has_m & moving
             if single in labels:
                 # the root nearest the seed; a tie goes to the plus root
@@ -497,13 +502,13 @@ def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
                 roots = {pair[0]: (has_p, rp), pair[1]: (has_m, rm)}
             for label, (has, r) in roots.items():
                 found[label] = (has, r, zero) if axis == 0 else (has, zero, r)
-        if _skip_e3(sys, tol):
+        if _skip_e3(sys):
             found["E3"] = (np.zeros(norm.shape, dtype=bool), zero, zero)
         else:
-            x1, x2, ok = _refine_e3_array(sys, c, norm, None, tol)
+            x1, x2, ok = _refine_e3_array(sys, c, norm, None)
             found["E3"] = (ok & moving, x1, x2)
 
-        thresh = tol.tol_collide * norm
+        thresh = TOL_COLLIDE * norm
         dist, close = {}, {}
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
@@ -519,12 +524,12 @@ def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
                         raise AmbiguousLabel(
                             f"{k} collides with both {a} and {b}, which are "
                             f"distinct (at point {int(np.argmax(amb))})")
-        band = tol.tol_proper * norm
+        band = TOL_PROPER * norm
         out = {}
         for k in labels:
             has, x1, x2 = found[k]
             out[k] = EquilibriumArrays(
-                has, x1, x2, _letters(c, x1, x2, tol.tol_eig * norm),
+                has, x1, x2, _letters(c, x1, x2, TOL_EIG * norm),
                 (x1 >= -band) & (x2 >= -band),
                 np.any([close[k, j] for j in labels if j != k], axis=0))
     return out
@@ -576,7 +581,9 @@ def char_poly_identities(sys: ReducedSystem, mu, e3) -> CharPolyCheck:
 __all__ = [
     "SADDLE", "ATTRACTOR_NODE", "ATTRACTOR_FOCUS", "REPELLER_NODE",
     "REPELLER_FOCUS", "DEGENERATE", "LABELS_BY_FAMILY", "sar_letter",
-    "Tolerances", "TOL", "Equilibrium", "EquilibriumList", "Classification",
+    "Tolerances", "TOL", "TOL_PROPER", "TOL_COLLIDE", "TOL_EIG", "QUAD_FLOOR",
+    "NEWTON_TOL", "MAX_ITER", "HYPERBOLA_TOL", "Equilibrium", "EquilibriumList",
+    "Classification",
     "classify", "stable_quadratic_roots", "seed_e3", "refine_e3",
     "find_equilibria", "CharPolyCheck", "char_poly_identities",
 ]

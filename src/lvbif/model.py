@@ -130,7 +130,8 @@ class ParamArray(NamedTuple):
 
 
 def check_disk(mu: ParamPoint, epsilon_disk: float = EPSILON_DISK) -> ParamPoint:
-    if mu.norm >= epsilon_disk:
+    # a NaN norm is outside too
+    if not mu.norm < epsilon_disk:
         raise DiskError(
             f"|mu| = {mu.norm:.3e} is not inside the disk of radius {epsilon_disk:.3e}")
     return mu

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import TOL, Tolerances
 from .model import (Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1,
                     bracket2, field_at)
 
@@ -220,8 +219,7 @@ REFINE_RES = 1e-10
 NARROW_FLOOR = 2e-6
 
 
-def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
-              tol: Tolerances = TOL) -> SignScan:
+def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     """Run-length-encoded signature structure of the circle |mu| = r.
 
     Samples n_angles directions (offset by half a step so the axes are never
@@ -240,8 +238,8 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440,
         raise ValueError("sign_scan requires r > 0")
     step = 2.0 * math.pi / n_angles
     angles = [(k + 0.5) * step for k in range(n_angles)]
-    sig = lambda phi: signature_at(sys, ParamPoint.from_polar(r, phi), tol)
-    sigs = signature_at(sys, ParamArray.from_polar(r, angles), tol)
+    sig = lambda phi: signature_at(sys, ParamPoint.from_polar(r, phi))
+    sigs = signature_at(sys, ParamArray.from_polar(r, angles))
 
     events: list[tuple[float, tuple[str, ...]]] = []
 

@@ -150,8 +150,8 @@ def signature_at(sys: ReducedSystem, mu,
     return tuple(out)
 
 
-def boundary_candidates(sys: ReducedSystem, r: float,
-                        tol: Tolerances = TOL) -> list[tuple[float, str]]:
+def boundary_candidates(sys: ReducedSystem,
+                        r: float) -> list[tuple[float, str]]:
     """Sorted (angle, kind) pairs of all admissible curves on |mu| = r.
 
     Every zero of a curve's residual counts, on both of its half-lines:
@@ -160,7 +160,7 @@ def boundary_candidates(sys: ReducedSystem, r: float,
     """
     kinds = [k for k in bif.admissible_kinds(sys) if k != bif.H]
     out = sorted((p.angle, kind)
-                 for p, kind in bif.circle_zeros(sys, kinds, r, tol))
+                 for p, kind in bif.circle_zeros(sys, kinds, r))
     dedup: list[tuple[float, str]] = []
     for ang, kind in out:
         if dedup and abs(ang - dedup[-1][0]) < 1e-9:
@@ -196,7 +196,7 @@ def decompose(sys: ReducedSystem, case: CaseDescriptor | None, r: float,
 
 def _decompose_at(sys: ReducedSystem, r: float,
                   tol: Tolerances) -> list[RegionReport]:
-    bounds = boundary_candidates(sys, r, tol)
+    bounds = boundary_candidates(sys, r)
     if len(bounds) < 2:
         raise SectorTooThin("fewer than two boundary angles on the circle")
     sep = SEP_TOL * r
@@ -375,7 +375,7 @@ class FamilyVerification:
 
 
 def verify_tables(family: str, r: float = 1e-3,
-                  cases=None, tol: Tolerances = TOL) -> FamilyVerification:
+                  cases=None) -> FamilyVerification:
     """Enumerate every canonical diagram of a family and compare the set of
     distinct sector signatures against the family's reference table."""
     if family not in CANONICAL_BY_FAMILY:
@@ -389,7 +389,7 @@ def verify_tables(family: str, r: float = 1e-3,
         if not desc.table_supported:
             raise UnsupportedCase(
                 f"case {case_id}: {'; '.join(desc.notes)}")
-        sectors = decompose(sys_, desc, r, tol)
+        sectors = decompose(sys_, desc, r)
         diagrams.append(DiagramReport(case_id, sys_, desc, sectors))
         for s in sectors:
             seen.setdefault(s.signature, []).append(case_id)

@@ -5,13 +5,13 @@ import pytest
 from scipy.optimize import brentq
 
 from lvbif import bifurcation as bif
-from lvbif.cases import (CANONICAL_BY_FAMILY, deltazero_case,
-                         nondegenerate_case)
+from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
+                         deltazero_case, nondegenerate_case)
 from lvbif.equilibria import find_equilibria
 from lvbif.errors import (CollisionMismatch, HypothesisViolation,
                           NotApplicable)
 from lvbif.model import (DELTA_ZERO, THETA_ZERO, ParamArray, ParamPoint,
-                         ReducedSystem, mirror)
+                         ReducedSystem, field_at, jacobian_at, mirror)
 from lvbif.poly import linear_poly
 from lvbif.verification import sotomayor_fixture
 
@@ -214,6 +214,41 @@ def test_transcritical_random_sweep(rng):
 
 
 # -- collision bookkeeping -----------------------------------------------------
+
+def suite_collision_points():
+    """(system, mu0, xi0, param) at every Sotomayor check of the suite."""
+    out = []
+    for fam, param, t in ((DELTA_ZERO, 1, bif.T3), (THETA_ZERO, 0, bif.T4)):
+        for branch in "ab":
+            sys_ = sotomayor_fixture(fam, branch)
+            for kind, coord, check in (
+                    (bif.D_NEG, -1e-3, bif.sotomayor_saddle_node),
+                    (bif.D_POS, 1e-3, bif.sotomayor_saddle_node),
+                    (t, -1e-3, bif.sotomayor_transcritical)):
+                rep = check(sys_, bif.parabola_point(sys_, kind, coord))
+                out.append((sys_, rep.mu0, rep.xi0, param))
+    for _, sys_ in CANONICAL_NONDEGENERATE[:2]:
+        for kind, label, param in ((bif.T1, "E1", 1), (bif.T2, "E2", 0)):
+            for mu0 in bif.trace_curve(sys_, kind, [1e-3]).samples:
+                xi0 = find_equilibria(sys_, mu0).get(label).xi
+                out.append((sys_, mu0, xi0, param))
+    return out
+
+
+def test_parameter_derivatives_match_a_central_difference():
+    points = suite_collision_points()
+    assert len(points) == 16
+    for sys_, mu0, xi0, param in points:
+        h = 1e-7 * (1.0 + mu0.norm)
+        step = (h, 0.0) if param == 0 else (0.0, h)
+        plus = ParamPoint(mu0.mu1 + step[0], mu0.mu2 + step[1])
+        minus = ParamPoint(mu0.mu1 - step[0], mu0.mu2 - step[1])
+        for evaluate in (field_at, jacobian_at):
+            exact = bif._d_parameter(evaluate, sys_, mu0, xi0, param)
+            central = (np.asarray(evaluate(sys_.at(plus), xi0))
+                       - np.asarray(evaluate(sys_.at(minus), xi0))) / (2.0 * h)
+            assert np.abs(exact - central).max() <= 1e-6 * np.abs(central).max()
+
 
 def test_collision_pair_on_t3_both_branches():
     a = sotomayor_fixture(DELTA_ZERO, "a")   # gamma*d1 - 2P < 0

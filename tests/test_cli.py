@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from lvbif.cli import main
+from lvbif.model import load_system
 
 
 def fixture_path(name: str) -> str:
@@ -204,14 +205,38 @@ def shipped_fixtures():
 
 
 @pytest.mark.parametrize("argv", [("analyze", "--mu", "1e-3,1e-3"),
-                                  ("curves", "--radii", "1e-3,1e-4")])
-def test_readme_commands_exit_zero_on_every_shipped_fixture(capsys, argv):
+                                  ("curves", "--radii", "1e-3,1e-4"),
+                                  ("portrait", "--mu", "1e-3,1e-3", "--grid",
+                                   "2", "--csv", "{tmp}/p.csv"),
+                                  ("verify", "--family", "{family}")])
+def test_readme_commands_exit_zero_on_every_shipped_fixture(tmp_path, capsys,
+                                                            argv):
     names = shipped_fixtures()
     assert len(names) == 23
     for name in names:
-        code, _, err = run(capsys, argv[0], "--config", fixture_path(name),
-                           *argv[1:])
+        family = load_system(fixture_path(name)).system.degeneracy.lower()
+        args = [a.format(tmp=tmp_path, family=family) for a in argv]
+        code, _, err = run(capsys, args[0], "--config", fixture_path(name),
+                           *args[1:])
         assert code == 0, (name, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "deltazero", "--r", "0.5"),
+    ("verify", "--family", "deltazero", "--r", "1e-5"),
+    ("analyze", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "abc"),
+    ("analyze", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "nan,0"),
+    ("curves", "--config", fixture_path("deltazero_i.json"), "--radii", "abc"),
+    ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "1e-3,1e-3", "--grid", "0"),
+    ("curves", "--config", fixture_path("deltazero_i.json"), "--radii", "0.5"),
+])
+def test_bad_argument_exits_two_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, out
+    assert len(err.splitlines()) == 1, err
 
 
 def test_runs_without_scipy(tmp_path):

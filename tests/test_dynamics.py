@@ -39,7 +39,7 @@ def test_separatrices_of_origin_saddle_follow_axes():
     eqs = find_equilibria(sys_, mu, tol)
     e0 = eqs[0]
     assert e0.kind == "saddle"
-    seps = separatrices(sys_, mu, e0, equilibria=eqs, tol=tol)
+    seps = separatrices(sys_, mu, e0, equilibria=eqs)
     # one seed of each eigendirection leaves the closed quadrant
     assert len(seps) == 2
     for tr in seps:
@@ -138,12 +138,11 @@ def test_portrait_on_fold_curve_shows_one_sided_attraction():
     assert pair and all(e.trivial for e in pair)
     assert any(e.kind == "degenerate" for e in pair)
     x2 = pair[0].xi[1]
-    tol = Tolerances(epsilon_disk=2e-2)
-    below = integrate(sys_, mu0, (0.0, 0.6 * x2), t_max=2e5, tol=tol)
+    below = integrate(sys_, mu0, (0.0, 0.6 * x2), t_max=2e5)
     # approaching the double root from below along the axis
     assert below.terminal == CONVERGED or \
         abs(below.final[1] - x2) < abs(0.6 * x2 - x2)
-    above = integrate(sys_, mu0, (0.0, 1.4 * x2), t_max=2e5, tol=tol)
+    above = integrate(sys_, mu0, (0.0, 1.4 * x2), t_max=2e5)
     assert above.final[1] > 1.4 * x2  # drifts away upward
 
 
@@ -217,10 +216,9 @@ def test_portrait_terminals_match_scipy_rk45(name):
 def test_integrate_alone_equals_its_row_in_a_portrait():
     sys_, mu, tol = PORTRAIT_INPUTS["saddle@216"]
     port = portrait(sys_, mu, grid_density=4, tol=tol)
-    alone = [integrate(sys_, mu, tr.initial, tol=tol)
-             for tr in port.trajectories]
+    alone = [integrate(sys_, mu, tr.initial) for tr in port.trajectories]
     e3 = port.equilibria.get("E3")
-    alone += separatrices(sys_, mu, e3, tol=tol)
+    alone += separatrices(sys_, mu, e3)
     assert len(alone) == len(port.trajectories + port.separatrices)
     for a, b in zip(alone, port.trajectories + port.separatrices):
         assert a.times.tobytes() == b.times.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lvbif.bifurcation import N_SCAN, scan_circle
+import lvbif.equilibria as equilibria
 from lvbif.equilibria import (SADDLE, Tolerances, char_poly_identities,
                               classify, find_equilibria, refine_e3, seed_e3,
                               stable_quadratic_roots)
@@ -71,6 +72,8 @@ def test_deltazero_axis_pair_from_quadratic():
 def test_disk_precondition():
     with pytest.raises(DiskError):
         find_equilibria(canonical(1.0, 0.5), (0.02, 0.0))
+    with pytest.raises(DiskError):
+        find_equilibria(canonical(1.0, 0.5), (math.nan, 0.0))
 
 
 def test_doubly_degenerate_rejected():
@@ -96,12 +99,12 @@ def test_ambiguous_collision_pairing_rejected():
                            eq("E2", (1.2 * thresh, 0.0))])
     # E3 collides with both, but E1 and E2 are farther than the tolerance
     with pytest.raises(AmbiguousLabel):
-        _flag_collisions(eqs, mu, Tolerances())
+        _flag_collisions(eqs, mu)
     # a clean pairwise collision is only flagged trivial
     eqs = EquilibriumList([eq("E1", (0.0, 0.0)),
                            eq("E3", (0.6 * thresh, 0.0)),
                            eq("E2", (5.0, 5.0))])
-    _flag_collisions(eqs, mu, Tolerances())
+    _flag_collisions(eqs, mu)
     assert eqs[0].trivial and eqs[1].trivial and not eqs[2].trivial
 
 
@@ -245,7 +248,7 @@ def test_seed_vanishes_at_origin():
         assert seed_e3(sys_, ParamPoint(0.0, 0.0)) == (0.0, 0.0)
 
 
-def test_seed_convergence_sweep(rng):
+def test_seed_convergence_sweep(rng, monkeypatch):
     # Newton from the closed-form seeds converges within 8 iterations and
     # lands within C*|mu|^2 of the seed, with C stable across radii.  The
     # nondegenerate draws keep |theta*delta - 1| away from zero so the
@@ -254,6 +257,7 @@ def test_seed_convergence_sweep(rng):
             lambda r: rand_deltazero(r, require_p_positive=True),
             lambda r: rand_thetazero(r, require_n_positive=True))
     radii = (1e-4, 1e-3, 1e-2)
+    monkeypatch.setattr(equilibria, "MAX_ITER", 8)
     ratios = {r: 0.0 for r in radii}
     checked = 0
     while checked < 1000:
@@ -265,8 +269,7 @@ def test_seed_convergence_sweep(rng):
         for r in radii:
             mu = ParamPoint.from_polar(r, phi)
             seed = seed_e3(sys_, mu)
-            xi = refine_e3(sys_, mu, tol=Tolerances(max_iter=8,
-                                                    epsilon_disk=2e-2))
+            xi = refine_e3(sys_, mu)
             d = math.hypot(xi[0] - seed[0], xi[1] - seed[1])
             ratios[r] = max(ratios[r], d / (r * r))
         checked += 1
@@ -371,26 +374,26 @@ def test_batched_e3_equals_scalar_at_every_scan_angle():
                 assert abs(x2[k] - s2) <= 1e-15 * (1.0 + abs(s2))
 
 
-def _scalar_failures(sys_, r, tol):
+def _scalar_failures(sys_, r):
     failed = 0
     for phi in SCAN_PHIS:
         try:
-            refine_e3(sys_, ParamPoint.from_polar(r, phi), tol=tol)
+            refine_e3(sys_, ParamPoint.from_polar(r, phi))
         except NewtonDivergence:
             failed += 1
     return failed
 
 
-def test_batched_e3_raises_where_a_scalar_scan_raises():
+def test_batched_e3_raises_where_a_scalar_scan_raises(monkeypatch):
     sys_ = ReducedSystem.from_coeffs(theta=1.0, gamma=1.0, P=1.0,
                                      delta=linear_poly(0.0, 1.0, 0.5))
-    tol = Tolerances(max_iter=1)
-    assert 0 < _scalar_failures(sys_, 1e-3, tol) < len(SCAN_PHIS)
+    monkeypatch.setattr(equilibria, "MAX_ITER", 1)
+    assert 0 < _scalar_failures(sys_, 1e-3) < len(SCAN_PHIS)
     with pytest.raises(NewtonDivergence):
-        refine_e3(sys_, scan_circle(1e-3), tol=tol)
+        refine_e3(sys_, scan_circle(1e-3))
 
 
-def test_batched_e3_raises_when_one_angle_fails():
+def test_batched_e3_raises_when_one_angle_fails(monkeypatch):
     # a Newton tolerance between the two largest converged residuals fails
     # the scalar solve at exactly one scan angle; the path to it is the same
     sys_ = canonical(-2.0, -1.0, M=0.3, N=-0.2, L=0.1, S=0.2, P=0.4, R=-0.3)
@@ -404,10 +407,10 @@ def test_batched_e3_raises_when_one_angle_fails():
         ratios.append(res / (1.0 + r))
     top, second = sorted(ratios)[-1], sorted(ratios)[-2]
     assert top > second
-    tol = Tolerances(newton_tol=0.5 * (top + second))
-    assert _scalar_failures(sys_, r, tol) == 1
+    monkeypatch.setattr(equilibria, "NEWTON_TOL", 0.5 * (top + second))
+    assert _scalar_failures(sys_, r) == 1
     with pytest.raises(NewtonDivergence):
-        refine_e3(sys_, circle, tol=tol)
+        refine_e3(sys_, circle)
 
 
 def test_batched_e3_raises_on_a_nan_seed():

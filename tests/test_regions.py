@@ -5,7 +5,8 @@ import pytest
 
 from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
                          deltazero_case, nondegenerate_case, thetazero_case)
-from lvbif.equilibria import Tolerances, find_equilibria
+import lvbif.equilibria as equilibria
+from lvbif.equilibria import find_equilibria
 from lvbif.errors import AmbiguousLabel, DiskError, OnCurve, UnsupportedCase
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem)
@@ -380,41 +381,40 @@ def test_batched_signatures_equal_scalar_at_every_base_angle(r):
         assert batched == scalar, sys_
 
 
-def test_batched_signatures_drop_e3_where_its_newton_diverges():
+def test_batched_signatures_drop_e3_where_its_newton_diverges(monkeypatch):
     sys_ = ReducedSystem.from_coeffs(theta=1.0, gamma=1.0, P=1.0,
                                      delta=linear_poly(0.0, 1.0, 0.5))
-    tol = Tolerances(max_iter=1)
+    monkeypatch.setattr(equilibria, "MAX_ITER", 1)
     phis = _base_angles()
     diverged = [any(n.startswith("NewtonDivergence") for n in
-                    find_equilibria(sys_, ParamPoint.from_polar(1e-3, p),
-                                    tol).notes)
+                    find_equilibria(sys_, ParamPoint.from_polar(1e-3, p)).notes)
                 for p in phis]
     assert 0 < sum(diverged) < len(phis)
-    batched = signature_at(sys_, ParamArray.from_polar(1e-3, phis), tol)
-    assert batched == [signature_at(sys_, ParamPoint.from_polar(1e-3, p), tol)
+    batched = signature_at(sys_, ParamArray.from_polar(1e-3, phis))
+    assert batched == [signature_at(sys_, ParamPoint.from_polar(1e-3, p))
                        for p in phis]
     assert all(sig[-1] == "-" for sig, d in zip(batched, diverged) if d)
     assert any(sig[-1] != "-" for sig in batched)
 
 
-def test_batched_signatures_raise_where_the_scalar_path_raises():
+def test_batched_signatures_raise_where_the_scalar_path_raises(monkeypatch):
     sys_ = nondegenerate_case(2.0, 2.0)
-    tol = Tolerances(tol_collide=0.3)
+    monkeypatch.setattr(equilibria, "TOL_COLLIDE", 0.3)
     phis = _base_angles()
 
     def ambiguous(p):
         try:
-            find_equilibria(sys_, ParamPoint.from_polar(1e-3, p), tol)
+            find_equilibria(sys_, ParamPoint.from_polar(1e-3, p))
         except AmbiguousLabel:
             return True
         return False
     flags = [ambiguous(p) for p in phis]
     assert 0 < sum(flags) < len(phis)
     with pytest.raises(AmbiguousLabel):
-        signature_at(sys_, ParamArray.from_polar(1e-3, phis), tol)
+        signature_at(sys_, ParamArray.from_polar(1e-3, phis))
     clean = [p for p, f in zip(phis, flags) if not f]
-    assert signature_at(sys_, ParamArray.from_polar(1e-3, clean), tol) == [
-        signature_at(sys_, ParamPoint.from_polar(1e-3, p), tol) for p in clean]
+    assert signature_at(sys_, ParamArray.from_polar(1e-3, clean)) == [
+        signature_at(sys_, ParamPoint.from_polar(1e-3, p)) for p in clean]
     # one point outside the disk fails the whole array, as it fails alone
     mu = ParamArray(np.array([1e-3, 2e-2]), np.array([0.0, 0.0]))
     with pytest.raises(DiskError):
