@@ -6,6 +6,10 @@ discriminant, or the interior half-trace) is root-solved in the angle by the
 Illinois solve model._roots.  The saddle-node and transcritical quantities
 C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)] at collisions use analytic
 state derivatives and a complex step in the bifurcation parameter.
+Both degenerate classes follow one rule, FOLD_AXIS: the root pair of one
+axis (xi2 for DeltaZero, xi1 for ThetaZero) folds on the discriminant
+parabola and meets E3 on the transcritical one, the mu coordinate of the
+same index is the bifurcation parameter, and the other one is pinned.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import refine_e3, stable_quadratic_roots
+from .equilibria import _axis_quadratics, refine_e3, stable_quadratic_roots
 from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
                      UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
@@ -38,6 +42,10 @@ Y_PLUS = "Yplus"
 Y_MINUS = "Yminus"
 
 AXES = (X_PLUS, Y_PLUS, X_MINUS, Y_MINUS)
+
+# the fold axis of each degenerate class (0: xi1, 1: xi2), which is also
+# the index of its bifurcation parameter; the other mu coordinate is pinned
+FOLD_AXIS = {DELTA_ZERO: 1, THETA_ZERO: 0}
 
 # default per-class curve sets (H is traceable but never a sector boundary)
 ADMISSIBLE = {
@@ -122,9 +130,7 @@ def curve_residual(sys: ReducedSystem, kind: str):
         return e3_res
 
     if kind in (D_NEG, D_POS):
-        if fam == DELTA_ZERO:
-            return lambda mu, xi=None: discriminant_axis2(sys, mu)
-        return lambda mu, xi=None: discriminant_axis1(sys, mu)
+        return lambda mu, xi=None: fold_discriminant(sys, mu)
 
     # the half-trace curve H
     g = sys.gamma0
@@ -141,16 +147,19 @@ def curve_residual(sys: ReducedSystem, kind: str):
     return h_res
 
 
-def discriminant_axis2(sys: ReducedSystem, mu) -> float:
-    """delta(mu)^2 - 4 mu2 P(mu): axis-pair discriminant on the xi2-axis."""
-    c = sys.at(mu)
-    return c.delta * c.delta - 4.0 * c.mu2 * c.P
+def _fold_axis(sys: ReducedSystem) -> int:
+    if sys.degeneracy not in FOLD_AXIS:
+        raise NotApplicable(f"class {sys.degeneracy} has no fold axis, so no "
+                            "saddle-node or transcritical parabola")
+    return FOLD_AXIS[sys.degeneracy]
 
 
-def discriminant_axis1(sys: ReducedSystem, mu) -> float:
-    """theta(mu)^2 - 4 mu1 N(mu): axis-pair discriminant on the xi1-axis."""
-    c = sys.at(mu)
-    return c.theta * c.theta - 4.0 * c.mu1 * c.N
+def fold_discriminant(sys: ReducedSystem, mu) -> float:
+    """b^2 - 4 m a of the fold axis' quadratic a x^2 + b x + m: the axis-pair
+    discriminant, delta^2 - 4 mu2 P (DeltaZero) or theta^2 - 4 mu1 N
+    (ThetaZero)."""
+    _, _, a, b, m = _axis_quadratics(sys.at(mu))[_fold_axis(sys)]
+    return b * b - 4.0 * m * a
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +168,7 @@ def discriminant_axis1(sys: ReducedSystem, mu) -> float:
 
 def halfline_constraint(sys: ReducedSystem, kind: str) -> tuple[str, "callable"]:
     """(description, predicate) for the sign condition attached to a kind."""
-    th, de, g = sys.theta0, sys.delta0, sys.gamma0
-    fam = sys.degeneracy
+    th, de = sys.theta0, sys.delta0
     table = {
         X_PLUS: ("mu1>0", lambda mu: mu.mu1 > 0.0),
         X_MINUS: ("mu1<0", lambda mu: mu.mu1 < 0.0),
@@ -174,14 +182,10 @@ def halfline_constraint(sys: ReducedSystem, kind: str) -> tuple[str, "callable"]
         T4_PLUS: ("mu2>0", lambda mu: mu.mu2 > 0.0),
         H: ("", lambda mu: True),
     }
-    if kind == D_NEG:
-        if fam == DELTA_ZERO:
-            return ("mu1<0", lambda mu: mu.mu1 < 0.0)
-        return ("mu2<0", lambda mu: mu.mu2 < 0.0)
-    if kind == D_POS:
-        if fam == DELTA_ZERO:
-            return ("mu1>0", lambda mu: mu.mu1 > 0.0)
-        return ("mu2>0", lambda mu: mu.mu2 > 0.0)
+    if kind in (D_NEG, D_POS):
+        # the half-lines of the pinned coordinate, mu1 or mu2
+        pinned = 1 - _fold_axis(sys)
+        kind = ((X_MINUS, X_PLUS), (Y_MINUS, Y_PLUS))[pinned][kind == D_POS]
     return table[kind]
 
 
@@ -215,12 +219,12 @@ def fitted_leading(sys: ReducedSystem, kind: str, mu: ParamPoint) -> float | Non
     """Leading coefficient read off one sample."""
     if kind in AXES:
         return 0.0
-    line_like = kind in (T1, T2, H)
-    if line_like:
+    if kind in (T1, T2, H):
         return mu.mu2 / mu.mu1 if mu.mu1 != 0.0 else None
-    if sys.degeneracy == DELTA_ZERO or kind in (T3, T3_PLUS):
-        return mu.mu2 / (mu.mu1 * mu.mu1) if mu.mu1 != 0.0 else None
-    return mu.mu1 / (mu.mu2 * mu.mu2) if mu.mu2 != 0.0 else None
+    # a parabola: the parameter over the pinned coordinate squared
+    axis = _fold_axis(sys)
+    param, pinned = (mu.mu1, mu.mu2)[axis], (mu.mu1, mu.mu2)[1 - axis]
+    return param / (pinned * pinned) if pinned != 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +323,8 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
 def parabola_point(sys: ReducedSystem, kind: str, coord: float) -> ParamPoint:
     """Point of a parabola-like curve at a pinned dominant coordinate.
 
-    For the DeltaZero class the dominant coordinate is mu1 and the solve is
-    in mu2 = seed + span u, |u| <= 60; the ThetaZero class mirrors the roles.
+    The pinned coordinate is mu1 for DeltaZero and mu2 for ThetaZero, and
+    the solve is in the parameter of the fold axis, seed + span u, |u| <= 60.
     A fold point keeps a discriminant >= 0, where its axis pair exists.
     """
     residual = curve_residual(sys, kind)
@@ -330,10 +334,8 @@ def parabola_point(sys: ReducedSystem, kind: str, coord: float) -> ParamPoint:
         raise HypothesisViolation(f"no leading expansion for {kind}")
     seed = lead * coord * coord
     span = max(abs(seed), 1e-3 * coord * coord, 1e-18)
-    if sys.degeneracy == DELTA_ZERO:
-        point = lambda m: ParamPoint(coord, m)
-    else:
-        point = lambda m: ParamPoint(m, coord)
+    axis = _fold_axis(sys)
+    point = lambda m: ParamPoint(coord, m) if axis else ParamPoint(m, coord)
     F = lambda x, _: np.array([residual(point(seed + span * v))
                                for v in x.tolist()])
     u = np.array([-60.0, 60.0])
@@ -427,51 +429,53 @@ def _nonzero_tol(scale: float) -> float:
     return 1e3 * _EPS * max(abs(scale), _EPS)
 
 
+def _sotomayor_report(sys: ReducedSystem, kind: str, mu0: ParamPoint,
+                      x: float, predicted: dict[str, float], curve: str,
+                      judge) -> SotomayorReport:
+    """The report at the collision point x on the fold axis: an off-curve
+    note, the quantities in the fold-axis parameter and the verdict
+    judge(C1, C2, C3, notes)."""
+    notes: list[str] = []
+    res = curve_residual(sys, kind)(mu0)
+    if abs(res) > CURVE_TOL * (1.0 + mu0.norm) * 1e3:
+        notes.append(f"mu0 off the {curve} (residual {res:.3e})")
+    axis = _fold_axis(sys)
+    xi0 = (x, 0.0) if axis == 0 else (0.0, x)
+    v, w, c1, c2, c3 = sotomayor_quantities(sys, mu0, xi0, axis)
+    return SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
+                           (float(w[0]), float(w[1])), c1, c2, c3,
+                           predicted, judge(c1, c2, c3, notes), notes)
+
+
 def sotomayor_saddle_node(sys: ReducedSystem, mu0) -> SotomayorReport:
     """Genericity quantities at the axis-pair collision on the discriminant
     curve, with the predicted leading values attached for comparison."""
     mu0 = ParamPoint.coerce(mu0)
+    axis = _fold_axis(sys)
     g = sys.gamma0
-    notes: list[str] = []
     if sys.degeneracy == DELTA_ZERO:
         d1, d2, P0 = sys.delta1, sys.delta2, sys.P0
         hyp = sys.theta0 * d1 * d2 * P0 * (2.0 * P0 - d1 * g)
-        c = sys.at(mu0)
-        xi0 = (0.0, -c.delta / (2.0 * c.P))
-        param = 1  # mu2 varies along the branch at fixed mu1
         predicted = {"C1": -d1 * mu0.mu1 / (2.0 * P0),
                      "C3": -d1 * mu0.mu1}
-        kind = D_NEG if mu0.mu1 < 0.0 else D_POS
-    elif sys.degeneracy == THETA_ZERO:
+    else:
         t1, t2, N0 = sys.theta1, sys.theta2, sys.N0
         hyp = t1 * t2 * sys.delta0 * N0 * (2.0 * N0 * g - t2)
-        c = sys.at(mu0)
-        xi0 = (-c.theta / (2.0 * c.N), 0.0)
-        param = 0  # mu1 varies at fixed mu2
         predicted = {"C1": -mu0.mu2 * (2.0 * N0 * g - t2) / (2.0 * N0 * g * g),
                      "C3": -mu0.mu2 * (2.0 * N0 * g - t2) / (g * g)}
-        kind = D_POS if mu0.mu2 > 0.0 else D_NEG
-    else:
-        raise NotApplicable(
-            "saddle-node curves exist only in the degenerate classes")
+    # the double root of the fold axis' quadratic, on the pinned half-line
+    _, _, a, b, _ = _axis_quadratics(sys.at(mu0))[axis]
+    kind = D_NEG if (mu0.mu1, mu0.mu2)[1 - axis] < 0.0 else D_POS
 
-    residual = curve_residual(sys, kind)
-    res = residual(mu0)
-    if abs(res) > CURVE_TOL * (1.0 + mu0.norm) * 1e3:
-        notes.append(f"mu0 off the discriminant curve (residual {res:.3e})")
-
-    v, w, c1, c2, c3 = sotomayor_quantities(sys, mu0, xi0, param)
-    if abs(hyp) < 1e-12:
-        verdict = "Inconclusive"
-        notes.append("genericity hypothesis product vanishes")
-    else:
-        scale1 = predicted.get("C1", c1)
-        scale3 = predicted.get("C3", c3)
-        ok = abs(c1) > _nonzero_tol(scale1) and abs(c3) > _nonzero_tol(scale3)
-        verdict = "SaddleNode" if ok else "Inconclusive"
-    return SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
-                           (float(w[0]), float(w[1])), c1, c2, c3,
-                           predicted, verdict, notes)
+    def judge(c1, c2, c3, notes):
+        if abs(hyp) < 1e-12:
+            notes.append("genericity hypothesis product vanishes")
+            return "Inconclusive"
+        ok = (abs(c1) > _nonzero_tol(predicted["C1"])
+              and abs(c3) > _nonzero_tol(predicted["C3"]))
+        return "SaddleNode" if ok else "Inconclusive"
+    return _sotomayor_report(sys, kind, mu0, -b / (2.0 * a), predicted,
+                             "discriminant curve", judge)
 
 
 def transcritical_branch(sys: ReducedSystem) -> str:
@@ -487,63 +491,39 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0) -> SotomayorReport:
     """Genericity quantities at the interior/axis collision on the
     transcritical parabola of the active degenerate class."""
     mu0 = ParamPoint.coerce(mu0)
+    axis = _fold_axis(sys)
     g = sys.gamma0
-    notes: list[str] = []
-    c = sys.at(mu0)
     if sys.degeneracy == DELTA_ZERO:
         d1, P0, g2 = sys.delta1, sys.P0, sys.gamma2
         if d1 * g2 * (d1 * g - 2.0 * P0) == 0.0:
             raise HypothesisViolation(
                 "transcritical hypothesis delta1*gamma2*(delta1*gamma-2P) = 0")
-        kind = T3
-        param = 1
-        branch = transcritical_branch(sys)
-        rp, rm = stable_quadratic_roots(c.P, c.delta, mu0.mu2)
-        xi2 = rp if branch == "E21" else rm
-        if xi2 is None:
-            raise DegenerateJacobian("axis pair absent at mu0")
-        xi0 = (0.0, xi2)
-        predicted = {
-            "C2": mu0.mu1 * mu0.mu1 * (g * d1 - 2.0 * P0) * g2 / g,
-            "C3": 2.0 * g * mu0.mu1 * (2.0 * P0 - g * d1),
-        }
-    elif sys.degeneracy == THETA_ZERO:
+        predicted = {"C2": mu0.mu1 * mu0.mu1 * (g * d1 - 2.0 * P0) * g2 / g,
+                     "C3": 2.0 * g * mu0.mu1 * (2.0 * P0 - g * d1)}
+    else:
         t2, N0, g1 = sys.theta2, sys.N0, sys.gamma1
         if g1 * t2 * sys.delta0 * (t2 - N0 * g) == 0.0 \
                 or t2 - 2.0 * N0 * g == 0.0:
             raise HypothesisViolation(
                 "transcritical hypothesis gamma1*theta2*delta*(theta2-N*gamma) = 0 "
                 "or theta2 - 2N*gamma = 0")
-        kind = T4
-        param = 0
-        branch = transcritical_branch(sys)
-        rp, rm = stable_quadratic_roots(c.N, c.theta, mu0.mu1)
-        xi1 = rp if branch == "E11" else rm
-        if xi1 is None:
-            raise DegenerateJacobian("axis pair absent at mu0")
-        xi0 = (xi1, 0.0)
-        predicted = {
-            "C2": g1 * mu0.mu2 / g,
-            "C3": 2.0 / ((2.0 * N0 * g - t2) * mu0.mu2),
-        }
-    else:
-        raise NotApplicable(
-            "transcritical parabolas exist only in the degenerate classes")
+        predicted = {"C2": g1 * mu0.mu2 / g,
+                     "C3": 2.0 / ((2.0 * N0 * g - t2) * mu0.mu2)}
+    # the fold axis' root that meets E3 on its transcritical parabola
+    _, pair, a, b, m = _axis_quadratics(sys.at(mu0))[axis]
+    rp, rm = stable_quadratic_roots(a, b, m)
+    x = rp if transcritical_branch(sys) == pair[0] else rm
+    if x is None:
+        raise DegenerateJacobian("axis pair absent at mu0")
 
-    residual = curve_residual(sys, kind)
-    res = residual(mu0)
-    if abs(res) > CURVE_TOL * (1.0 + mu0.norm) * 1e3:
-        notes.append(f"mu0 off the curve (residual {res:.3e})")
-
-    v, w, c1, c2, c3 = sotomayor_quantities(sys, mu0, xi0, param)
-    tol_c1 = 1e-9 * max(abs(c2), _nonzero_tol(predicted["C2"]))
-    ok = (abs(c1) < max(tol_c1, 1e-300)
-          and abs(c2) > _nonzero_tol(predicted["C2"])
-          and abs(c3) > _nonzero_tol(predicted["C3"]))
-    verdict = "Transcritical" if ok else "Inconclusive"
-    return SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
-                           (float(w[0]), float(w[1])), c1, c2, c3,
-                           predicted, verdict, notes)
+    def judge(c1, c2, c3, notes):
+        tol_c1 = 1e-9 * max(abs(c2), _nonzero_tol(predicted["C2"]))
+        ok = (abs(c1) < max(tol_c1, 1e-300)
+              and abs(c2) > _nonzero_tol(predicted["C2"])
+              and abs(c3) > _nonzero_tol(predicted["C3"]))
+        return "Transcritical" if ok else "Inconclusive"
+    return _sotomayor_report(sys, (T4, T3)[axis], mu0, x, predicted, "curve",
+                             judge)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +606,7 @@ __all__ = [
     "X_PLUS", "X_MINUS", "Y_PLUS", "Y_MINUS", "AXES", "ADMISSIBLE",
     "CURVE_TOL", "SHARED_RESIDUAL", "N_SCAN", "admissible_kinds",
     "BifurcationCurve", "SotomayorReport", "curve_residual",
-    "discriminant_axis1", "discriminant_axis2",
+    "FOLD_AXIS", "fold_discriminant",
     "halfline_constraint", "predicted_leading", "fitted_leading",
     "scan_circle", "circle_intersections", "circle_zeros", "trace_curve",
     "parabola_point",

@@ -6,8 +6,8 @@ Subcommands:
   portrait  integrate a phase portrait to SVG and/or CSV
   verify    region type-table verification plus the genericity suite
 
-Exit codes: 0 success, 1 verification mismatch, 2 configuration error or
-bad argument value, 3 unsupported case.
+Exit codes: 0 success, 1 verification mismatch, 2 configuration error, bad
+argument or unwritable output path, 3 unsupported case.
 """
 
 from __future__ import annotations
@@ -253,8 +253,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error exits 2 with one stderr line, without the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lvbif",
         description="Bifurcation analysis of planar cubic Lotka-Volterra "
                     "systems with small parameters")
@@ -304,8 +311,9 @@ def main(argv=None) -> int:
         message, code = f"config error: {exc}", EXIT_CONFIG
     except UnsupportedCase as exc:
         message, code = f"unsupported case: {exc}", EXIT_UNSUPPORTED
-    except (LVError, ValueError) as exc:
-        # a point outside the disk, a radius out of range, a malformed value
+    except (LVError, ValueError, OSError) as exc:
+        # a point outside the disk, a radius out of range, a malformed value,
+        # an output path that cannot be written
         message, code = f"error: {exc}", EXIT_CONFIG
     print(message, file=_sys.stderr)
     return code

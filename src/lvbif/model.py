@@ -59,9 +59,6 @@ class ParamPoint:
     def angle(self) -> float:
         return math.atan2(self.mu2, self.mu1) % (2.0 * math.pi)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.mu1, self.mu2)
-
     @classmethod
     def coerce(cls, mu) -> "ParamPoint":
         if isinstance(mu, ParamPoint):

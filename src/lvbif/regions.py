@@ -47,12 +47,6 @@ class CaseDescriptor:
     table_supported: bool = True
     notes: tuple[str, ...] = ()
 
-    def sign(self, name: str) -> int:
-        for k, v in self.signs:
-            if k == name:
-                return v
-        raise KeyError(name)
-
 
 @dataclass
 class RegionReport:

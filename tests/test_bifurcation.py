@@ -7,13 +7,13 @@ from scipy.optimize import brentq
 from lvbif import bifurcation as bif
 from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
                          deltazero_case, nondegenerate_case)
-from lvbif.equilibria import find_equilibria
-from lvbif.errors import (CollisionMismatch, HypothesisViolation,
-                          NotApplicable)
+from lvbif.equilibria import find_equilibria, stable_quadratic_roots
+from lvbif.errors import (CollisionMismatch, DegenerateJacobian,
+                          HypothesisViolation, LVError, NotApplicable)
 from lvbif.model import (DELTA_ZERO, THETA_ZERO, ParamArray, ParamPoint,
                          ReducedSystem, field_at, jacobian_at, mirror)
 from lvbif.poly import linear_poly
-from lvbif.verification import sotomayor_fixture
+from lvbif.verification import sotomayor_fixture, sotomayor_suite
 
 from conftest import rand_deltazero, rand_thetazero, scan_systems
 
@@ -410,3 +410,173 @@ def test_circle_zeros_labels_shared_residual_by_half_line():
     for kind in (bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS):
         got = [p for p, k in zeros if k == kind]
         assert got == bif.circle_intersections(sys_, kind, 1e-3), kind
+
+
+# -- the fold axis against the per-family rules it replaced ---------------------
+#
+# Each degenerate class used to state its own fold rules.  The copies below
+# keep those statements (the two discriminants, the D half-lines, and the
+# xi0, parameter and kind of both Sotomayor functions, with ThetaZero's own
+# "D_POS if mu2 > 0") so that FOLD_AXIS can be checked against them.
+
+def ref_discriminant(sys_, mu):
+    c = sys_.at(mu)
+    if sys_.degeneracy == DELTA_ZERO:
+        return c.delta * c.delta - 4.0 * c.mu2 * c.P
+    return c.theta * c.theta - 4.0 * c.mu1 * c.N
+
+
+def ref_d_halfline(sys_, kind):
+    name = "mu1" if sys_.degeneracy == DELTA_ZERO else "mu2"
+    if kind == bif.D_NEG:
+        return f"{name}<0", lambda mu: getattr(mu, name) < 0.0
+    return f"{name}>0", lambda mu: getattr(mu, name) > 0.0
+
+
+def ref_saddle_node(sys_, mu0):
+    mu0 = ParamPoint.coerce(mu0)
+    g = sys_.gamma0
+    c = sys_.at(mu0)
+    if sys_.degeneracy == DELTA_ZERO:
+        d1, d2, P0 = sys_.delta1, sys_.delta2, sys_.P0
+        hyp = sys_.theta0 * d1 * d2 * P0 * (2.0 * P0 - d1 * g)
+        xi0, param = (0.0, -c.delta / (2.0 * c.P)), 1
+        predicted = {"C1": -d1 * mu0.mu1 / (2.0 * P0), "C3": -d1 * mu0.mu1}
+        kind = bif.D_NEG if mu0.mu1 < 0.0 else bif.D_POS
+    else:
+        t1, t2, N0 = sys_.theta1, sys_.theta2, sys_.N0
+        hyp = t1 * t2 * sys_.delta0 * N0 * (2.0 * N0 * g - t2)
+        xi0, param = (-c.theta / (2.0 * c.N), 0.0), 0
+        predicted = {"C1": -mu0.mu2 * (2.0 * N0 * g - t2) / (2.0 * N0 * g * g),
+                     "C3": -mu0.mu2 * (2.0 * N0 * g - t2) / (g * g)}
+        kind = bif.D_POS if mu0.mu2 > 0.0 else bif.D_NEG
+    notes = []
+    res = ref_discriminant(sys_, mu0)
+    if abs(res) > bif.CURVE_TOL * (1.0 + mu0.norm) * 1e3:
+        notes.append(f"mu0 off the discriminant curve (residual {res:.3e})")
+    v, w, c1, c2, c3 = bif.sotomayor_quantities(sys_, mu0, xi0, param)
+    if abs(hyp) < 1e-12:
+        verdict = "Inconclusive"
+        notes.append("genericity hypothesis product vanishes")
+    else:
+        ok = (abs(c1) > bif._nonzero_tol(predicted["C1"])
+              and abs(c3) > bif._nonzero_tol(predicted["C3"]))
+        verdict = "SaddleNode" if ok else "Inconclusive"
+    return bif.SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
+                               (float(w[0]), float(w[1])), c1, c2, c3,
+                               predicted, verdict, notes)
+
+
+def ref_transcritical(sys_, mu0):
+    mu0 = ParamPoint.coerce(mu0)
+    g = sys_.gamma0
+    c = sys_.at(mu0)
+    branch = bif.transcritical_branch(sys_)
+    if sys_.degeneracy == DELTA_ZERO:
+        d1, P0, g2 = sys_.delta1, sys_.P0, sys_.gamma2
+        if d1 * g2 * (d1 * g - 2.0 * P0) == 0.0:
+            raise HypothesisViolation("delta1*gamma2*(delta1*gamma-2P) = 0")
+        kind, param = bif.T3, 1
+        rp, rm = stable_quadratic_roots(c.P, c.delta, mu0.mu2)
+        xi2 = rp if branch == "E21" else rm
+        if xi2 is None:
+            raise DegenerateJacobian("axis pair absent at mu0")
+        xi0 = (0.0, xi2)
+        predicted = {"C2": mu0.mu1 * mu0.mu1 * (g * d1 - 2.0 * P0) * g2 / g,
+                     "C3": 2.0 * g * mu0.mu1 * (2.0 * P0 - g * d1)}
+    else:
+        t2, N0, g1 = sys_.theta2, sys_.N0, sys_.gamma1
+        if g1 * t2 * sys_.delta0 * (t2 - N0 * g) == 0.0 \
+                or t2 - 2.0 * N0 * g == 0.0:
+            raise HypothesisViolation("gamma1*theta2*delta*(theta2-N*gamma) = 0")
+        kind, param = bif.T4, 0
+        rp, rm = stable_quadratic_roots(c.N, c.theta, mu0.mu1)
+        xi1 = rp if branch == "E11" else rm
+        if xi1 is None:
+            raise DegenerateJacobian("axis pair absent at mu0")
+        xi0 = (xi1, 0.0)
+        predicted = {"C2": g1 * mu0.mu2 / g,
+                     "C3": 2.0 / ((2.0 * N0 * g - t2) * mu0.mu2)}
+    notes = []
+    res = bif.curve_residual(sys_, kind)(mu0)
+    if abs(res) > bif.CURVE_TOL * (1.0 + mu0.norm) * 1e3:
+        notes.append(f"mu0 off the curve (residual {res:.3e})")
+    v, w, c1, c2, c3 = bif.sotomayor_quantities(sys_, mu0, xi0, param)
+    tol_c1 = 1e-9 * max(abs(c2), bif._nonzero_tol(predicted["C2"]))
+    ok = (abs(c1) < max(tol_c1, 1e-300)
+          and abs(c2) > bif._nonzero_tol(predicted["C2"])
+          and abs(c3) > bif._nonzero_tol(predicted["C3"]))
+    return bif.SotomayorReport(kind, mu0, xi0, (float(v[0]), float(v[1])),
+                               (float(w[0]), float(w[1])), c1, c2, c3,
+                               predicted,
+                               "Transcritical" if ok else "Inconclusive", notes)
+
+
+def degenerate_canonical():
+    return [sys_ for fam in (DELTA_ZERO, THETA_ZERO)
+            for _, sys_ in CANONICAL_BY_FAMILY[fam]]
+
+
+def assert_same_reports(sys_, mu0):
+    """Both Sotomayor functions agree with their per-family copies at mu0,
+    or both versions raise the same error class."""
+    for got_fn, want_fn in ((bif.sotomayor_saddle_node, ref_saddle_node),
+                            (bif.sotomayor_transcritical, ref_transcritical)):
+        try:
+            want = want_fn(sys_, mu0)
+        except LVError as exc:
+            with pytest.raises(type(exc)):
+                got_fn(sys_, mu0)
+            continue
+        assert got_fn(sys_, mu0) == want, (got_fn.__name__, mu0)
+
+
+def test_fold_discriminant_is_the_per_family_discriminant():
+    systems = degenerate_canonical()
+    assert len(systems) == 16
+    for sys_ in systems:
+        for r in (1e-3, 1e-4):
+            circle = bif.scan_circle(r)
+            got = bif.fold_discriminant(sys_, circle)
+            assert np.array_equal(got, ref_discriminant(sys_, circle))
+            points = [ParamPoint(float(a), float(b))
+                      for a, b in zip(circle.mu1, circle.mu2)]
+            for p in points[::16]:
+                assert bif.fold_discriminant(sys_, p) == ref_discriminant(sys_, p)
+            for kind in (bif.D_NEG, bif.D_POS):
+                desc, pred = bif.halfline_constraint(sys_, kind)
+                ref_desc, ref_pred = ref_d_halfline(sys_, kind)
+                assert desc == ref_desc
+                assert [pred(p) for p in points] == [ref_pred(p) for p in points]
+
+
+def test_sotomayor_reports_match_the_per_family_rules_on_the_suite(monkeypatch):
+    visited = []
+    real = bif.parabola_point
+
+    def record(sys_, kind, coord):
+        mu0 = real(sys_, kind, coord)
+        visited.append((sys_, mu0))
+        return mu0
+    monkeypatch.setattr(bif, "parabola_point", record)
+    for family in (DELTA_ZERO, THETA_ZERO):
+        assert sotomayor_suite(family).success
+    # three points per fixture branch, two branches per family
+    assert len(visited) == 12
+    for sys_, mu0 in visited:
+        assert_same_reports(sys_, mu0)
+
+
+def test_sotomayor_reports_match_the_per_family_rules_on_canonical_systems():
+    compared = 0
+    for sys_ in degenerate_canonical():
+        t = bif.T3 if sys_.degeneracy == DELTA_ZERO else bif.T4
+        for kind in (bif.D_NEG, bif.D_POS, t):
+            for coord in (-1e-3, 1e-3):
+                try:
+                    mu0 = bif.parabola_point(sys_, kind, coord)
+                except HypothesisViolation:   # off the kind's half-line
+                    continue
+                assert_same_reports(sys_, mu0)
+                compared += 1
+    assert compared == 48

@@ -12,7 +12,10 @@ def fixture_path(name: str) -> str:
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse's own errors exit from parse_args
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -232,9 +235,22 @@ def test_readme_commands_exit_zero_on_every_shipped_fixture(tmp_path, capsys,
     ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
      "--mu", "1e-3,1e-3", "--grid", "0"),
     ("curves", "--config", fixture_path("deltazero_i.json"), "--radii", "0.5"),
+    # output paths in a missing directory
+    ("curves", "--config", fixture_path("deltazero_i.json"),
+     "--out", "{missing}/c.csv"),
+    ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "1e-3,1e-3", "--grid", "2", "--svg", "{missing}/p.svg"),
+    ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "1e-3,1e-3", "--grid", "2", "--csv", "{missing}/p.csv"),
+    ("verify", "--family", "deltazero", "--json-out", "{missing}/r.json"),
+    # argparse's own errors
+    ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "1e-3,1e-3", "--grid", "abc"),
+    ("verify",),
 ])
-def test_bad_argument_exits_two_with_one_line(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_bad_argument_exits_two_with_one_line(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(missing=tmp_path / "missing")
+                                   for a in argv))
     assert code == 2, out
     assert len(err.splitlines()) == 1, err
 
