@@ -171,9 +171,9 @@ def cmd_portrait(args) -> int:
     return EXIT_OK
 
 
-def _oracle_pass(report, r: float, seed: int) -> tuple[bool, list[str]]:
+def _oracle_pass(report, seed: int) -> tuple[bool, list[str]]:
     """Cross-check every diagram against the brute-force oracles, on the
-    system the diagram was computed from."""
+    system and the circle the diagram was computed on."""
     import math
 
     from .oracle import blocks_from, grid_equilibria, sign_scan
@@ -183,6 +183,7 @@ def _oracle_pass(report, r: float, seed: int) -> tuple[bool, list[str]]:
     for diagram in report.diagrams:
         sys_ = diagram.system
         sectors = diagram.sectors
+        r = sectors[0].radius
         scan = sign_scan(sys_, r, 1440)
         got = [b.signature for b in
                blocks_from(scan, sectors[0].representative.angle)]
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
     oracle_ok = True
     oracle_lines: list[str] = []
     if args.oracle:
-        oracle_ok, oracle_lines = _oracle_pass(report, args.r, args.seed)
+        oracle_ok, oracle_lines = _oracle_pass(report, args.seed)
         for line in oracle_lines:
             print(line)
     if args.json_out:

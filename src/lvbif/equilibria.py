@@ -90,7 +90,8 @@ class Equilibrium:
         return sar_letter(self.kind)
 
     def distance(self, other: "Equilibrium") -> float:
-        return math.hypot(self.xi[0] - other.xi[0], self.xi[1] - other.xi[1])
+        d1, d2 = self.xi[0] - other.xi[0], self.xi[1] - other.xi[1]
+        return math.sqrt(d1 * d1 + d2 * d2)
 
 
 class EquilibriumList(list):
@@ -270,11 +271,16 @@ def refine_e3(sys: ReducedSystem, mu, seed=None) -> tuple[float, float]:
 def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float,
                      seed) -> tuple[float, float]:
     x1, x2 = _seed_e3(sys, c) if seed is None else (float(seed[0]), float(seed[1]))
-    target = NEWTON_TOL * (1.0 + norm)
-    ball = 10.0 * (math.hypot(x1, x2) + norm) + 1e-6
-    g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
-    res = math.hypot(g1, g2)
-    for _ in range(MAX_ITER):
+    ball = 10.0 * (math.sqrt(x1 * x1 + x2 * x2) + norm) + 1e-6
+    return _newton_e3(c, x1, x2, bracket1(c, x1, x2), bracket2(c, x1, x2),
+                      NEWTON_TOL * (1.0 + norm), ball, MAX_ITER)
+
+
+def _newton_e3(c: Coeffs, x1: float, x2: float, g1: float, g2: float,
+               target: float, ball: float, budget: int) -> tuple[float, float]:
+    """The Newton loop from (x1, x2), with brackets (g1, g2), budget steps."""
+    res = math.sqrt(g1 * g1 + g2 * g2)
+    for _ in range(budget):
         if res == 0.0:
             return (x1, x2)
         (a, b), (d, e) = bracket_jacobian_at(c, (x1, x2))
@@ -284,7 +290,7 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float,
         nx1 = x1 - (e * g1 - b * g2) / det
         nx2 = x2 - (a * g2 - d * g1) / det
         ng1, ng2 = bracket1(c, nx1, nx2), bracket2(c, nx1, nx2)
-        nres = math.hypot(ng1, ng2)
+        nres = math.sqrt(ng1 * ng1 + ng2 * ng2)
         if not nres < res:
             # the residual stopped falling: roundoff, if at the target
             if res <= target:
@@ -292,7 +298,7 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float,
             raise NewtonDivergence(
                 f"Newton step did not lower the residual {res:.3e}")
         x1, x2, g1, g2, res = nx1, nx2, ng1, ng2, nres
-        if math.hypot(x1, x2) > ball:
+        if math.sqrt(x1 * x1 + x2 * x2) > ball:
             raise NewtonDivergence("iterate left the seed neighborhood")
     if res <= target:
         return (x1, x2)
@@ -300,13 +306,19 @@ def _refine_e3_point(sys: ReducedSystem, c: Coeffs, norm: float,
         f"no convergence in {MAX_ITER} iterations (residual {res:.3e})")
 
 
+# at most this many active points finish in the scalar loop: a numpy round
+# costs nearly as much at a few points as at a whole scan circle
+SCALAR_FINISH = 4
+
+
 def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
     """_refine_e3_point at many points at once: (x1, x2, ok).
 
-    Every point takes the steps the scalar solve takes; a point leaves the
-    iteration where the scalar solve would return, and ok is False where it
-    would raise.  Each Newton step evaluates the brackets once, at the full
-    step of every active point.
+    Every point takes the scalar solve's steps, each evaluating the brackets
+    once, and ok is False where that solve would raise.  Once SCALAR_FINISH
+    or fewer points are active, or the budget is spent, each one finishes
+    in the scalar loop with the steps it has left: the same float
+    arithmetic, so the same bits.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if seed is None:
@@ -318,11 +330,13 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
         res = hypot(g1, g2)
         ok = res == 0.0
         idx = np.flatnonzero(~ok)   # the active points
-        for _ in range(MAX_ITER):
-            if idx.size == 0:
-                break
-            ci = Coeffs(*(f[idx] if isinstance(f, np.ndarray) else f for f in c))
-            a1, a2, h1, h2, hres = x1[idx], x2[idx], g1[idx], g2[idx], res[idx]
+        steps = 0
+        while idx.size > SCALAR_FINISH and steps < MAX_ITER:
+            steps += 1
+            # views, not copies, while every point is active
+            sel = slice(None) if idx.size == ok.size else idx
+            ci = Coeffs(*(f[sel] if isinstance(f, np.ndarray) else f for f in c))
+            a1, a2, h1, h2, hres = x1[sel], x2[sel], g1[sel], g2[sel], res[sel]
             (a, b), (d, e) = bracket_jacobian_at(ci, (a1, a2))
             det = a * e - b * d
             n1 = a1 - (e * h1 - b * h2) / det
@@ -332,7 +346,7 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
             keep = (nres < hres) & (det != 0.0)
             # the residual stopped falling: accepted where already at the
             # target (a NaN residual fails, as in the scalar solve)
-            ok[idx[~keep & (det != 0.0) & (hres <= target[idx])]] = True
+            ok[idx[~keep & (det != 0.0) & (hres <= target[sel])]] = True
             idx, n1, n2 = idx[keep], n1[keep], n2[keep]
             x1[idx], x2[idx], g1[idx], g2[idx] = n1, n2, m1[keep], m2[keep]
             res[idx] = nres[keep]
@@ -340,7 +354,15 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
             zero = res[idx] == 0.0
             ok[idx[zero]] = True
             idx = idx[~zero]
-        ok[idx] = res[idx] <= target[idx]
+        for k in idx.tolist():
+            ck = Coeffs(*(float(f[k]) if isinstance(f, np.ndarray) else f
+                          for f in c))
+            try:
+                x1[k], x2[k] = _newton_e3(ck, *(float(v[k]) for v in (
+                    x1, x2, g1, g2, target, ball)), MAX_ITER - steps)
+                ok[k] = True
+            except NewtonDivergence:
+                pass
     return (x1, x2, ok)
 
 

@@ -11,7 +11,7 @@ so curves that only move virtual equilibria never show up as boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class RegionReport:
     representative: ParamPoint
     signature: tuple[str, ...]
     bounding: tuple[str, str]              # curve kinds left/right
+    radius: float                          # of the circle it was cut on
 
     @property
     def width(self) -> float:
@@ -214,7 +215,7 @@ def _decompose_at(sys: ReducedSystem, r: float,
         return RegionReport(sector_id=k, angles=(lo_ang, hi_ang),
                             representative=rep,
                             signature=signature_at(sys, rep, tol),
-                            bounding=(lo_kind, hi_kind))
+                            bounding=(lo_kind, hi_kind), radius=r)
 
     sectors = [probe(k) for k in range(m)]
 
@@ -229,12 +230,8 @@ def _decompose_at(sys: ReducedSystem, r: float,
                 break
             a, b = sectors[k], sectors[nxt]
             if a.signature == b.signature:
-                merged = RegionReport(
-                    sector_id=a.sector_id,
-                    angles=(a.angles[0], b.angles[1]),
-                    representative=a.representative,
-                    signature=a.signature,
-                    bounding=(a.bounding[0], b.bounding[1]))
+                merged = replace(a, angles=(a.angles[0], b.angles[1]),
+                                 bounding=(a.bounding[0], b.bounding[1]))
                 sectors = [s for i, s in enumerate(sectors)
                            if i not in (k, nxt)]
                 sectors.insert(min(k, nxt), merged)
@@ -268,10 +265,8 @@ def region_membership(sys: ReducedSystem, mu,
         if off <= sep or width - off <= sep:
             raise OnCurve(
                 f"mu lies within sep_tol of the {s.bounding} boundary")
-        here = signature_at(sys, mu, tol)
-        return RegionReport(sector_id=s.sector_id, angles=s.angles,
-                            representative=mu, signature=here,
-                            bounding=s.bounding)
+        return replace(s, representative=mu,
+                       signature=signature_at(sys, mu, tol))
     raise OnCurve("mu does not fall strictly inside any sector")
 
 

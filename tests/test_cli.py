@@ -194,6 +194,32 @@ def test_verify_oracle_passes_every_family(capsys, family):
     assert "FAIL" not in out
 
 
+def test_verify_oracle_scans_at_the_radius_of_a_retried_decomposition(
+        capsys, monkeypatch):
+    import lvbif.oracle as oracle
+    import lvbif.regions as rg
+    from lvbif.errors import SectorTooThin
+    tried, scanned = [], []
+
+    def thin_once(sys_, r, tol, _f=rg._decompose_at):
+        tried.append(r)
+        if len(tried) == 1:
+            raise SectorTooThin("boundary angles nearly coincide")
+        return _f(sys_, r, tol)
+
+    def scan(sys_, r, *args, _f=oracle.sign_scan):
+        scanned.append(r)
+        return _f(sys_, r, *args)
+    monkeypatch.setattr(rg, "_decompose_at", thin_once)
+    monkeypatch.setattr(oracle, "sign_scan", scan)
+    code, out, _ = run(capsys, "verify", "--family", "nondegenerate",
+                       "--r", "1e-3", "--oracle", "--seed", "7")
+    assert code == 0, out
+    assert tried[:2] == [1e-3, 1e-3 / 4]
+    # the first diagram was cut at r/4, every other one at r
+    assert scanned == [1e-3 / 4] + [1e-3] * (len(scanned) - 1)
+
+
 def test_verify_oracle_checks_the_config_system(capsys):
     code, out, _ = run(capsys, "verify", "--family", "thetazero",
                        "--config", fixture_path("thetazero_iii.json"),

@@ -366,12 +366,24 @@ SCAN_PHIS = np.linspace(0.0, 2.0 * math.pi, N_SCAN + 1)
 
 def test_batched_e3_equals_scalar_at_every_scan_angle():
     for sys_ in scan_systems():
-        for r in (1e-3, 1e-4):
+        for r in (1e-4, 2e-4, 1e-3, 3e-3):
             x1, x2 = refine_e3(sys_, scan_circle(r))
             for k, phi in enumerate(SCAN_PHIS):
-                s1, s2 = refine_e3(sys_, ParamPoint.from_polar(r, phi))
-                assert abs(x1[k] - s1) <= 1e-15 * (1.0 + abs(s1))
-                assert abs(x2[k] - s2) <= 1e-15 * (1.0 + abs(s2))
+                assert (x1[k], x2[k]) == refine_e3(
+                    sys_, ParamPoint.from_polar(r, phi))
+
+
+def test_batched_e3_finishes_its_last_points_in_the_scalar_loop(monkeypatch):
+    finished = []
+
+    def newton(*args, _f=equilibria._newton_e3):
+        finished.append(args[-1])
+        return _f(*args)
+    monkeypatch.setattr(equilibria, "_newton_e3", newton)
+    for sys_ in _canonical_systems():
+        refine_e3(sys_, scan_circle(1e-3))
+    # handed over with part of the step budget spent
+    assert finished and all(0 < b < equilibria.MAX_ITER for b in finished)
 
 
 def _scalar_failures(sys_, r):
@@ -468,7 +480,7 @@ def test_array_hypot_and_norm_equal_the_scalar_ones(rng):
     from lvbif.model import ParamArray, hypot
     x = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 2, 20000)
     y = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 2, 20000)
-    assert hypot(x, y).tolist() == [math.hypot(a, b) for a, b in
+    assert hypot(x, y).tolist() == [math.sqrt(a * a + b * b) for a, b in
                                     zip(x.tolist(), y.tolist())]
     mu = ParamArray(x[:400].reshape(20, 20), y[:400].reshape(20, 20))
     assert mu.norm.shape == (20, 20)
