@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import _axis_quadratics, refine_e3, stable_quadratic_roots
-from .errors import (DegenerateJacobian, HypothesisViolation, NotApplicable,
-                     UnsupportedCase)
+from .equilibria import (TOL_COLLIDE, _axis_quadratics, find_equilibria,
+                         refine_e3, stable_quadratic_roots)
+from .errors import (CollisionMismatch, DegenerateJacobian,
+                     HypothesisViolation, NotApplicable, UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                     ParamPoint, ReducedSystem, _EPS, _roots, field_at,
                     hessian_form_at, jacobian_at, mirror, mirror_name)
@@ -561,9 +562,6 @@ def collision_check(sys: ReducedSystem,
 
     Raises CollisionMismatch when the closest pair is not the expected one.
     """
-    from .errors import CollisionMismatch
-    from .equilibria import TOL_COLLIDE, find_equilibria
-
     expected = expected_collision_pair(sys, curve.kind)
     companion = _PARTNER.get(expected[0])
     records = []

@@ -24,6 +24,7 @@ from .equilibria import TOL, Tolerances, find_equilibria
 from .errors import LVError, NotApplicable, OnCurve, UnsupportedCase
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
                     load_system)
+from .oracle import cross_check
 from .regions import region_membership, select_case, verify_tables
 from .verification import sotomayor_suite
 
@@ -172,36 +173,17 @@ def cmd_portrait(args) -> int:
 
 
 def _oracle_pass(report, seed: int) -> tuple[bool, list[str]]:
-    """Cross-check every diagram against the brute-force oracles, on the
-    system and the circle the diagram was computed on."""
-    import math
-
-    from .oracle import blocks_from, grid_equilibria, sign_scan
-
+    """oracle.cross_check of every diagram, one line each."""
     lines = [f"oracle cross-checks (seed {seed}):"]
-    all_ok = True
-    for diagram in report.diagrams:
-        sys_ = diagram.system
-        sectors = diagram.sectors
-        r = sectors[0].radius
-        scan = sign_scan(sys_, r, 1440)
-        got = [b.signature for b in
-               blocks_from(scan, sectors[0].representative.angle)]
-        rle_ok = got == [s.signature for s in sectors]
-        mu = sectors[0].representative
-        eqs = find_equilibria(sys_, mu)
-        m = max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * 1.7 + r / 10.0
-        roots = grid_equilibria(sys_, mu, ((-m, m), (-m, m)), n=300,
-                                jitter_seed=seed)
-        grid_ok = len(roots) == len(eqs) and all(
-            min(math.hypot(e.xi[0] - q[0], e.xi[1] - q[1]) for q in roots)
-            < 1e-9 for e in eqs)
-        ok = rle_ok and grid_ok
-        all_ok = all_ok and ok
-        lines.append(f"  [{'ok ' if ok else 'FAIL'}] case {diagram.case_id}: "
-                     f"sector RLE {'matches' if rle_ok else 'differs'}, "
-                     f"grid roots {'match' if grid_ok else 'differ'}")
-    return all_ok, lines
+    checks = [cross_check(d.system, d.sectors, seed) for d in report.diagrams]
+    for d, check in zip(report.diagrams, checks):
+        edges = "" if check.edges else (
+            f", block edges up to {check.edge_gap:.1e} rad off")
+        lines.append(
+            f"  [{'ok ' if check.ok else 'FAIL'}] case {d.case_id}: "
+            f"sector RLE {'matches' if check.rle else 'differs'}{edges}, "
+            f"grid roots {'match' if all(check.roots) else 'differ'}")
+    return all(c.ok for c in checks), lines
 
 
 def cmd_verify(args) -> int:
@@ -228,12 +210,10 @@ def cmd_verify(args) -> int:
     soto = sotomayor_suite(family)
     for line in soto.lines:
         print(line)
-    oracle_ok = True
-    oracle_lines: list[str] = []
-    if args.oracle:
-        oracle_ok, oracle_lines = _oracle_pass(report, args.seed)
-        for line in oracle_lines:
-            print(line)
+    oracle_ok, oracle_lines = (_oracle_pass(report, args.seed) if args.oracle
+                               else (True, []))
+    for line in oracle_lines:
+        print(line)
     if args.json_out:
         payload = report.as_dict()
         payload["sotomayor"] = soto.as_dict()

@@ -85,10 +85,6 @@ class Equilibrium:
     trivial: bool = False
     notes: tuple[str, ...] = ()
 
-    @property
-    def letter(self) -> str:
-        return sar_letter(self.kind)
-
     def distance(self, other: "Equilibrium") -> float:
         d1, d2 = self.xi[0] - other.xi[0], self.xi[1] - other.xi[1]
         return math.sqrt(d1 * d1 + d2 * d2)
@@ -255,15 +251,18 @@ def refine_e3(sys: ReducedSystem, mu, seed=None) -> tuple[float, float]:
 
     The bracket Jacobian stays nonsingular through equilibrium collisions,
     so the solve is well conditioned on the bifurcation curves themselves.
-    At a ParamArray it solves every point at once and returns arrays; it
-    raises if the solve fails at any point.
+    At a ParamArray it solves every point at once and returns arrays of
+    its shape (a seed then holds two such arrays); it raises if the solve
+    fails at any point.
     """
     if isinstance(mu, ParamArray):
-        x1, x2, ok = _refine_e3_array(sys, sys.at(mu), mu.norm, seed)
+        flat = mu.ravel()
+        seed = seed if seed is None else (np.ravel(seed[0]), np.ravel(seed[1]))
+        x1, x2, ok = _refine_e3_array(sys, sys.at(flat), flat.norm, seed)
         if not ok.all():
             raise NewtonDivergence(f"the interior solve failed at "
                                    f"{np.count_nonzero(~ok)} of {ok.size} points")
-        return (x1, x2)
+        return (x1.reshape(np.shape(mu.mu1)), x2.reshape(np.shape(mu.mu1)))
     mu = ParamPoint.coerce(mu)
     return _refine_e3_point(sys, sys.at(mu), mu.norm, seed)
 

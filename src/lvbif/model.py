@@ -43,6 +43,11 @@ CLASS_TOL = 1e-12
 # default smallness radius of the parameter disk
 EPSILON_DISK = 1e-2
 
+# coefficient names of the raw and the reduced system
+RAW_NAMES = ("p11", "p12", "p13", "p14", "p15",
+             "p21", "p22", "p23", "p24", "p25")
+REDUCED_NAMES = ("theta", "gamma", "delta", "M", "N", "L", "S", "P", "R")
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -118,6 +123,10 @@ class ParamArray(NamedTuple):
     def norm(self) -> np.ndarray:
         return hypot(self.mu1, self.mu2)
 
+    def ravel(self) -> "ParamArray":
+        """The same points in C order, as 1-D arrays."""
+        return ParamArray(np.ravel(self.mu1), np.ravel(self.mu2))
+
     @classmethod
     def from_polar(cls, r: float, phis) -> "ParamArray":
         """The points ParamPoint.from_polar(r, phi) gives, phi in phis."""
@@ -173,9 +182,7 @@ class RawSystem:
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE, **kw) -> "RawSystem":
-        names = ("p11", "p12", "p13", "p14", "p15",
-                 "p21", "p22", "p23", "p24", "p25")
-        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in names}
+        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in RAW_NAMES}
         if kw:
             raise TypeError(f"unknown raw coefficients: {sorted(kw)}")
         return cls(degree=degree, **polys)
@@ -243,8 +250,7 @@ class ReducedSystem:
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
                     mu_negated: bool = False, **kw) -> "ReducedSystem":
-        names = ("theta", "gamma", "delta", "M", "N", "L", "S", "P", "R")
-        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in names}
+        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in REDUCED_NAMES}
         if kw:
             raise TypeError(f"unknown reduced coefficients: {sorted(kw)}")
         return cls(degree=degree, mu_negated=mu_negated, **polys)
@@ -313,7 +319,7 @@ class ReducedSystem:
 
     def to_json_dict(self) -> dict:
         d = {"form": "reduced", "degree": self.degree}
-        for n in ("theta", "gamma", "delta", "M", "N", "L", "S", "P", "R"):
+        for n in REDUCED_NAMES:
             p: CoefficientPoly = getattr(self, n)
             if not p.is_zero():
                 d[n] = p.to_json_dict()
@@ -489,11 +495,6 @@ def eval_jacobian(sys: ReducedSystem, mu, xi):
 # system configuration files (JSON)
 # ---------------------------------------------------------------------------
 
-RAW_NAMES = ("p11", "p12", "p13", "p14", "p15",
-             "p21", "p22", "p23", "p24", "p25")
-REDUCED_NAMES = ("theta", "gamma", "delta", "M", "N", "L", "S", "P", "R")
-
-
 @dataclass(frozen=True)
 class LoadedSystem:
     system: ReducedSystem
@@ -513,8 +514,7 @@ def system_from_dict(cfg: dict) -> LoadedSystem:
     degree = int(cfg.get("degree", DEFAULT_DEGREE))
     if form == "raw":
         raw = RawSystem.from_coeffs(
-            degree=degree,
-            **{n: as_poly(cfg.get(n, 0.0), degree) for n in RAW_NAMES})
+            degree=degree, **{n: cfg[n] for n in RAW_NAMES if n in cfg})
         if raw.p12.at_zero > 0.0 and raw.p21.at_zero > 0.0:
             sys_ = reduce(raw)
         elif raw.p12.at_zero < 0.0 and raw.p21.at_zero < 0.0:
@@ -526,8 +526,7 @@ def system_from_dict(cfg: dict) -> LoadedSystem:
         return LoadedSystem(system=sys_, form="raw", raw=raw)
     if form == "reduced":
         sys_ = ReducedSystem.from_coeffs(
-            degree=degree,
-            **{n: as_poly(cfg.get(n, 0.0), degree) for n in REDUCED_NAMES})
+            degree=degree, **{n: cfg[n] for n in REDUCED_NAMES if n in cfg})
         return LoadedSystem(system=sys_, form="reduced")
     raise ValueError(f"unknown system form {form!r}")
 

@@ -6,6 +6,7 @@ axes; in the interior, lattice cells flagged by g1, then by g2 at their
 corners only, refined by finite-difference Newton), Jacobians from central
 differences, and sector structure from direct angular sampling with recursive
 boundary refinement.  They may be orders of magnitude slower; that is fine.
+cross_check holds a decomposition against them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibria import find_equilibria
 from .model import (Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1,
                     bracket2, field_at)
+from .regions import TWO_PI, RegionReport, signature_at
 
 
 def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
@@ -207,10 +210,6 @@ class SignScan:
     radius: float
     blocks: list[SignScanBlock]
 
-    @property
-    def signatures(self) -> list[tuple[str, ...]]:
-        return [b.signature for b in self.blocks]
-
 
 # sign_scan stops bisecting below this angular width (radians)
 REFINE_RES = 1e-10
@@ -231,12 +230,11 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     and are dropped; genuine sectors are never that thin for admissible
     radii.  Wrap-around blocks are merged.
     """
-    from .regions import signature_at
     if n_angles < 720:
         raise ValueError("n_angles must be at least 720")
     if r <= 0.0:
         raise ValueError("sign_scan requires r > 0")
-    step = 2.0 * math.pi / n_angles
+    step = TWO_PI / n_angles
     angles = [(k + 0.5) * step for k in range(n_angles)]
     sig = lambda phi: signature_at(sys, ParamPoint.from_polar(r, phi))
     sigs = signature_at(sys, ParamArray.from_polar(r, angles))
@@ -257,21 +255,18 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
 
     for k in range(n_angles):
         a, sa = angles[k], sigs[k]
-        b = angles[(k + 1) % n_angles] + (0.0 if k + 1 < n_angles else 2.0 * math.pi)
+        b = angles[(k + 1) % n_angles] + (0.0 if k + 1 < n_angles else TWO_PI)
         sb = sigs[(k + 1) % n_angles]
         if sa != sb:
             refine(a, sa, b, sb)
 
     if not events:
-        return SignScan(r, [SignScanBlock(0.0, 2.0 * math.pi, sigs[0])])
+        return SignScan(r, [SignScanBlock(0.0, TWO_PI, sigs[0])])
 
     events.sort()
-    two_pi = 2.0 * math.pi
-    blocks: list[SignScanBlock] = []
-    for i, (ang, s) in enumerate(events):
-        start = ang % two_pi
-        end = events[(i + 1) % len(events)][0] % two_pi
-        blocks.append(SignScanBlock(start, end, s))
+    blocks = [SignScanBlock(ang % TWO_PI,
+                            events[(i + 1) % len(events)][0] % TWO_PI, s)
+              for i, (ang, s) in enumerate(events)]
 
     def cyclic_merge(items: list[SignScanBlock]) -> list[SignScanBlock]:
         out: list[SignScanBlock] = []
@@ -285,11 +280,9 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
             out[-1] = SignScanBlock(out[-1].start, first.end, first.signature)
         return out
 
-    def width(b: SignScanBlock) -> float:
-        return (b.end - b.start) % two_pi or two_pi
-
     merged = cyclic_merge(blocks)
-    wide = [b for b in merged if width(b) >= NARROW_FLOOR]
+    wide = [b for b in merged
+            if ((b.end - b.start) % TWO_PI or TWO_PI) >= NARROW_FLOOR]
     if wide:
         merged = cyclic_merge(wide)
     merged.sort(key=lambda b: b.start)
@@ -298,15 +291,78 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
 
 def blocks_from(scan: SignScan, phi: float) -> list[SignScanBlock]:
     """Blocks in cyclic order starting from the one containing angle phi."""
-    two_pi = 2.0 * math.pi
-    phi %= two_pi
+    phi %= TWO_PI
     n = len(scan.blocks)
     for i, b in enumerate(scan.blocks):
-        width = (b.end - b.start) % two_pi or two_pi
-        if (phi - b.start) % two_pi < width:
+        width = (b.end - b.start) % TWO_PI or TWO_PI
+        if (phi - b.start) % TWO_PI < width:
             return [scan.blocks[(i + k) % n] for k in range(n)]
     return list(scan.blocks)
 
 
+# ---------------------------------------------------------------------------
+# the cross-check of a decomposition
+# ---------------------------------------------------------------------------
+
+# grid window half-width: WINDOW_SCALE times the largest |xi| of the primary
+# solver's equilibria, plus r / WINDOW_PAD
+WINDOW_SCALE = 1.7
+WINDOW_PAD = 10.0
+
+# lattice resolution per axis of the cross-check's grid scans
+GRID_N = 300
+
+# distance within which a grid root matches a primary equilibrium
+ROOT_TOL = 1e-9
+
+
+@dataclass
+class CrossCheck:
+    """A decomposition against the brute-force oracles, part by part."""
+
+    rle: bool              # the aligned scan blocks carry the signatures
+    edge_gap: float        # largest block start to lower boundary (radians)
+    roots: list[bool]      # per sector: grid roots match the solver's
+
+    @property
+    def edges(self) -> bool:
+        return self.edge_gap <= NARROW_FLOOR
+
+    @property
+    def ok(self) -> bool:
+        return self.rle and self.edges and all(self.roots)
+
+
+def _grid_roots_match(sys: ReducedSystem, mu: ParamPoint, r: float,
+                      jitter_seed: int | None) -> bool:
+    eqs = find_equilibria(sys, mu)
+    m = (max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * WINDOW_SCALE
+         + r / WINDOW_PAD)
+    roots = grid_equilibria(sys, mu, ((-m, m), (-m, m)), n=GRID_N,
+                            jitter_seed=jitter_seed)
+    return len(roots) == len(eqs) and all(
+        min(math.hypot(e.xi[0] - q[0], e.xi[1] - q[1]) for q in roots)
+        < ROOT_TOL for e in eqs)
+
+
+def cross_check(sys: ReducedSystem, sectors: list[RegionReport],
+                jitter_seed: int | None = None) -> CrossCheck:
+    """Hold decompose's sectors against sign_scan and grid_equilibria on
+    the circle they were cut on, sectors[0].radius (below the requested
+    one after a retry).  edge_gap is inf when the block and sector counts
+    differ; jitter_seed goes to grid_equilibria."""
+    r = sectors[0].radius
+    blocks = blocks_from(sign_scan(sys, r), sectors[0].representative.angle)
+    gap = math.inf
+    if len(blocks) == len(sectors):
+        gap = max(abs((b.start - s.angles[0] + math.pi) % TWO_PI - math.pi)
+                  for b, s in zip(blocks, sectors))
+    return CrossCheck(
+        rle=[b.signature for b in blocks] == [s.signature for s in sectors],
+        edge_gap=gap,
+        roots=[_grid_roots_match(sys, s.representative, r, jitter_seed)
+               for s in sectors])
+
+
 __all__ = ["fd_jacobian", "grid_equilibria", "SignScan", "SignScanBlock",
-           "sign_scan", "blocks_from"]
+           "sign_scan", "blocks_from", "CrossCheck", "cross_check"]

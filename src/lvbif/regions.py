@@ -57,11 +57,6 @@ class RegionReport:
     bounding: tuple[str, str]              # curve kinds left/right
     radius: float                          # of the circle it was cut on
 
-    @property
-    def width(self) -> float:
-        lo, hi = self.angles
-        return (hi - lo) % TWO_PI
-
 
 def _sign_of(value: float, tol: float = 1e-12) -> int:
     if value > tol:
@@ -127,22 +122,18 @@ def signature_at(sys: ReducedSystem, mu,
                  tol: Tolerances = TOL) -> tuple[str, ...]:
     """Type-signature over the family's labels at a parameter point.
 
-    At a ParamArray it returns the list of signatures, one per point.
+    At a ParamArray it returns the list of signatures, one per point in C
+    order.
     """
     if isinstance(mu, ParamArray):
         cols = [np.where(e.present & e.proper & ~e.trivial, e.letter,
                          "-").tolist()
-                for e in _find_equilibria_array(sys, mu, tol).values()]
+                for e in _find_equilibria_array(sys, mu.ravel(), tol).values()]
         return list(zip(*cols))
     eqs = find_equilibria(sys, mu, tol)
-    out = []
-    for label in LABELS_BY_FAMILY[sys.degeneracy]:
-        eq = eqs.get(label)
-        if eq is None or not eq.proper or eq.trivial:
-            out.append("-")
-        else:
-            out.append(sar_letter(eq.kind))
-    return tuple(out)
+    return tuple("-" if eq is None or not eq.proper or eq.trivial
+                 else sar_letter(eq.kind)
+                 for eq in map(eqs.get, LABELS_BY_FAMILY[sys.degeneracy]))
 
 
 def boundary_candidates(sys: ReducedSystem,
@@ -196,14 +187,11 @@ def _decompose_at(sys: ReducedSystem, r: float,
         raise SectorTooThin("fewer than two boundary angles on the circle")
     sep = SEP_TOL * r
     m = len(bounds)
-    sectors: list[RegionReport] = []
 
     def probe(k: int) -> RegionReport:
         lo_ang, lo_kind = bounds[k]
         hi_ang, hi_kind = bounds[(k + 1) % m]
-        width = (hi_ang - lo_ang) % TWO_PI
-        if width == 0.0:
-            width = TWO_PI
+        width = (hi_ang - lo_ang) % TWO_PI or TWO_PI
         if width < 10.0 * ANGLE_TOL:
             raise SectorTooThin(
                 f"boundary angles {lo_ang!r} and {hi_ang!r} nearly coincide")
@@ -217,26 +205,21 @@ def _decompose_at(sys: ReducedSystem, r: float,
                             signature=signature_at(sys, rep, tol),
                             bounding=(lo_kind, hi_kind), radius=r)
 
-    sectors = [probe(k) for k in range(m)]
+    def join(a: RegionReport, b: RegionReport) -> RegionReport:
+        return replace(a, angles=(a.angles[0], b.angles[1]),
+                       bounding=(a.bounding[0], b.bounding[1]))
 
     # merge neighbouring sectors with identical signatures: the separating
-    # curve moves only virtual equilibria at this radius
-    changed = True
-    while changed and len(sectors) > 1:
-        changed = False
-        for k in range(len(sectors)):
-            nxt = (k + 1) % len(sectors)
-            if nxt == k:
-                break
-            a, b = sectors[k], sectors[nxt]
-            if a.signature == b.signature:
-                merged = replace(a, angles=(a.angles[0], b.angles[1]),
-                                 bounding=(a.bounding[0], b.bounding[1]))
-                sectors = [s for i, s in enumerate(sectors)
-                           if i not in (k, nxt)]
-                sectors.insert(min(k, nxt), merged)
-                changed = True
-                break
+    # curve moves only virtual equilibria at this radius.  A merged sector
+    # keeps the representative of its first part.
+    sectors: list[RegionReport] = []
+    for s in map(probe, range(m)):
+        if sectors and sectors[-1].signature == s.signature:
+            sectors[-1] = join(sectors[-1], s)
+        else:
+            sectors.append(s)
+    if len(sectors) > 1 and sectors[-1].signature == sectors[0].signature:
+        sectors[0] = join(sectors.pop(), sectors[0])
     sectors.sort(key=lambda s: s.angles[0])
     for i, s in enumerate(sectors):
         s.sector_id = i
@@ -280,10 +263,6 @@ class DiagramReport:
     system: ReducedSystem
     descriptor: CaseDescriptor
     sectors: list[RegionReport]
-
-    @property
-    def signatures(self) -> list[tuple[str, ...]]:
-        return [s.signature for s in self.sectors]
 
 
 @dataclass

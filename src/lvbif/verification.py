@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bifurcation as bif
+from .cases import CANONICAL_NONDEGENERATE
 from .equilibria import find_equilibria
 from .errors import CollisionMismatch, LVError
 from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem
@@ -141,7 +142,6 @@ def sotomayor_suite(family: str, coord: float = 1e-3) -> SuiteResult:
     res = SuiteResult(family=family)
     res.lines.append(f"genericity suite ({family}):")
     if family == NONDEGENERATE:
-        from .cases import CANONICAL_NONDEGENERATE
         for case_id, sys_ in CANONICAL_NONDEGENERATE[:2]:
             _generic_transcritical_checks(res, sys_)
         return res

@@ -19,7 +19,7 @@ from lvbif.equilibria import (Tolerances, char_poly_identities,
                               find_equilibria, refine_e3)
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
                          ReducedSystem, eval_jacobian)
-from lvbif.oracle import blocks_from, grid_equilibria, sign_scan
+from lvbif.oracle import cross_check
 from lvbif.poly import linear_poly
 from lvbif.regions import decompose, verify_tables
 
@@ -257,26 +257,13 @@ def test_criterion_11_parabola_ordering():
 
 
 def test_criterion_12_oracle_equivalence():
-    probe_angle = math.radians(37.0)
     for fam, cases in CANONICAL_BY_FAMILY.items():
         for cid, sys_ in cases:
-            sectors = decompose(sys_, None, 1e-3)
-            scan = sign_scan(sys_, 1e-3, 1440)
-            dec = [s.signature for s in sectors]
-            got = [b.signature for b in
-                   blocks_from(scan, sectors[0].representative.angle)]
-            assert dec == got, (fam, cid)
-            mu = ParamPoint.from_polar(1e-3, probe_angle)
-            eqs = find_equilibria(sys_, mu)
-            m = max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * 1.7 + 1e-4
-            roots = grid_equilibria(sys_, mu, ((-m, m), (-m, m)), n=300)
-            prim = [e.xi for e in eqs]
-            assert len(roots) == len(prim), (fam, cid)
-            for p in prim:
-                assert min(math.hypot(p[0] - q[0], p[1] - q[1])
-                           for q in roots) < 1e-9, (fam, cid, p)
-    ok(12, "grid root sets within 1e-9 and identical sector RLE at 1440 "
-           "angles on all 22 canonical fixtures")
+            check = cross_check(sys_, decompose(sys_, None, 1e-3))
+            assert check.ok, (fam, cid, check)
+    ok(12, "identical sector RLE at 1440 angles with block edges within "
+           "2e-6 rad, and grid root sets within 1e-9 at every sector "
+           "representative, on all 22 canonical fixtures")
 
 
 def test_criterion_13_attractor_basins_and_quadrant():

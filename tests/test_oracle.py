@@ -1,26 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lvbif.cases import deltazero_case, nondegenerate_case
+from lvbif.cli import main as cli_main
 from lvbif.equilibria import TOL, find_equilibria
 from lvbif.model import (ParamArray, ParamPoint, ReducedSystem, bracket1,
-                         bracket2)
-from lvbif.oracle import blocks_from, fd_jacobian, grid_equilibria, sign_scan
+                         bracket2, system_from_dict)
+import lvbif.oracle as oracle
+from lvbif.oracle import (NARROW_FLOOR, cross_check, fd_jacobian,
+                          grid_equilibria, sign_scan)
+import lvbif.regions as regions
 from lvbif.regions import decompose
-
-
-def window_for(eqs, factor=1.7, floor=1e-4):
-    m = max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * factor + floor
-    return ((-m, m), (-m, m))
-
-
-def sets_agree(a, b, tol=1e-9):
-    def covered(xs, ys):
-        return all(min(math.hypot(x1 - y1, x2 - y2) for (y1, y2) in ys) < tol
-                   for (x1, x2) in xs)
-    return covered(a, b) and covered(b, a)
 
 
 def test_fd_jacobian_examples(rng):
@@ -43,11 +36,9 @@ def test_grid_finds_only_origin_at_mu_zero():
 
 
 def test_grid_matches_primary_solver():
-    sys_ = nondegenerate_case(-2.0, -1.0)
-    mu = (1e-3, 1e-3)
-    eqs = find_equilibria(sys_, mu)
-    roots = grid_equilibria(sys_, mu, window_for(eqs), n=300)
-    assert sets_agree([e.xi for e in eqs], roots)
+    # the window pads the largest |xi| by r / 10 = 1e-4
+    assert oracle._grid_roots_match(nondegenerate_case(-2.0, -1.0),
+                                    ParamPoint(1e-3, 1e-3), 1e-3, None)
 
 
 def test_grid_vertical_axis_empty_when_discriminant_negative():
@@ -143,7 +134,6 @@ def test_grid_flags_equal_the_sign_product_rule(monkeypatch):
     # sign-product rule flags, in its order, and give the same roots; the
     # systems alternate between two pairings of n with the jitter pass so
     # that all four combinations occur
-    import lvbif.oracle as oracle
     from conftest import scan_systems
     two_stage = oracle._flagged_cells
 
@@ -186,36 +176,21 @@ def test_sign_scan_validates_arguments():
 
 def test_sign_scan_matches_decompose_sliver_included():
     sys_ = deltazero_case(1.0, 1.5)
-    sectors = decompose(sys_, None, 1e-3)
-    scan = sign_scan(sys_, 1e-3, 1440)
-    assert len(scan.blocks) == len(sectors)
-    aligned = blocks_from(scan, sectors[0].representative.angle)
-    assert [b.signature for b in aligned] == [s.signature for s in sectors]
+    check = cross_check(sys_, decompose(sys_, None, 1e-3))
+    assert check.ok, check
     # the paired-root slice between the two parabolas is a genuinely thin
     # block, of angular width O(r)
     widths = {b.signature: (b.end - b.start) % (2 * math.pi)
-              for b in scan.blocks}
+              for b in sign_scan(sys_, 1e-3, 1440).blocks}
     sliver = widths[("s", "r", "s", "a", "-")]
     assert 1e-5 < sliver < 5e-4
-
-
-def test_sign_scan_block_boundaries_near_decompose_boundaries():
-    sys_ = nondegenerate_case(-2.0, -1.0)
-    sectors = decompose(sys_, None, 1e-3)
-    scan = sign_scan(sys_, 1e-3, 1440)
-    starts = sorted(b.start for b in scan.blocks)
-    expected = sorted(s.angles[0] for s in sectors)
-    assert len(starts) == len(expected)
-    for a, b in zip(starts, expected):
-        assert abs(a - b) < 1e-4
 
 
 def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
     # the reference scan takes every base signature from a scalar call at
     # its own point; the bisection is shared, so blocks must be identical
-    import lvbif.regions as regions
     from lvbif.cases import CANONICAL_BY_FAMILY
-    batched = regions.signature_at
+    batched = oracle.signature_at
 
     def per_angle(sys_, mu, tol=TOL):
         if isinstance(mu, ParamArray):
@@ -225,7 +200,7 @@ def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
 
     systems = [s for cases in CANONICAL_BY_FAMILY.values() for _, s in cases]
     got = [sign_scan(s, 1e-3).blocks for s in systems]
-    monkeypatch.setattr(regions, "signature_at", per_angle)
+    monkeypatch.setattr(oracle, "signature_at", per_angle)
     want = [sign_scan(s, 1e-3).blocks for s in systems]
     assert got == want
 
@@ -280,14 +255,10 @@ _DUPLICATE_ROOTS_SYSTEM = {
     (-0.000414316220414092, -0.00010873593442748161),
 ])
 def test_grid_roots_are_not_duplicated(mu):
-    from lvbif.model import system_from_dict
+    # the window of the circle r = 4.283e-4 the roots came back twice on
     sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM).system
-    eqs = find_equilibria(sys_, mu)
-    m = max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * 1.7 + 4.283e-5
-    roots = grid_equilibria(sys_, mu, ((-m, m), (-m, m)), n=300,
-                            jitter_seed=997654866)
-    assert len(roots) == len(eqs)
-    assert sets_agree([e.xi for e in eqs], roots)
+    assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 4.283e-4,
+                                    997654866)
 
 
 def test_axis_scan_roots_equal_a_per_sample_scan():
@@ -303,3 +274,48 @@ def test_axis_scan_roots_equal_a_per_sample_scan():
     want = [_bisect_1d(fn, xs[k], xs[k + 1]) for k in range(300)
             if vals[k] * vals[k + 1] < 0.0]
     assert want and _axis_roots_scan(fn, -5e-3, 5e-3, 300) == want
+
+
+# -- the cross-check ----------------------------------------------------------
+
+def _cut(*args, _f=regions._decompose_at):
+    # the lower boundary of the second sector, 1e-5 rad off
+    sectors = _f(*args)
+    lo, hi = sectors[1].angles
+    sectors[1] = replace(sectors[1], angles=(lo + 1e-5, hi))
+    return sectors
+
+
+def _flip(*args, _f=oracle.sign_scan):
+    # one letter of the first block
+    scan = _f(*args)
+    sig = scan.blocks[0].signature
+    scan.blocks[0] = replace(scan.blocks[0], signature=(
+        "a" if sig[0] != "a" else "r",) + sig[1:])
+    return scan
+
+
+def _drop(*args, _f=oracle.grid_equilibria, **kw):
+    # one grid root
+    return _f(*args, **kw)[:-1]
+
+
+BREAKS = {"edge_gap": (regions, "_decompose_at", _cut),
+          "rle": (oracle, "sign_scan", _flip),
+          "roots": (oracle, "grid_equilibria", _drop)}
+
+
+# each break must fail its own part of the cross-check and no other one,
+# and fail verify --oracle with it
+@pytest.mark.parametrize("part", BREAKS)
+def test_each_broken_part_fails_on_its_own(monkeypatch, capsys, part):
+    monkeypatch.setattr(*BREAKS[part])
+    sys_ = nondegenerate_case(-2.0, -1.0)
+    check = cross_check(sys_, decompose(sys_, None, 1e-3))
+    failed = {"edge_gap": check.edge_gap > NARROW_FLOOR,
+              "rle": not check.rle, "roots": not all(check.roots)}
+    assert failed == {p: p == part for p in failed}, check
+    assert not check.ok
+    assert cli_main(["verify", "--family", "nondegenerate", "--oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] case I: " in out and "verification FAILED" in out

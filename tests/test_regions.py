@@ -10,8 +10,10 @@ from lvbif.equilibria import find_equilibria
 from lvbif.errors import AmbiguousLabel, DiskError, OnCurve, UnsupportedCase
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem)
+from lvbif.oracle import cross_check
 from lvbif.poly import linear_poly
 from lvbif.reference import EXPECTED_REGION_COUNT, expected_column
+import lvbif.regions as rg
 from lvbif.regions import (decompose, region_membership, select_case,
                            signature_at, verify_tables)
 
@@ -188,14 +190,6 @@ def test_verify_tables_rejects_unsupported_fixture():
 
 # -- theorem spot checks ---------------------------------------------------------
 
-def axis_pair_types(sys_, r=1e-3):
-    """Map each sector to the letters of the degenerate axis pair."""
-    out = {}
-    for s in decompose(sys_, None, r):
-        out[s.sector_id] = (s.signature, s.representative)
-    return out
-
-
 def test_axis_pair_types_match_region_theorems():
     # gamma*d1 - P > 0, gamma*d1 - 2P < 0: the larger root is a repeller in
     # the lower half plane and in the slice below the interior collision
@@ -303,23 +297,19 @@ def test_decompose_handles_negative_quadratic_signs():
     # machinery must still work: the fold parabola moves to the lower
     # (resp. left) half plane and the sector structure stays consistent
     # with the direct angular scan
-    from lvbif.oracle import blocks_from, sign_scan
     for sys_ in (deltazero_case(1.0, 1.5, P=-1.0),
                  thetazero_case(1.0, 1.5, N=-1.0)):
         desc = select_case(sys_)
         assert not desc.table_supported
         sectors = decompose(sys_, desc, 1e-3)
         assert len(sectors) >= 4
-        scan = sign_scan(sys_, 1e-3, 1440)
-        got = [b.signature for b in
-               blocks_from(scan, sectors[0].representative.angle)]
-        assert got == [s.signature for s in sectors]
+        check = cross_check(sys_, sectors)
+        assert check.ok, check
 
 
 def test_decompose_matches_scan_on_random_systems(rng):
     # pipeline-level property: for arbitrary admissible systems the traced
     # sector structure equals the direct angular scan
-    from lvbif.oracle import blocks_from, sign_scan
     from conftest import rand_deltazero, rand_nondegenerate, rand_thetazero
     gens = (rand_nondegenerate, rand_deltazero, rand_thetazero)
     checked = 0
@@ -328,11 +318,8 @@ def test_decompose_matches_scan_on_random_systems(rng):
         if sys_.degeneracy == "NonDegenerate" \
                 and abs(sys_.theta0 * sys_.delta0 - 1.0) < 0.3:
             continue
-        sectors = decompose(sys_, None, 1e-3)
-        scan = sign_scan(sys_, 1e-3, 1440)
-        got = [b.signature for b in
-               blocks_from(scan, sectors[0].representative.angle)]
-        assert got == [s.signature for s in sectors], sys_
+        check = cross_check(sys_, decompose(sys_, None, 1e-3))
+        assert check.ok, (sys_, check)
         checked += 1
 
 
@@ -381,6 +368,21 @@ def test_batched_signatures_equal_scalar_at_every_base_angle(r):
         assert batched == scalar, sys_
 
 
+def test_two_dimensional_param_arrays_solve_point_by_point():
+    # refine_e3 keeps the shape of a 3x4 ParamArray, signature_at lists its
+    # points in C order, and each point equals its scalar solve
+    sys_ = dict(CANONICAL_NONDEGENERATE)["IV"]
+    phis = np.linspace(0.1, 6.2, 12)
+    mu = ParamArray(*(v.reshape(3, 4)
+                      for v in ParamArray.from_polar(3e-3, phis)))
+    x1, x2 = equilibria.refine_e3(sys_, mu)
+    assert x1.shape == x2.shape == (3, 4)
+    pts = [ParamPoint.from_polar(3e-3, p) for p in phis]
+    assert list(zip(x1.flat, x2.flat)) == [equilibria.refine_e3(sys_, p)
+                                           for p in pts]
+    assert signature_at(sys_, mu) == [signature_at(sys_, p) for p in pts]
+
+
 def test_batched_signatures_drop_e3_where_its_newton_diverges(monkeypatch):
     sys_ = ReducedSystem.from_coeffs(theta=1.0, gamma=1.0, P=1.0,
                                      delta=linear_poly(0.0, 1.0, 0.5))
@@ -427,7 +429,6 @@ def test_batched_signatures_raise_where_the_scalar_path_raises(monkeypatch):
 
 
 def test_decompose_retries_thin_sectors_at_quarter_radii(monkeypatch):
-    import lvbif.regions as rg
     from lvbif.errors import SectorTooThin
     tried = []
 
@@ -443,3 +444,20 @@ def test_decompose_retries_thin_sectors_at_quarter_radii(monkeypatch):
         with pytest.raises(SectorTooThin):
             rg.decompose(sys_, None, r)
         assert tuple(tried) == radii
+
+
+def test_decompose_merges_runs_and_joins_across_the_zero_angle(monkeypatch):
+    # runs of equal signatures merge, the last run joins the first one
+    # across the zero angle, and a merged sector keeps the representative
+    # of its first part
+    cuts = [0.5, 1.0, 2.0, 4.0, 5.0]
+    monkeypatch.setattr(rg, "boundary_candidates",
+                        lambda sys_, r: [(a, f"c{a}") for a in cuts])
+    monkeypatch.setattr(rg, "signature_at", lambda sys_, mu, tol:
+                        ("s",) if 0.5 < mu.angle < 2.0 else ("a",))
+    sectors = decompose(nondegenerate_case(0.5, 0.5), None, 1e-3)
+    assert [(s.sector_id, s.angles, s.bounding, s.signature)
+            for s in sectors] == [(0, (0.5, 2.0), ("c0.5", "c2.0"), ("s",)),
+                                  (1, (2.0, 0.5), ("c2.0", "c0.5"), ("a",))]
+    assert [s.representative.angle for s in sectors] == pytest.approx(
+        [0.75, 3.0])
