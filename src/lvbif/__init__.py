@@ -9,9 +9,9 @@ from .errors import (AmbiguousLabel, CollisionMismatch, DegenerateJacobian,
                      SignError, StepFailure, UnsupportedCase)
 from .poly import CoefficientPoly, as_poly, linear_poly
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
-                    NONDEGENERATE, THETA_ZERO, LoadedSystem, ParamPoint,
-                    RawSystem, ReducedSystem, eval_field, eval_jacobian,
-                    load_system, reduce, reduce_negative, system_from_dict)
+                    NONDEGENERATE, THETA_ZERO, ParamPoint, RawSystem,
+                    ReducedSystem, eval_field, eval_jacobian, load_system,
+                    reduce, reduce_negative, system_from_dict)
 from .equilibria import (Equilibrium, EquilibriumList, Tolerances,
                          char_poly_identities, classify, find_equilibria,
                          refine_e3, seed_e3)
@@ -34,7 +34,7 @@ __all__ = [
     "UnsupportedCase",
     "CoefficientPoly", "as_poly", "linear_poly",
     "DELTA_ZERO", "DOUBLY_DEGENERATE", "EPSILON_DISK", "NONDEGENERATE",
-    "THETA_ZERO", "LoadedSystem", "ParamPoint", "RawSystem", "ReducedSystem",
+    "THETA_ZERO", "ParamPoint", "RawSystem", "ReducedSystem",
     "eval_field", "eval_jacobian", "load_system", "reduce", "reduce_negative",
     "system_from_dict",
     "Equilibrium", "EquilibriumList", "Tolerances", "char_poly_identities",

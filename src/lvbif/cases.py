@@ -17,10 +17,9 @@ from .poly import as_poly, linear_poly
 HIGHER = 0.1
 
 
-def nondegenerate_case(theta: float, delta: float,
-                       gamma: float = 1.0) -> ReducedSystem:
+def nondegenerate_case(theta: float, delta: float) -> ReducedSystem:
     return ReducedSystem.from_coeffs(
-        theta=theta, delta=delta, gamma=gamma,
+        theta=theta, delta=delta, gamma=1.0,
         M=HIGHER, N=HIGHER, L=HIGHER, S=HIGHER, P=HIGHER, R=HIGHER)
 
 

@@ -20,10 +20,10 @@ from . import bifurcation as bif
 from . import cases
 from .dynamics import portrait
 from .emit import curves_csv, fmt, portrait_svg, trajectories_csv
-from .equilibria import TOL, Tolerances, find_equilibria
+from .equilibria import find_equilibria
 from .errors import LVError, NotApplicable, OnCurve, UnsupportedCase
-from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
-                    load_system)
+from .model import (DELTA_ZERO, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
+                    ParamPoint, load_system)
 from .oracle import cross_check
 from .regions import region_membership, select_case, verify_tables
 from .verification import sotomayor_suite
@@ -58,9 +58,9 @@ def _parse_radii(text: str) -> list[float]:
     except ValueError:
         raise ValueError(f"--radii expects 'r1,r2,...', got {text!r}") from None
     for r in radii:
-        if not 0.0 < r < TOL.epsilon_disk:
+        if not 0.0 < r < EPSILON_DISK:
             raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
-                             f"{TOL.epsilon_disk!r})")
+                             f"{EPSILON_DISK!r})")
     return radii
 
 
@@ -71,15 +71,9 @@ def _load(path: str):
         raise ConfigError(exc) from exc
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(args.epsilon_disk) if args.epsilon_disk else TOL
-
-
 def cmd_analyze(args) -> int:
-    loaded = _load(args.config)
-    sys_ = loaded.system
+    sys_ = _load(args.config)
     mu = _parse_mu(args.mu)
-    tol = _tolerances(args)
     desc = select_case(sys_)
     print(f"degeneracy class: {sys_.degeneracy}")
     if sys_.mu_negated:
@@ -88,7 +82,7 @@ def cmd_analyze(args) -> int:
     print("case signs: " + ", ".join(f"{k}={v:+d}" for k, v in desc.signs))
     for note in desc.notes:
         print(f"note: {note}")
-    eqs = find_equilibria(sys_, mu, tol)
+    eqs = find_equilibria(sys_, mu)
     print(f"equilibria at mu = ({fmt(mu.mu1)}, {fmt(mu.mu2)}):")
     for eq in eqs:
         lam1, lam2 = eq.eigenvalues
@@ -104,7 +98,7 @@ def cmd_analyze(args) -> int:
         print(f"  note: {note}")
     if mu.norm > 0.0:
         try:
-            region = region_membership(sys_, mu, tol)
+            region = region_membership(sys_, mu)
             print("region signature: " + "".join(region.signature)
                   + f" (sector {region.sector_id}, bounded by "
                   + "/".join(region.bounding) + ")")
@@ -116,8 +110,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    loaded = _load(args.config)
-    sys_ = loaded.system
+    sys_ = _load(args.config)
     radii = _parse_radii(args.radii)
     curves = []
     for kind in bif.admissible_kinds(sys_):
@@ -144,13 +137,11 @@ def cmd_curves(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    loaded = _load(args.config)
-    sys_ = loaded.system
+    sys_ = _load(args.config)
     mu = _parse_mu(args.mu)
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    tol = _tolerances(args)
-    port = portrait(sys_, mu, grid_density=args.grid, tol=tol)
+    port = portrait(sys_, mu, grid_density=args.grid)
     wrote = False
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -197,14 +188,14 @@ def cmd_verify(args) -> int:
     family = FAMILY_ALIASES[name]
     case_list = None
     if args.config:
-        loaded = _load(args.config)
-        desc = select_case(loaded.system)
+        extra = _load(args.config)
+        desc = select_case(extra)
         if desc.family != family:
             print(f"config system is {desc.family}, not {family}",
                   file=_sys.stderr)
             return EXIT_UNSUPPORTED
         case_list = list(cases.CANONICAL_BY_FAMILY[family]) + [
-            ("config", loaded.system)]
+            ("config", extra)]
     report = verify_tables(family, r=args.r, cases=case_list)
     print(report.render_text())
     soto = sotomayor_suite(family)
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="equilibria and region at one mu")
     a.add_argument("--config", required=True)
     a.add_argument("--mu", required=True, help="mu1,mu2")
-    a.add_argument("--epsilon-disk", dest="epsilon_disk", type=float)
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("curves", help="sample bifurcation curves to CSV")
@@ -266,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--grid", type=int, default=10)
     pt.add_argument("--svg", default="")
     pt.add_argument("--csv", default="")
-    pt.add_argument("--epsilon-disk", dest="epsilon_disk", type=float)
     pt.set_defaults(func=cmd_portrait)
 
     v = sub.add_parser("verify", help="type-table and genericity verification")

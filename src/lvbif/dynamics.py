@@ -207,20 +207,19 @@ def _frame(sys: ReducedSystem, mu, tol: Tolerances,
     return mu, equilibria, window
 
 
-def integrate(sys: ReducedSystem, mu, x0, direction: str = "forward",
-              t_max: float | None = None, window: float | None = None,
-              equilibria: EquilibriumList | None = None) -> Trajectory:
-    """Integrate one trajectory until convergence, window exit, or t_max.
+def integrate(sys: ReducedSystem, mu, x0, t_max: float | None = None,
+              window: float | None = None) -> Trajectory:
+    """Integrate forward from x0 until convergence, window exit, or t_max.
 
     Convergence requires both closeness to a known equilibrium and a small
     field magnitude, so slow drift along a center manifold is not mistaken
     for arrival.  Tiny negative coordinates (axis invariance is exact in the
-    model) are clamped to zero in the output.  Without equilibria, those of
-    find_equilibria in the default disk are the targets.
+    model) are clamped to zero in the output.  The targets are the
+    equilibria of find_equilibria in the default disk.
     """
-    mu, equilibria, window = _frame(sys, mu, TOL, equilibria, window)
+    mu, equilibria, window = _frame(sys, mu, TOL, None, window)
     x0 = (float(x0[0]), float(x0[1]))
-    return _integrate_all(sys, mu, [(x0, direction)], t_max, window,
+    return _integrate_all(sys, mu, [(x0, "forward")], t_max, window,
                           equilibria)[0]
 
 
@@ -242,7 +241,6 @@ def _separatrix_seeds(sys: ReducedSystem, mu: ParamPoint, saddle: Equilibrium,
 
 
 def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
-                 window: float | None = None,
                  equilibria: EquilibriumList | None = None) -> list[Trajectory]:
     """Invariant-manifold branches of a saddle, seeded along its eigenvectors.
 
@@ -250,7 +248,7 @@ def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
     fall outside the closed first quadrant are skipped, so boundary saddles
     emit fewer branches.
     """
-    mu, equilibria, window = _frame(sys, mu, TOL, equilibria, window)
+    mu, equilibria, window = _frame(sys, mu, TOL, equilibria, None)
     return _integrate_all(sys, mu, _separatrix_seeds(sys, mu, saddle, window),
                           None, window, equilibria)
 

@@ -49,6 +49,9 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 _KIND_FILL = {"s": "#ffffff", "a": "#000000", "r": "#999999", "d": "#ffcc00"}
 
+# side of the square SVG canvas, in pixels
+SIZE = 480
+
 
 def _color_for(label: str | None, terminal: str, order: dict[str, int]) -> str:
     key = label if label else terminal
@@ -57,30 +60,30 @@ def _color_for(label: str | None, terminal: str, order: dict[str, int]) -> str:
     return _COLORS[order[key] % len(_COLORS)]
 
 
-def portrait_svg(port: Portrait, size: int = 480) -> str:
+def portrait_svg(port: Portrait) -> str:
     """Standalone SVG of a portrait; trajectories colored by terminal."""
     w = port.window
     if w <= 0.0 or not math.isfinite(w):
         raise ValueError(f"bad portrait window {w!r}")
     pad = 0.06 * w
-    scale = size / (w + 2.0 * pad)
+    scale = SIZE / (w + 2.0 * pad)
 
     def sx(x: float) -> str:
         return fmt((x + pad) * scale)
 
     def sy(y: float) -> str:
-        return fmt(size - (y + pad) * scale)
+        return fmt(SIZE - (y + pad) * scale)
 
     def points(tr: Trajectory) -> str:
         px = ((tr.states[:, 0] + pad) * scale).tolist()
-        py = (size - (tr.states[:, 1] + pad) * scale).tolist()
+        py = (SIZE - (tr.states[:, 1] + pad) * scale).tolist()
         return " ".join(f"{x:.17g},{y:.17g}" for x, y in zip(px, py))
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-              f'height="{size}" viewBox="0 0 {size} {size}">\n')
-    out.write(f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n')
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+              f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">\n')
+    out.write(f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>\n')
     # axes
     out.write(f'<line x1="{sx(0.0)}" y1="{sy(0.0)}" x2="{sx(w)}" y2="{sy(0.0)}" '
               'stroke="#333333" stroke-width="1"/>\n')

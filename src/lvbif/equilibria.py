@@ -93,9 +93,9 @@ class Equilibrium:
 class EquilibriumList(list):
     """List of equilibria plus analysis notes (e.g. skipped refinements)."""
 
-    def __init__(self, items=(), notes=()):
+    def __init__(self, items=()):
         super().__init__(items)
-        self.notes: list[str] = list(notes)
+        self.notes: list[str] = []
 
     def get(self, label: str) -> Equilibrium | None:
         for eq in self:
@@ -370,18 +370,16 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
 # ---------------------------------------------------------------------------
 
 def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
-                      xi: tuple[float, float],
-                      notes: tuple[str, ...] = ()) -> Equilibrium:
+                      xi: tuple[float, float]) -> Equilibrium:
     cls = _classify(c, xi, TOL_EIG * mu.norm)
     band = TOL_PROPER * mu.norm
     proper = xi[0] >= -band and xi[1] >= -band
-    extra = ()
+    notes = ()
     # an exact 0.0 coordinate is an on-axis point, not a boundary call
     if any(0.0 < abs(v) < band for v in xi):
-        extra = ("BoundaryCase: coordinate within the properness band",)
+        notes = ("BoundaryCase: coordinate within the properness band",)
     return Equilibrium(label=label, xi=xi, eigenvalues=cls.eigenvalues,
-                       kind=cls.kind, proper=proper,
-                       notes=notes + extra)
+                       kind=cls.kind, proper=proper, notes=notes)
 
 
 def _axis_quadratics(c: Coeffs):
@@ -488,20 +486,19 @@ class EquilibriumArrays(NamedTuple):
     trivial: np.ndarray    # bool
 
 
-def _find_equilibria_array(sys: ReducedSystem, mu: ParamArray,
-                           tol: Tolerances = TOL) -> dict[str, EquilibriumArrays]:
+def _find_equilibria_array(sys: ReducedSystem,
+                           mu: ParamArray) -> dict[str, EquilibriumArrays]:
     """find_equilibria at many points at once, per label of the family.
 
-    A label is present where find_equilibria lists it, with the letter,
+    The disk is the default one.  A label is present where find_equilibria lists it, with the letter,
     properness and collision flag find_equilibria gives it there; it raises
     what find_equilibria raises at any of the points.
     """
     norm = mu.norm
-    bad = np.flatnonzero(~(norm < tol.epsilon_disk))
+    bad = np.flatnonzero(~(norm < EPSILON_DISK))
     if bad.size:
         k = bad[0]
-        check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])),
-                   tol.epsilon_disk)
+        check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])))
     if sys.degeneracy == DOUBLY_DEGENERATE:
         raise UnsupportedCase(
             "equilibrium labeling is not defined for the DoublyDegenerate class")

@@ -208,10 +208,9 @@ class RawSystem:
         return fx, fy
 
 
-def classify_degeneracy(theta0: float, delta0: float,
-                        tol: float = CLASS_TOL) -> str:
-    tz = abs(theta0) < tol
-    dz = abs(delta0) < tol
+def classify_degeneracy(theta0: float, delta0: float) -> str:
+    tz = abs(theta0) < CLASS_TOL
+    dz = abs(delta0) < CLASS_TOL
     if tz and dz:
         return DOUBLY_DEGENERATE
     if dz:
@@ -249,11 +248,11 @@ class ReducedSystem:
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
-                    mu_negated: bool = False, **kw) -> "ReducedSystem":
+                    **kw) -> "ReducedSystem":
         polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in REDUCED_NAMES}
         if kw:
             raise TypeError(f"unknown reduced coefficients: {sorted(kw)}")
-        return cls(degree=degree, mu_negated=mu_negated, **polys)
+        return cls(degree=degree, **polys)
 
     # convenient scalar views used throughout the analysis
     @property
@@ -495,14 +494,7 @@ def eval_jacobian(sys: ReducedSystem, mu, xi):
 # system configuration files (JSON)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoadedSystem:
-    system: ReducedSystem
-    form: str
-    raw: RawSystem | None = None
-
-
-def system_from_dict(cfg: dict) -> LoadedSystem:
+def system_from_dict(cfg: dict) -> ReducedSystem:
     """Build a reduced system from a configuration mapping.
 
     Two forms are accepted: {"form": "raw", "p11": {...}, ...} or
@@ -516,22 +508,19 @@ def system_from_dict(cfg: dict) -> LoadedSystem:
         raw = RawSystem.from_coeffs(
             degree=degree, **{n: cfg[n] for n in RAW_NAMES if n in cfg})
         if raw.p12.at_zero > 0.0 and raw.p21.at_zero > 0.0:
-            sys_ = reduce(raw)
-        elif raw.p12.at_zero < 0.0 and raw.p21.at_zero < 0.0:
-            sys_ = reduce_negative(raw)
-        else:
-            raise SignError(
-                "p12(0) and p21(0) must have the same sign "
-                f"(got {raw.p12.at_zero!r}, {raw.p21.at_zero!r})")
-        return LoadedSystem(system=sys_, form="raw", raw=raw)
+            return reduce(raw)
+        if raw.p12.at_zero < 0.0 and raw.p21.at_zero < 0.0:
+            return reduce_negative(raw)
+        raise SignError(
+            "p12(0) and p21(0) must have the same sign "
+            f"(got {raw.p12.at_zero!r}, {raw.p21.at_zero!r})")
     if form == "reduced":
-        sys_ = ReducedSystem.from_coeffs(
+        return ReducedSystem.from_coeffs(
             degree=degree, **{n: cfg[n] for n in REDUCED_NAMES if n in cfg})
-        return LoadedSystem(system=sys_, form="reduced")
     raise ValueError(f"unknown system form {form!r}")
 
 
-def load_system(path) -> LoadedSystem:
+def load_system(path) -> ReducedSystem:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     return system_from_dict(cfg)
@@ -546,5 +535,5 @@ __all__ = [
     "MIRROR_NAMES", "mirror_name", "mirror",
     "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",
     "hessian_form_at", "eval_field", "eval_jacobian",
-    "LoadedSystem", "system_from_dict", "load_system",
+    "system_from_dict", "load_system",
 ]

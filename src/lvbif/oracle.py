@@ -22,11 +22,11 @@ from .model import (Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1,
 from .regions import TWO_PI, RegionReport, signature_at
 
 
-def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
+def fd_jacobian(sys: ReducedSystem, mu, xi):
     """Central-difference Jacobian of the reduced field."""
     mu = ParamPoint.coerce(mu)
     x1, x2 = float(xi[0]), float(xi[1])
-    h = step if step is not None else 1e-6 * (1.0 + math.hypot(x1, x2))
+    h = 1e-6 * (1.0 + math.hypot(x1, x2))
     c = sys.at(mu)
     f = lambda a, b: field_at(c, (a, b))
     fxp = f(x1 + h, x2)
@@ -41,7 +41,7 @@ def fd_jacobian(sys: ReducedSystem, mu, xi, step: float | None = None):
 # grid equilibrium scan
 # ---------------------------------------------------------------------------
 
-def _bisect_1d(fn, a: float, b: float, tol: float = 1e-12) -> float:
+def _bisect_1d(fn, a: float, b: float) -> float:
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a
@@ -50,7 +50,7 @@ def _bisect_1d(fn, a: float, b: float, tol: float = 1e-12) -> float:
     for _ in range(200):
         m = 0.5 * (a + b)
         fm = fn(m)
-        if fm == 0.0 or (b - a) < tol:
+        if fm == 0.0 or (b - a) < 1e-12:
             return m
         if fa * fm < 0.0:
             b, fb = m, fm
@@ -76,23 +76,23 @@ def _axis_roots_scan(fn, lo: float, hi: float, n: int) -> list[float]:
     return roots
 
 
-def _fd_newton(c: Coeffs, x1: float, x2: float, tol: float = 1e-12,
-               max_iter: int = 40) -> tuple[float, float] | None:
-    """Finite-difference Newton on the bracket system.
+def _fd_newton(c: Coeffs, x1: float, x2: float) -> tuple[float, float] | None:
+    """Finite-difference Newton on the bracket system, at most 40 steps.
 
-    Once the residual is below tol, iterates are polished while the residual
-    still falls, so two cells refining the same root agree to roundoff.
+    Once the residual is below 1e-12 (1 + |xi|), iterates are polished while
+    the residual still falls, so two cells refining the same root agree to
+    roundoff.
     """
     scale = 1.0 + math.hypot(x1, x2)
-    polished = None   # (residual, point) once below tol
-    for _ in range(max_iter):
+    polished = None   # (residual, point) once below 1e-12 scale
+    for _ in range(40):
         g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
         res = math.hypot(g1, g2)
         if polished is not None and res >= polished[0]:
             return polished[1]
         if res == 0.0:
             return (x1, x2)
-        if res <= tol * scale:
+        if res <= 1e-12 * scale:
             polished = (res, (x1, x2))
         h = 1e-7 * (1.0 + math.hypot(x1, x2))
         a = (bracket1(c, x1 + h, x2) - bracket1(c, x1 - h, x2)) / (2 * h)

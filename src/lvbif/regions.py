@@ -17,11 +17,11 @@ import numpy as np
 
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
-from .equilibria import (LABELS_BY_FAMILY, TOL, Tolerances,
-                         _find_equilibria_array, find_equilibria, sar_letter)
+from .equilibria import (LABELS_BY_FAMILY, _find_equilibria_array,
+                         find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
-from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE, THETA_ZERO,
-                    ParamArray, ParamPoint, ReducedSystem, mirror)
+from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK, NONDEGENERATE,
+                    THETA_ZERO, ParamArray, ParamPoint, ReducedSystem, mirror)
 from .reference import (EXPECTED_REGION_COUNT, EXPECTED_SIGNATURES,
                         ROW_DISPLAY, expected_column)
 
@@ -30,10 +30,6 @@ TWO_PI = 2.0 * math.pi
 # angular separation required between a representative and its boundaries,
 # per unit radius
 SEP_TOL = 1e-3
-
-# resolution of boundary angles, which the circle-scan solve refines to a
-# few ulp
-ANGLE_TOL = 1e-13
 
 # retries of a decomposition whose boundary angles nearly coincide, each at
 # a quarter of the previous radius
@@ -118,8 +114,7 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
 # decomposition
 # ---------------------------------------------------------------------------
 
-def signature_at(sys: ReducedSystem, mu,
-                 tol: Tolerances = TOL) -> tuple[str, ...]:
+def signature_at(sys: ReducedSystem, mu) -> tuple[str, ...]:
     """Type-signature over the family's labels at a parameter point.
 
     At a ParamArray it returns the list of signatures, one per point in C
@@ -128,9 +123,9 @@ def signature_at(sys: ReducedSystem, mu,
     if isinstance(mu, ParamArray):
         cols = [np.where(e.present & e.proper & ~e.trivial, e.letter,
                          "-").tolist()
-                for e in _find_equilibria_array(sys, mu.ravel(), tol).values()]
+                for e in _find_equilibria_array(sys, mu.ravel()).values()]
         return list(zip(*cols))
-    eqs = find_equilibria(sys, mu, tol)
+    eqs = find_equilibria(sys, mu)
     return tuple("-" if eq is None or not eq.proper or eq.trivial
                  else sar_letter(eq.kind)
                  for eq in map(eqs.get, LABELS_BY_FAMILY[sys.degeneracy]))
@@ -158,8 +153,8 @@ def boundary_candidates(sys: ReducedSystem,
     return dedup
 
 
-def decompose(sys: ReducedSystem, case: CaseDescriptor | None, r: float,
-              tol: Tolerances = TOL) -> list[RegionReport]:
+def decompose(sys: ReducedSystem, case: CaseDescriptor | None,
+              r: float) -> list[RegionReport]:
     """Cut the circle |mu| = r into sectors of constant type-signature.
 
     When two boundary angles nearly coincide at this radius the
@@ -169,22 +164,20 @@ def decompose(sys: ReducedSystem, case: CaseDescriptor | None, r: float,
     """
     if case is None:
         case = select_case(sys)
-    if not (1e-4 <= r < tol.epsilon_disk):
+    if not (1e-4 <= r < EPSILON_DISK):
         raise ValueError(
-            f"radius {r!r} outside [1e-4, epsilon_disk={tol.epsilon_disk!r})")
+            f"radius {r!r} outside [1e-4, epsilon_disk={EPSILON_DISK!r})")
     for k in range(RETRIES + 1):
         try:
-            return _decompose_at(sys, r / 4.0 ** k, tol)
+            return _decompose_at(sys, r / 4.0 ** k)
         except SectorTooThin:
             if k == RETRIES or r / 4.0 ** (k + 1) < 1e-4:
                 raise
 
 
-def _decompose_at(sys: ReducedSystem, r: float,
-                  tol: Tolerances) -> list[RegionReport]:
+def _decompose_at(sys: ReducedSystem, r: float) -> list[RegionReport]:
+    # the four semi-axes always cut the circle, at least 1e-9 rad apart
     bounds = boundary_candidates(sys, r)
-    if len(bounds) < 2:
-        raise SectorTooThin("fewer than two boundary angles on the circle")
     sep = SEP_TOL * r
     m = len(bounds)
 
@@ -192,9 +185,6 @@ def _decompose_at(sys: ReducedSystem, r: float,
         lo_ang, lo_kind = bounds[k]
         hi_ang, hi_kind = bounds[(k + 1) % m]
         width = (hi_ang - lo_ang) % TWO_PI or TWO_PI
-        if width < 10.0 * ANGLE_TOL:
-            raise SectorTooThin(
-                f"boundary angles {lo_ang!r} and {hi_ang!r} nearly coincide")
         mid = (lo_ang + 0.5 * width) % TWO_PI
         if 0.5 * width <= sep:
             raise SectorTooThin(
@@ -202,7 +192,7 @@ def _decompose_at(sys: ReducedSystem, r: float,
         rep = ParamPoint.from_polar(r, mid)
         return RegionReport(sector_id=k, angles=(lo_ang, hi_ang),
                             representative=rep,
-                            signature=signature_at(sys, rep, tol),
+                            signature=signature_at(sys, rep),
                             bounding=(lo_kind, hi_kind), radius=r)
 
     def join(a: RegionReport, b: RegionReport) -> RegionReport:
@@ -226,8 +216,7 @@ def _decompose_at(sys: ReducedSystem, r: float,
     return sectors
 
 
-def region_membership(sys: ReducedSystem, mu,
-                      tol: Tolerances = TOL) -> RegionReport:
+def region_membership(sys: ReducedSystem, mu) -> RegionReport:
     """The sector of the decomposition at radius |mu| containing mu.
 
     Raises OnCurve when mu is within the angular separation tolerance of a
@@ -236,7 +225,7 @@ def region_membership(sys: ReducedSystem, mu,
     mu = ParamPoint.coerce(mu)
     if mu.norm == 0.0:
         raise OnCurve("all bifurcation curves pass through mu = 0")
-    sectors = decompose(sys, None, mu.norm, tol)
+    sectors = decompose(sys, None, mu.norm)
     ang = mu.angle
     sep = SEP_TOL * mu.norm
     for s in sectors:
@@ -249,7 +238,7 @@ def region_membership(sys: ReducedSystem, mu,
             raise OnCurve(
                 f"mu lies within sep_tol of the {s.bounding} boundary")
         return replace(s, representative=mu,
-                       signature=signature_at(sys, mu, tol))
+                       signature=signature_at(sys, mu))
     raise OnCurve("mu does not fall strictly inside any sector")
 
 
@@ -374,7 +363,7 @@ def verify_tables(family: str, r: float = 1e-3,
 
 
 __all__ = [
-    "SEP_TOL", "ANGLE_TOL", "CaseDescriptor", "RegionReport",
+    "SEP_TOL", "CaseDescriptor", "RegionReport",
     "select_case", "signature_at", "boundary_candidates", "decompose",
     "region_membership", "DiagramReport", "FamilyVerification",
     "verify_tables",

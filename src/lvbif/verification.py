@@ -17,6 +17,9 @@ from .errors import CollisionMismatch, LVError
 from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem
 from .poly import linear_poly
 
+# the pinned coordinate of the curve points the degenerate families check
+COORD = 1e-3
+
 
 def sotomayor_fixture(family: str, branch: str = "a") -> ReducedSystem:
     """A system satisfying every saddle-node and transcritical hypothesis.
@@ -66,12 +69,11 @@ def _within(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
-def _saddle_node_checks(res: SuiteResult, sys_: ReducedSystem,
-                        coord: float) -> None:
+def _saddle_node_checks(res: SuiteResult, sys_: ReducedSystem) -> None:
     if sys_.degeneracy == DELTA_ZERO:
-        kinds = ((bif.D_NEG, -abs(coord)), (bif.D_POS, +abs(coord)))
+        kinds = ((bif.D_NEG, -COORD), (bif.D_POS, +COORD))
     else:
-        kinds = ((bif.D_POS, +abs(coord)), (bif.D_NEG, -abs(coord)))
+        kinds = ((bif.D_POS, +COORD), (bif.D_NEG, -COORD))
     for kind, c in kinds:
         mu0 = bif.parabola_point(sys_, kind, c)
         rep = bif.sotomayor_saddle_node(sys_, mu0)
@@ -83,9 +85,9 @@ def _saddle_node_checks(res: SuiteResult, sys_: ReducedSystem,
                   f"{kind}: C3 {rep.C3:.6e} vs {rep.predicted['C3']:.6e}")
 
 
-def _transcritical_checks(res: SuiteResult, sys_: ReducedSystem,
-                          coord: float) -> None:
+def _transcritical_checks(res: SuiteResult, sys_: ReducedSystem) -> None:
     kind = bif.T3 if sys_.degeneracy == DELTA_ZERO else bif.T4
+    coord = -COORD
     mu0 = bif.parabola_point(sys_, kind, coord)
     rep = bif.sotomayor_transcritical(sys_, mu0)
     res.check(rep.verdict == "Transcritical",
@@ -137,7 +139,7 @@ def _generic_transcritical_checks(res: SuiteResult, sys_: ReducedSystem) -> None
                       f"({c1:.2e}, {c2:.2e}, {c3:.2e})")
 
 
-def sotomayor_suite(family: str, coord: float = 1e-3) -> SuiteResult:
+def sotomayor_suite(family: str) -> SuiteResult:
     """Run the genericity suite of one family and collect pass/fail lines."""
     res = SuiteResult(family=family)
     res.lines.append(f"genericity suite ({family}):")
@@ -147,9 +149,8 @@ def sotomayor_suite(family: str, coord: float = 1e-3) -> SuiteResult:
         return res
     for branch in ("a", "b"):
         sys_ = sotomayor_fixture(family, branch)
-        _saddle_node_checks(res, sys_, coord)
-        tc_coord = -abs(coord)
-        _transcritical_checks(res, sys_, tc_coord)
+        _saddle_node_checks(res, sys_)
+        _transcritical_checks(res, sys_)
     return res
 
 

@@ -38,6 +38,20 @@ def test_analyze_at_origin_single_degenerate_point(capsys):
     assert len(lines) == 1 and "E0" in lines[0] and "degenerate" in lines[0]
 
 
+@pytest.mark.parametrize("mu, line", [
+    # on the positive mu1 semi-axis, a sector boundary
+    ("1e-3,0", "region: on a bifurcation curve"),
+    # |mu| below the smallest radius decompose accepts
+    ("5e-5,5e-5", "region: not resolved"),
+])
+def test_analyze_reports_a_point_without_a_region(capsys, mu, line):
+    code, out, _ = run(capsys, "analyze",
+                       "--config", fixture_path("nondegenerate_iv.json"),
+                       "--mu", mu)
+    assert code == 0
+    assert out.splitlines()[-1].startswith(line)
+
+
 def test_analyze_raw_config(capsys):
     code, out, _ = run(capsys, "analyze",
                        "--config", fixture_path("raw_attractor.json"),
@@ -201,11 +215,11 @@ def test_verify_oracle_scans_at_the_radius_of_a_retried_decomposition(
     from lvbif.errors import SectorTooThin
     tried, scanned = [], []
 
-    def thin_once(sys_, r, tol, _f=rg._decompose_at):
+    def thin_once(sys_, r, _f=rg._decompose_at):
         tried.append(r)
         if len(tried) == 1:
             raise SectorTooThin("boundary angles nearly coincide")
-        return _f(sys_, r, tol)
+        return _f(sys_, r)
 
     def scan(sys_, r, *args, _f=oracle.sign_scan):
         scanned.append(r)
@@ -243,7 +257,7 @@ def test_readme_commands_exit_zero_on_every_shipped_fixture(tmp_path, capsys,
     names = shipped_fixtures()
     assert len(names) == 23
     for name in names:
-        family = load_system(fixture_path(name)).system.degeneracy.lower()
+        family = load_system(fixture_path(name)).degeneracy.lower()
         args = [a.format(tmp=tmp_path, family=family) for a in argv]
         code, _, err = run(capsys, args[0], "--config", fixture_path(name),
                            *args[1:])
@@ -273,12 +287,38 @@ def test_readme_commands_exit_zero_on_every_shipped_fixture(tmp_path, capsys,
     ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
      "--mu", "1e-3,1e-3", "--grid", "abc"),
     ("verify",),
+    # a point outside the disk |mu| < 1e-2
+    ("analyze", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "2e-2,0"),
+    # argparse's own error: there is no flag to widen the disk
+    ("analyze", "--config", fixture_path("nondegenerate_iv.json"),
+     "--mu", "1e-3,1e-3", "--epsilon-disk", "2e-2"),
 ])
 def test_bad_argument_exits_two_with_one_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(missing=tmp_path / "missing")
                                    for a in argv))
     assert code == 2, out
     assert len(err.splitlines()) == 1, err
+
+
+def test_readme_cli_block_lists_every_parser_option():
+    # each option a subcommand accepts is on that subcommand's README line
+    import argparse
+    from pathlib import Path
+
+    from lvbif.cli import build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = {line.split()[1]: line.replace("[", " ").replace("]", " ")
+             for line in block.splitlines() if line.startswith("lvbif ")}
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(lines) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            for opt in action.option_strings:
+                if opt not in ("-h", "--help"):
+                    assert opt in lines[name].split(), (name, opt)
 
 
 def test_runs_without_scipy(tmp_path):

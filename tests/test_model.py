@@ -241,19 +241,19 @@ def test_config_reduced_form():
         "gamma": {"(0,0)": 1.0},
         "delta": {"(0,0)": -1.0},
     })
-    assert loaded.system.theta0 == -2.0
-    assert loaded.system.degeneracy == NONDEGENERATE
+    assert loaded.theta0 == -2.0
+    assert loaded.degeneracy == NONDEGENERATE
 
 
 def test_config_raw_form_positive_and_negative():
     pos = system_from_dict({"form": "raw", "p11": {"(0,0)": 1.0},
                             "p12": {"(0,0)": 2.0}, "p21": {"(0,0)": 4.0},
                             "p22": {"(0,0)": 2.0}})
-    assert pos.system.theta0 == pytest.approx(0.5)
+    assert pos.theta0 == pytest.approx(0.5)
     neg = system_from_dict({"form": "raw", "p12": {"(0,0)": -2.0},
                             "p21": {"(0,0)": -1.0}, "p13": {"(0,0)": 1.0}})
-    assert neg.system.mu_negated
-    assert neg.system.M.at_zero == pytest.approx(-0.5)
+    assert neg.mu_negated
+    assert neg.M.at_zero == pytest.approx(-0.5)
     with pytest.raises(SignError):
         system_from_dict({"form": "raw", "p12": {"(0,0)": -1.0},
                           "p21": {"(0,0)": 1.0}})

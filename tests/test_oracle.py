@@ -6,7 +6,7 @@ import pytest
 
 from lvbif.cases import deltazero_case, nondegenerate_case
 from lvbif.cli import main as cli_main
-from lvbif.equilibria import TOL, find_equilibria
+from lvbif.equilibria import find_equilibria
 from lvbif.model import (ParamArray, ParamPoint, ReducedSystem, bracket1,
                          bracket2, system_from_dict)
 import lvbif.oracle as oracle
@@ -192,11 +192,11 @@ def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
     from lvbif.cases import CANONICAL_BY_FAMILY
     batched = oracle.signature_at
 
-    def per_angle(sys_, mu, tol=TOL):
+    def per_angle(sys_, mu):
         if isinstance(mu, ParamArray):
-            return [batched(sys_, ParamPoint(m1, m2), tol)
+            return [batched(sys_, ParamPoint(m1, m2))
                     for m1, m2 in zip(mu.mu1.tolist(), mu.mu2.tolist())]
-        return batched(sys_, mu, tol)
+        return batched(sys_, mu)
 
     systems = [s for cases in CANONICAL_BY_FAMILY.values() for _, s in cases]
     got = [sign_scan(s, 1e-3).blocks for s in systems]
@@ -256,7 +256,7 @@ _DUPLICATE_ROOTS_SYSTEM = {
 ])
 def test_grid_roots_are_not_duplicated(mu):
     # the window of the circle r = 4.283e-4 the roots came back twice on
-    sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM).system
+    sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM)
     assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 4.283e-4,
                                     997654866)
 

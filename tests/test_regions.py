@@ -337,7 +337,7 @@ def test_shipped_fixture_files_match_canonical_cases():
             loaded = system_from_dict(json.loads(ref.read_text()))
             for field in ("theta", "gamma", "delta",
                           "M", "N", "L", "S", "P", "R"):
-                assert getattr(loaded.system, field) == getattr(sys_, field), \
+                assert getattr(loaded, field) == getattr(sys_, field), \
                     (fam, cid, field)
 
 
@@ -432,7 +432,7 @@ def test_decompose_retries_thin_sectors_at_quarter_radii(monkeypatch):
     from lvbif.errors import SectorTooThin
     tried = []
 
-    def thin(sys_, r, tol):
+    def thin(sys_, r):
         tried.append(r)
         raise SectorTooThin("boundary angles nearly coincide")
 
@@ -453,7 +453,7 @@ def test_decompose_merges_runs_and_joins_across_the_zero_angle(monkeypatch):
     cuts = [0.5, 1.0, 2.0, 4.0, 5.0]
     monkeypatch.setattr(rg, "boundary_candidates",
                         lambda sys_, r: [(a, f"c{a}") for a in cuts])
-    monkeypatch.setattr(rg, "signature_at", lambda sys_, mu, tol:
+    monkeypatch.setattr(rg, "signature_at", lambda sys_, mu:
                         ("s",) if 0.5 < mu.angle < 2.0 else ("a",))
     sectors = decompose(nondegenerate_case(0.5, 0.5), None, 1e-3)
     assert [(s.sector_id, s.angles, s.bounding, s.signature)
@@ -461,3 +461,16 @@ def test_decompose_merges_runs_and_joins_across_the_zero_angle(monkeypatch):
                                   (1, (2.0, 0.5), ("c2.0", "c0.5"), ("a",))]
     assert [s.representative.angle for s in sectors] == pytest.approx(
         [0.75, 3.0])
+
+
+def test_boundary_candidates_drop_near_duplicate_and_wrap_around_cuts(
+        monkeypatch):
+    # a cut 1e-10 rad after another is dropped, and one 1e-10 rad below
+    # 2 pi is the wrap-around twin of the cut at 0
+    phis = {"Xplus": 0.0, "a": 1.0, "b": 1.0 + 1e-10, "c": 2.0,
+            "z": 2.0 * math.pi - 1e-10}
+    monkeypatch.setattr(rg.bif, "circle_zeros", lambda sys_, kinds, r: [
+        (ParamPoint.from_polar(r, phi), kind) for kind, phi in phis.items()])
+    got = rg.boundary_candidates(nondegenerate_case(0.5, 0.5), 1e-3)
+    assert [kind for _, kind in got] == ["Xplus", "a", "c"]
+    assert [ang for ang, _ in got] == pytest.approx([0.0, 1.0, 2.0])
