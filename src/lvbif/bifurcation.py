@@ -1,9 +1,10 @@
 """Bifurcation curves in the parameter disk and genericity verification.
 
-Curves are traced by radius sweep: on each circle |mu| = r the defining
-scalar residual (a collision coordinate of the interior equilibrium, an axis
-discriminant, or the interior half-trace) is root-solved in the angle by the
-Illinois solve model._roots.  The saddle-node and transcritical quantities
+Each curve kind is the zero set of one scalar residual on one half-line
+(the table CURVES): an axis coordinate, the E3 coordinate that vanishes,
+the fold discriminant or the half-trace.  On each circle |mu| = r of a
+radius sweep the residual is root-solved in the angle by the Illinois
+solve model._roots.  The saddle-node and transcritical quantities
 C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)] at collisions use analytic
 state derivatives and a complex step in the bifurcation parameter.
 Both degenerate classes follow one rule, FOLD_AXIS: the root pair of one
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,14 +98,37 @@ class SotomayorReport:
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# curve kinds: residuals and half-lines
 # ---------------------------------------------------------------------------
 
-# collision curves: the interior coordinate that vanishes on the curve
-_E3_COORD = {T1: 1, T2: 0, T3: 0, T3_PLUS: 0, T4: 1, T4_PLUS: 1}
+class Curve(NamedTuple):
+    """A curve kind: the zero set of a residual, taken on a half-line."""
 
-# kinds whose defining residual is another kind's, on the other half-line
-SHARED_RESIDUAL = {T3_PLUS: T3, T4_PLUS: T4, D_POS: D_NEG}
+    # mu1 or mu2 (an axis), xi1 or xi2 (the E3 coordinate that vanishes),
+    # fold (the fold discriminant) or trace (the half-trace at E3)
+    residual: str
+    halfline: str | None    # the sign condition, as the curves CSV writes it
+    holds: object           # holds(sys, mu): mu is on the half-line
+
+
+# within a family, the kinds that share a residual are the two half-lines
+# of one zero set; the D kinds take the half-lines of the pinned coordinate
+# (see halfline_constraint)
+CURVES = {
+    X_PLUS: Curve("mu2", "mu1>0", lambda s, mu: mu.mu1 > 0.0),
+    X_MINUS: Curve("mu2", "mu1<0", lambda s, mu: mu.mu1 < 0.0),
+    Y_PLUS: Curve("mu1", "mu2>0", lambda s, mu: mu.mu2 > 0.0),
+    Y_MINUS: Curve("mu1", "mu2<0", lambda s, mu: mu.mu2 < 0.0),
+    T1: Curve("xi2", "theta*mu1<0", lambda s, mu: s.theta0 * mu.mu1 < 0.0),
+    T2: Curve("xi1", "delta*mu2<0", lambda s, mu: s.delta0 * mu.mu2 < 0.0),
+    T3: Curve("xi1", "mu1<0", lambda s, mu: mu.mu1 < 0.0),
+    T3_PLUS: Curve("xi1", "mu1>0", lambda s, mu: mu.mu1 > 0.0),
+    T4: Curve("xi2", "mu2<0", lambda s, mu: mu.mu2 < 0.0),
+    T4_PLUS: Curve("xi2", "mu2>0", lambda s, mu: mu.mu2 > 0.0),
+    D_NEG: Curve("fold", None, None),
+    D_POS: Curve("fold", None, None),
+    H: Curve("trace", "", lambda s, mu: True),
+}
 
 
 def curve_residual(sys: ReducedSystem, kind: str):
@@ -114,38 +139,28 @@ def curve_residual(sys: ReducedSystem, kind: str):
     equilibrium at mu when the caller has solved for it already; residuals
     that do not need it ignore it.
     """
-    fam = sys.degeneracy
     if kind not in admissible_kinds(sys):
-        raise NotApplicable(f"{kind} is not defined for class {fam}")
+        raise NotApplicable(f"{kind} is not defined for class {sys.degeneracy}")
+    res = CURVES[kind].residual
+    if res == "trace":
+        g = sys.gamma0
+        if abs(sys.theta0 * g - 1.0) < 1e-12 or abs(g - sys.delta0) < 1e-12:
+            raise NotApplicable(
+                "the half-trace zero set is not a unique curve here "
+                "(theta*gamma = 1 or gamma = delta)")
 
-    if kind in (X_PLUS, X_MINUS):
-        return lambda mu, xi=None: mu.mu2
-    if kind in (Y_PLUS, Y_MINUS):
-        return lambda mu, xi=None: mu.mu1
-
-    if kind in _E3_COORD:
-        k = _E3_COORD[kind]
-
-        def e3_res(mu, xi=None):
-            return (refine_e3(sys, mu) if xi is None else xi)[k]
-        return e3_res
-
-    if kind in (D_NEG, D_POS):
-        return lambda mu, xi=None: fold_discriminant(sys, mu)
-
-    # the half-trace curve H
-    g = sys.gamma0
-    if abs(sys.theta0 * g - 1.0) < 1e-12 or abs(g - sys.delta0) < 1e-12:
-        raise NotApplicable(
-            "the half-trace zero set is not a unique curve here "
-            "(theta*gamma = 1 or gamma = delta)")
-
-    def h_res(mu, xi=None):
+    def residual(mu, xi=None):
+        if res in ("mu1", "mu2"):
+            return getattr(mu, res)
+        if res == "fold":
+            return fold_discriminant(sys, mu)
         if xi is None:
             xi = refine_e3(sys, mu)
-        (j11, _), (_, j22) = jacobian_at(sys.at(mu), xi)
-        return 0.5 * (j11 + j22)
-    return h_res
+        if res == "trace":
+            (j11, _), (_, j22) = jacobian_at(sys.at(mu), xi)
+            return 0.5 * (j11 + j22)
+        return xi[("xi1", "xi2").index(res)]
+    return residual
 
 
 def _fold_axis(sys: ReducedSystem) -> int:
@@ -169,25 +184,12 @@ def fold_discriminant(sys: ReducedSystem, mu) -> float:
 
 def halfline_constraint(sys: ReducedSystem, kind: str) -> tuple[str, "callable"]:
     """(description, predicate) for the sign condition attached to a kind."""
-    th, de = sys.theta0, sys.delta0
-    table = {
-        X_PLUS: ("mu1>0", lambda mu: mu.mu1 > 0.0),
-        X_MINUS: ("mu1<0", lambda mu: mu.mu1 < 0.0),
-        Y_PLUS: ("mu2>0", lambda mu: mu.mu2 > 0.0),
-        Y_MINUS: ("mu2<0", lambda mu: mu.mu2 < 0.0),
-        T1: ("theta*mu1<0", lambda mu: th * mu.mu1 < 0.0),
-        T2: ("delta*mu2<0", lambda mu: de * mu.mu2 < 0.0),
-        T3: ("mu1<0", lambda mu: mu.mu1 < 0.0),
-        T3_PLUS: ("mu1>0", lambda mu: mu.mu1 > 0.0),
-        T4: ("mu2<0", lambda mu: mu.mu2 < 0.0),
-        T4_PLUS: ("mu2>0", lambda mu: mu.mu2 > 0.0),
-        H: ("", lambda mu: True),
-    }
     if kind in (D_NEG, D_POS):
         # the half-lines of the pinned coordinate, mu1 or mu2
         pinned = 1 - _fold_axis(sys)
         kind = ((X_MINUS, X_PLUS), (Y_MINUS, Y_PLUS))[pinned][kind == D_POS]
-    return table[kind]
+    curve = CURVES[kind]
+    return curve.halfline, lambda mu: curve.holds(sys, mu)
 
 
 def predicted_leading(sys: ReducedSystem, kind: str) -> float | None:
@@ -245,24 +247,31 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
+# the angle of each semi-axis on a circle
+_AXIS_PHI = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi, X_MINUS: math.pi,
+             Y_MINUS: 1.5 * math.pi}
+
+
 def circle_zeros(sys: ReducedSystem, kinds,
                  r: float) -> list[tuple[ParamPoint, str]]:
     """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
 
-    The interior equilibrium is solved once for the whole circle, and kinds
-    that share a residual are scanned once; a zero of a shared residual is
-    labelled with the kind whose half-line holds it.  All sign changes on
-    the circle are refined by one Illinois solve.
+    The interior equilibrium is solved once for the whole circle, and each
+    residual is scanned once for the kinds that share it.  A zero is
+    labelled with the kind whose half-line holds it, or else with the first
+    of them in CURVES.  All sign changes on the circle are refined by one
+    Illinois solve.
     """
-    scans = [(kind, curve_residual(sys, kind)) for kind in kinds
-             if kind not in AXES and SHARED_RESIDUAL.get(kind) not in kinds]
+    residuals = {k: curve_residual(sys, k) for k in kinds if k not in AXES}
+    groups: dict[str, list[str]] = {}
+    for kind in CURVES:
+        if kind in residuals:
+            groups.setdefault(CURVES[kind].residual, []).append(kind)
+    scans = [(shared, residuals[shared[0]]) for shared in groups.values()]
     circle = scan_circle(r)
-    xi = None
-    if any(kind in _E3_COORD or kind == H for kind, _ in scans):
-        xi = refine_e3(sys, circle)
-    axis_phi = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi,
-                X_MINUS: math.pi, Y_MINUS: 1.5 * math.pi}
-    out = [(ParamPoint.from_polar(r, axis_phi[kind]), kind)
+    # every scanned residual but the fold discriminant reads E3
+    xi = None if set(groups) <= {"fold"} else refine_e3(sys, circle)
+    out = [(ParamPoint.from_polar(r, _AXIS_PHI[kind]), kind)
            for kind in kinds if kind in AXES]
     vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
     a, b = vals[:, :-1], vals[:, 1:]
@@ -276,21 +285,13 @@ def circle_zeros(sys: ReducedSystem, kinds,
     ftol = 4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0).min()
     phis = _roots(F, _SCAN_PHIS[j], _SCAN_PHIS[j + 1], a[rows, j], b[rows, j],
                   ftol) % (2.0 * math.pi)
-    for row, (kind, _) in enumerate(scans):
-        preds = [(k, halfline_constraint(sys, k)[1]) for k in kinds
-                 if k == kind or SHARED_RESIDUAL.get(k) == kind]
+    for row, (shared, _) in enumerate(scans):
+        preds = [(k, halfline_constraint(sys, k)[1]) for k in shared]
         for phi in sorted(phis[rows == row].tolist()):
             p = ParamPoint.from_polar(r, phi)
-            out.append((p, next((k for k, pred in preds if pred(p)), kind)))
+            out.append((p, next((k for k, pred in preds if pred(p)),
+                                shared[0])))
     return out
-
-
-def circle_intersections(sys: ReducedSystem, kind: str,
-                         r: float) -> list[ParamPoint]:
-    """Points of the curve on the circle |mu| = r, halfline filtered."""
-    zeros = circle_zeros(sys, [kind], r)
-    _, pred = halfline_constraint(sys, kind)
-    return [p for p, _ in zeros if pred(p)]
 
 
 def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
@@ -303,11 +304,11 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     if kind not in admissible_kinds(sys):
         raise NotApplicable(
             f"curve {kind} is not admissible for class {sys.degeneracy}")
-    desc, _ = halfline_constraint(sys, kind)
+    desc, pred = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
     residual = curve_residual(sys, kind)
     for r in sorted(radii, reverse=True):
-        pts = circle_intersections(sys, kind, r)
+        pts = [p for p, _ in circle_zeros(sys, [kind], r) if pred(p)]
         if not pts:
             curve.notes.append(f"NoRoot: no {kind} point on |mu| = {r:.3e}")
             continue
@@ -602,11 +603,11 @@ def collision_check(sys: ReducedSystem,
 __all__ = [
     "T1", "T2", "T3", "T3_PLUS", "T4", "T4_PLUS", "D_NEG", "D_POS", "H",
     "X_PLUS", "X_MINUS", "Y_PLUS", "Y_MINUS", "AXES", "ADMISSIBLE",
-    "CURVE_TOL", "SHARED_RESIDUAL", "N_SCAN", "admissible_kinds",
-    "BifurcationCurve", "SotomayorReport", "curve_residual",
+    "CURVE_TOL", "CURVES", "N_SCAN", "admissible_kinds",
+    "BifurcationCurve", "SotomayorReport", "Curve", "curve_residual",
     "FOLD_AXIS", "fold_discriminant",
     "halfline_constraint", "predicted_leading", "fitted_leading",
-    "scan_circle", "circle_intersections", "circle_zeros", "trace_curve",
+    "scan_circle", "circle_zeros", "trace_curve",
     "parabola_point",
     "sotomayor_quantities", "sotomayor_saddle_node", "sotomayor_transcritical",
     "transcritical_branch", "expected_collision_pair", "collision_check",

@@ -75,6 +75,7 @@ def cmd_analyze(args) -> int:
     sys_ = _load(args.config)
     mu = _parse_mu(args.mu)
     desc = select_case(sys_)
+    eqs = find_equilibria(sys_, mu)
     print(f"degeneracy class: {sys_.degeneracy}")
     if sys_.mu_negated:
         print("note: parameters relabeled nu = -mu by the mirrored reduction; "
@@ -82,7 +83,6 @@ def cmd_analyze(args) -> int:
     print("case signs: " + ", ".join(f"{k}={v:+d}" for k, v in desc.signs))
     for note in desc.notes:
         print(f"note: {note}")
-    eqs = find_equilibria(sys_, mu)
     print(f"equilibria at mu = ({fmt(mu.mu1)}, {fmt(mu.mu2)}):")
     for eq in eqs:
         lam1, lam2 = eq.eigenvalues

@@ -83,7 +83,6 @@ class Equilibrium:
     kind: str
     proper: bool
     trivial: bool = False
-    notes: tuple[str, ...] = ()
 
     def distance(self, other: "Equilibrium") -> float:
         d1, d2 = self.xi[0] - other.xi[0], self.xi[1] - other.xi[1]
@@ -373,13 +372,8 @@ def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
                       xi: tuple[float, float]) -> Equilibrium:
     cls = _classify(c, xi, TOL_EIG * mu.norm)
     band = TOL_PROPER * mu.norm
-    proper = xi[0] >= -band and xi[1] >= -band
-    notes = ()
-    # an exact 0.0 coordinate is an on-axis point, not a boundary call
-    if any(0.0 < abs(v) < band for v in xi):
-        notes = ("BoundaryCase: coordinate within the properness band",)
     return Equilibrium(label=label, xi=xi, eigenvalues=cls.eigenvalues,
-                       kind=cls.kind, proper=proper, notes=notes)
+                       kind=cls.kind, proper=xi[0] >= -band and xi[1] >= -band)
 
 
 def _axis_quadratics(c: Coeffs):
@@ -479,8 +473,6 @@ class EquilibriumArrays(NamedTuple):
     """One label's equilibrium at many parameter points."""
 
     present: np.ndarray    # bool
-    x1: np.ndarray
-    x2: np.ndarray
     letter: np.ndarray     # s/a/r/d
     proper: np.ndarray     # bool
     trivial: np.ndarray    # bool
@@ -547,7 +539,7 @@ def _find_equilibria_array(sys: ReducedSystem,
         for k in labels:
             has, x1, x2 = found[k]
             out[k] = EquilibriumArrays(
-                has, x1, x2, _letters(c, x1, x2, TOL_EIG * norm),
+                has, _letters(c, x1, x2, TOL_EIG * norm),
                 (x1 >= -band) & (x2 >= -band),
                 np.any([close[k, j] for j in labels if j != k], axis=0))
     return out

@@ -399,7 +399,8 @@ def test_circle_zeros_solves_e3_once_on_both_half_lines(monkeypatch):
     assert solves.count(True) == 1
     # the T2 line mu2 = mu1 meets the circle twice; one point is filtered
     t2 = {p for p, kind in zeros if kind == bif.T2}
-    kept = set(bif.circle_intersections(sys_, bif.T2, 1e-3))
+    _, pred = bif.halfline_constraint(sys_, bif.T2)
+    kept = {p for p, _ in bif.circle_zeros(sys_, [bif.T2], 1e-3) if pred(p)}
     assert len(t2) == 2 and len(kept) == 1 and kept < t2
 
 
@@ -409,7 +410,58 @@ def test_circle_zeros_labels_shared_residual_by_half_line():
     zeros = bif.circle_zeros(sys_, kinds, 1e-3)
     for kind in (bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS):
         got = [p for p, k in zeros if k == kind]
-        assert got == bif.circle_intersections(sys_, kind, 1e-3), kind
+        _, pred = bif.halfline_constraint(sys_, kind)
+        alone = bif.circle_zeros(sys_, [kind], 1e-3)
+        assert got == [p for p, _ in alone if pred(p)], kind
+
+
+# -- the table of curve kinds -------------------------------------------------
+
+# the pairs of kinds that are the two half-lines of one zero set, with the
+# index of the mu coordinate whose sign picks the half-line (None: the
+# pinned coordinate of the fold axis)
+SHARED_PAIRS = {(bif.X_PLUS, bif.X_MINUS): 0, (bif.Y_PLUS, bif.Y_MINUS): 1,
+                (bif.T3, bif.T3_PLUS): 0, (bif.T4, bif.T4_PLUS): 1,
+                (bif.D_NEG, bif.D_POS): None}
+
+
+def test_every_admissible_kind_has_a_curve_entry():
+    for family, kinds in bif.ADMISSIBLE.items():
+        assert set(kinds) <= set(bif.CURVES), family
+    assert set(bif.CURVES) == {k for ks in bif.ADMISSIBLE.values() for k in ks}
+
+
+def test_kinds_share_a_residual_exactly_in_the_half_line_pairs():
+    for family, kinds in bif.ADMISSIBLE.items():
+        shared = {frozenset((a, b)) for i, a in enumerate(kinds)
+                  for b in kinds[i + 1:]
+                  if bif.CURVES[a].residual == bif.CURVES[b].residual}
+        assert shared == {frozenset(p) for p in SHARED_PAIRS
+                          if set(p) <= set(kinds)}, family
+
+
+def test_shared_half_lines_are_complementary_on_the_scan_circle():
+    circle = bif.scan_circle(1e-3)
+    points = [ParamPoint(float(a), float(b))
+              for a, b in zip(circle.mu1, circle.mu2)]
+    assert len(points) == 257
+    systems = [s for cases in CANONICAL_BY_FAMILY.values() for _, s in cases]
+    assert len(systems) == 22
+    checked = 0
+    for sys_ in systems:
+        kinds = bif.admissible_kinds(sys_)
+        for pair, coord in SHARED_PAIRS.items():
+            if not set(pair) <= set(kinds):
+                continue
+            if coord is None:
+                coord = 1 - bif.FOLD_AXIS[sys_.degeneracy]
+            (_, first), (_, second) = (bif.halfline_constraint(sys_, k)
+                                       for k in pair)
+            for p in points:
+                if (p.mu1, p.mu2)[coord] != 0.0:
+                    assert first(p) != second(p), (pair, p)
+                    checked += 1
+    assert checked > 22 * 3 * 250
 
 
 # -- the fold axis against the per-family rules it replaced ---------------------
