@@ -11,7 +11,7 @@ from .poly import CoefficientPoly, as_poly, linear_poly
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
                     NONDEGENERATE, THETA_ZERO, ParamPoint, RawSystem,
                     ReducedSystem, eval_field, eval_jacobian, load_system,
-                    reduce, reduce_negative, system_from_dict)
+                    reduce, system_from_dict)
 from .equilibria import (Equilibrium, EquilibriumList, Tolerances,
                          char_poly_identities, classify, find_equilibria,
                          refine_e3, seed_e3)
@@ -35,8 +35,7 @@ __all__ = [
     "CoefficientPoly", "as_poly", "linear_poly",
     "DELTA_ZERO", "DOUBLY_DEGENERATE", "EPSILON_DISK", "NONDEGENERATE",
     "THETA_ZERO", "ParamPoint", "RawSystem", "ReducedSystem",
-    "eval_field", "eval_jacobian", "load_system", "reduce", "reduce_negative",
-    "system_from_dict",
+    "eval_field", "eval_jacobian", "load_system", "reduce", "system_from_dict",
     "Equilibrium", "EquilibriumList", "Tolerances", "char_poly_identities",
     "classify", "find_equilibria", "refine_e3", "seed_e3",
     "BifurcationCurve", "SotomayorReport", "collision_check", "parabola_point",

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equilibria import (TOL_COLLIDE, _axis_quadratics, find_equilibria,
-                         refine_e3, stable_quadratic_roots)
+from .equilibria import (_axis_quadratics, find_equilibria, refine_e3,
+                         stable_quadratic_roots)
 from .errors import (CollisionMismatch, DegenerateJacobian,
                      HypothesisViolation, NotApplicable, UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
@@ -301,12 +301,9 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     half-line constraint (the curve is absent for this sign pattern).
     Raises NotApplicable when the kind does not exist for the class.
     """
-    if kind not in admissible_kinds(sys):
-        raise NotApplicable(
-            f"curve {kind} is not admissible for class {sys.degeneracy}")
+    residual = curve_residual(sys, kind)
     desc, pred = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
-    residual = curve_residual(sys, kind)
     for r in sorted(radii, reverse=True):
         pts = [p for p, _ in circle_zeros(sys, [kind], r) if pred(p)]
         if not pts:
@@ -561,31 +558,22 @@ def collision_check(sys: ReducedSystem,
                     curve: BifurcationCurve) -> list[CollisionRecord]:
     """Verify which pair collides on each sample and which eigenvalue dies.
 
-    Raises CollisionMismatch when the closest pair is not the expected one.
+    The colliding pair is the two equilibria other than E0 that
+    find_equilibria flags trivial, within TOL_COLLIDE * |mu| of each other.
+    Raises CollisionMismatch when they are not the expected pair.
     """
     expected = expected_collision_pair(sys, curve.kind)
     companion = _PARTNER.get(expected[0])
     records = []
     for mu in curve.samples:
         eqs = find_equilibria(sys, mu)
-        named = [e for e in eqs if e.label != "E0"]
-        best = None
-        for i in range(len(named)):
-            for j in range(i + 1, len(named)):
-                d = named[i].distance(named[j])
-                if best is None or d < best[0]:
-                    best = (d, named[i], named[j])
-        if best is None:
-            raise CollisionMismatch(f"fewer than two equilibria at {mu}")
-        d, ea, eb = best
-        pair = tuple(sorted((ea.label, eb.label)))
+        flagged = [e for e in eqs if e.trivial and e.label != "E0"]
+        pair = tuple(sorted(e.label for e in flagged))
         if pair != tuple(sorted(expected)):
             raise CollisionMismatch(
                 f"expected {expected} to collide on {curve.kind}, found {pair} "
                 f"at mu = ({mu.mu1:.6e}, {mu.mu2:.6e})")
-        if d > TOL_COLLIDE * mu.norm:
-            raise CollisionMismatch(
-                f"pair {pair} distance {d:.3e} above the collision tolerance")
+        ea, eb = flagged
         axis_eq = ea if ea.label != "E3" else eb
         lam = min(axis_eq.eigenvalues, key=lambda z: abs(z.real))
         companion_kind = None
@@ -594,9 +582,9 @@ def collision_check(sys: ReducedSystem,
             if comp is not None and comp.proper and not comp.trivial:
                 companion_kind = comp.kind
         records.append(CollisionRecord(
-            mu=mu, pair=pair, distance=d, vanishing=axis_eq.label,
-            vanishing_eig=float(lam.real), companion=companion,
-            companion_kind=companion_kind))
+            mu=mu, pair=pair, distance=ea.distance(eb),
+            vanishing=axis_eq.label, vanishing_eig=float(lam.real),
+            companion=companion, companion_kind=companion_kind))
     return records
 
 

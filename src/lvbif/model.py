@@ -330,25 +330,27 @@ class ReducedSystem:
 # ---------------------------------------------------------------------------
 
 def reduce(raw: RawSystem) -> ReducedSystem:
-    """Reduce the raw system to normal form (positive sign pair).
+    """Reduce the raw system to normal form.
 
     Coefficient formulas: delta = p22/p21, theta = p11/p12, gamma = p12/p21,
     L = p15/p21^2, M = p13/(p12 p21), N = p14/p12^2, P = p25/p21^2,
     R = p24/p12^2, S = p23/(p12 p21); all as truncated series.
+
+    The negative pair p12(0) < 0, p21(0) < 0 uses xi1 = -x*p12,
+    xi2 = -y*p21, t = -2*tau: the result is expressed in the relabeled
+    parameter nu = (-mu1, -mu2), with the quadratic and cubic bracket
+    coefficients negated, and has mu_negated=True so downstream reports can
+    speak in nu.  Mixed signs raise SignError.
     """
-    if raw.p12.at_zero <= 0.0 or raw.p21.at_zero <= 0.0:
+    a, b = raw.p12.at_zero, raw.p21.at_zero
+    if not a * b > 0.0:
         raise SignError(
-            "reduce requires p12(0) > 0 and p21(0) > 0; "
-            "use reduce_negative for the (negative, negative) pair")
-    return _reduce_ratios(raw)
-
-
-def _reduce_ratios(raw: RawSystem) -> ReducedSystem:
+            f"p12(0) and p21(0) must have the same sign (got {a!r}, {b!r})")
     p12, p21 = raw.p12, raw.p21
     p12sq = p12 * p12
     p21sq = p21 * p21
     p12p21 = p12 * p21
-    return ReducedSystem(
+    ratios = dict(
         theta=raw.p11.truncated_div(p12),
         gamma=p12.truncated_div(p21),
         delta=raw.p22.truncated_div(p21),
@@ -357,35 +359,11 @@ def _reduce_ratios(raw: RawSystem) -> ReducedSystem:
         L=raw.p15.truncated_div(p21sq),
         S=raw.p23.truncated_div(p12p21),
         P=raw.p25.truncated_div(p21sq),
-        R=raw.p24.truncated_div(p12sq),
-        degree=raw.degree)
-
-
-def reduce_negative(raw: RawSystem) -> ReducedSystem:
-    """Reduce a raw system with p12(0) < 0 and p21(0) < 0.
-
-    Uses xi1 = -x*p12, xi2 = -y*p21, t = -2*tau; the result is expressed in
-    the relabeled parameter nu = (-mu1, -mu2), with the quadratic and cubic
-    bracket coefficients negated.  The returned system has mu_negated=True so
-    downstream reports can speak in nu.
-    """
-    if not (raw.p12.at_zero < 0.0 and raw.p21.at_zero < 0.0):
-        raise SignError(
-            "reduce_negative requires p12(0) < 0 and p21(0) < 0")
-    base = _reduce_ratios(raw)
-    flip = lambda p: p.negate_arguments()
-    return ReducedSystem(
-        theta=flip(base.theta),
-        gamma=flip(base.gamma),
-        delta=flip(base.delta),
-        M=-flip(base.M),
-        N=-flip(base.N),
-        L=-flip(base.L),
-        S=-flip(base.S),
-        P=-flip(base.P),
-        R=-flip(base.R),
-        degree=raw.degree,
-        mu_negated=True)
+        R=raw.p24.truncated_div(p12sq))
+    if a < 0.0:
+        ratios = {n: p.negate_arguments() if n in ("theta", "gamma", "delta")
+                  else -p.negate_arguments() for n, p in ratios.items()}
+    return ReducedSystem(degree=raw.degree, mu_negated=a < 0.0, **ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +477,15 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
 
     Two forms are accepted: {"form": "raw", "p11": {...}, ...} or
     {"form": "reduced", "theta": {...}, ...}.  Exponent keys are "(i,j)"
-    strings; missing coefficients are zero.  A raw system with the negative
-    sign pair is reduced through the mirrored change automatically.
+    strings; missing coefficients are zero.  A raw system is reduced by
+    reduce, with either sign pair.
     """
     form = cfg.get("form", "reduced")
     degree = int(cfg.get("degree", DEFAULT_DEGREE))
     if form == "raw":
         raw = RawSystem.from_coeffs(
             degree=degree, **{n: cfg[n] for n in RAW_NAMES if n in cfg})
-        if raw.p12.at_zero > 0.0 and raw.p21.at_zero > 0.0:
-            return reduce(raw)
-        if raw.p12.at_zero < 0.0 and raw.p21.at_zero < 0.0:
-            return reduce_negative(raw)
-        raise SignError(
-            "p12(0) and p21(0) must have the same sign "
-            f"(got {raw.p12.at_zero!r}, {raw.p21.at_zero!r})")
+        return reduce(raw)
     if form == "reduced":
         return ReducedSystem.from_coeffs(
             degree=degree, **{n: cfg[n] for n in REDUCED_NAMES if n in cfg})
@@ -531,7 +503,7 @@ __all__ = [
     "CLASS_TOL", "EPSILON_DISK",
     "ParamPoint", "ParamArray", "hypot", "check_disk", "Coeffs", "RawSystem",
     "ReducedSystem",
-    "classify_degeneracy", "reduce", "reduce_negative",
+    "classify_degeneracy", "reduce",
     "MIRROR_NAMES", "mirror_name", "mirror",
     "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",
     "hessian_form_at", "eval_field", "eval_jacobian",

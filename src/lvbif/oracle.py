@@ -211,10 +211,9 @@ class SignScan:
     blocks: list[SignScanBlock]
 
 
-# sign_scan stops bisecting below this angular width (radians)
-REFINE_RES = 1e-10
-
-# sign_scan drops signature blocks narrower than this (radians)
+# sign_scan drops signature blocks narrower than this (radians), and its
+# bisection stops below NARROW_FLOOR / 100, well inside the block-edge
+# tolerance of cross_check
 NARROW_FLOOR = 2e-6
 
 
@@ -227,8 +226,11 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     still resolved.  Blocks narrower than NARROW_FLOOR (radians) are the
     classification tolerance bands hugging each boundary (collision and
     properness flags have radius-independent angular width well below 1e-6)
-    and are dropped; genuine sectors are never that thin for admissible
-    radii.  Wrap-around blocks are merged.
+    and are dropped.  Genuine sectors are that thin only when two curves
+    nearly coincide, such as T1 of slope 1e-6 against an axis; there, too,
+    the collision bands can widen to blocks of their own (0.2 rad where E1
+    sits within TOL_COLLIDE * |mu| of E0), so the scan does not match the
+    decomposition.  Wrap-around blocks are merged.
     """
     if n_angles < 720:
         raise ValueError("n_angles must be at least 720")
@@ -243,7 +245,7 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
 
     def refine(a: float, sa, b: float, sb):
         # invariant: sa != sb; record every signature block inside (a, b)
-        if b - a < REFINE_RES:
+        if b - a < NARROW_FLOOR / 100.0:
             events.append((b, sb))
             return
         m = 0.5 * (a + b)

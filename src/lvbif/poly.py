@@ -119,16 +119,12 @@ class CoefficientPoly:
 
     # -- arithmetic (all truncated) -----------------------------------------
 
-    def _binary_degree(self, other: "CoefficientPoly") -> int:
-        return max(self.degree, other.degree)
-
     def __add__(self, other) -> "CoefficientPoly":
         other = CoefficientPoly.coerce(other, self.degree)
-        deg = self._binary_degree(other)
         c = dict(self._c)
         for k, v in other._c.items():
             c[k] = c.get(k, 0.0) + v
-        return CoefficientPoly(c, deg)
+        return CoefficientPoly(c, self.degree)
 
     __radd__ = __add__
 
@@ -144,14 +140,13 @@ class CoefficientPoly:
             return CoefficientPoly(
                 {k: v * other for k, v in self._c.items()}, self.degree)
         other = CoefficientPoly.coerce(other, self.degree)
-        deg = self._binary_degree(other)
         c: dict[tuple[int, int], float] = {}
         for (i1, j1), v1 in self._c.items():
             for (i2, j2), v2 in other._c.items():
                 i, j = i1 + i2, j1 + j2
-                if i + j <= deg:
+                if i + j <= self.degree:
                     c[(i, j)] = c.get((i, j), 0.0) + v1 * v2
-        return CoefficientPoly(c, deg)
+        return CoefficientPoly(c, self.degree)
 
     __rmul__ = __mul__
 
@@ -161,13 +156,12 @@ class CoefficientPoly:
         Requires |den(0)| >= DIV_FLOOR.
         """
         den = CoefficientPoly.coerce(den, self.degree)
-        deg = self._binary_degree(den)
         b0 = den.at_zero
         if abs(b0) < DIV_FLOOR:
             raise DivisionError(
                 f"denominator constant term {b0!r} below floor {DIV_FLOOR}")
         q: dict[tuple[int, int], float] = {}
-        for (i, j) in _graded_exponents(deg):
+        for (i, j) in _graded_exponents(self.degree):
             acc = self._c.get((i, j), 0.0)
             for (k, l), qv in q.items():
                 if k <= i and l <= j and (k, l) != (i, j):
@@ -175,7 +169,7 @@ class CoefficientPoly:
             val = acc / b0
             if val != 0.0:
                 q[(i, j)] = val
-        return CoefficientPoly(q, deg)
+        return CoefficientPoly(q, self.degree)
 
     def negate_arguments(self) -> "CoefficientPoly":
         """Return p(-mu1, -mu2) as a polynomial in the new arguments."""

@@ -18,10 +18,11 @@ import numpy as np
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
 from .equilibria import (LABELS_BY_FAMILY, _find_equilibria_array,
-                         find_equilibria, sar_letter)
+                         _skip_e3, find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
-from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK, NONDEGENERATE,
-                    THETA_ZERO, ParamArray, ParamPoint, ReducedSystem, mirror)
+from .model import (CLASS_TOL, DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
+                    NONDEGENERATE, THETA_ZERO, ParamArray, ParamPoint,
+                    ReducedSystem, mirror)
 from .reference import (EXPECTED_REGION_COUNT, EXPECTED_SIGNATURES,
                         ROW_DISPLAY, expected_column)
 
@@ -54,12 +55,12 @@ class RegionReport:
     radius: float                          # of the circle it was cut on
 
 
-def _sign_of(value: float, tol: float = 1e-12) -> int:
-    if value > tol:
-        return 1
-    if value < -tol:
-        return -1
-    return 0
+def _sign_of(name: str, value: float) -> tuple[str, int]:
+    """(name, sign of value); a value within CLASS_TOL of zero is a
+    vanishing case quantity."""
+    if not abs(value) > CLASS_TOL:
+        raise UnsupportedCase(f"{name} vanishes")
+    return name, 1 if value > 0.0 else -1
 
 
 # names of the DeltaZero case quantities theta, delta1, delta2, P,
@@ -75,39 +76,34 @@ _CASE_NAMES = {
 def select_case(sys: ReducedSystem) -> CaseDescriptor:
     """Sign tuple of the case cell the system falls into.
 
-    Raises UnsupportedCase for the doubly degenerate class, for a vanishing
-    case-splitting quantity, and for degenerate-class systems whose axis
-    quadratic has the sign the tables do not cover (noted, not fatal).
+    Raises UnsupportedCase for the doubly degenerate class and for a
+    vanishing case-splitting quantity.  Degenerate-class systems whose axis
+    quadratic has the sign the tables do not cover are noted, not fatal.
     """
     fam = sys.degeneracy
     if fam == DOUBLY_DEGENERATE:
         raise UnsupportedCase(
             "theta(0) = delta(0) = 0 is outside the analyzed cases")
     if fam == NONDEGENERATE:
-        th, de = sys.theta0, sys.delta0
-        hyp = th * de - 1.0
-        if _sign_of(hyp, 1e-9) == 0:
+        if _skip_e3(sys):
             raise UnsupportedCase("theta*delta - 1 vanishes")
-        signs = (("theta", _sign_of(th)), ("delta", _sign_of(de)),
-                 ("theta*delta-1", _sign_of(hyp)))
-        # consistency: theta*delta > 1 forces equal signs
-        if signs[2][1] > 0 and signs[0][1] * signs[1][1] <= 0:
-            raise UnsupportedCase("inconsistent sign tuple")
-        return CaseDescriptor(fam, signs)
+        th, de = sys.theta0, sys.delta0
+        return CaseDescriptor(fam, tuple(map(
+            _sign_of, ("theta", "delta", "theta*delta-1"),
+            (th, de, th * de - 1.0))))
     # ThetaZero is read as the DeltaZero case of its mirror; gamma > 0, so
     # gamma*delta1-P of the mirror has the sign of theta2-N*gamma
     dz = sys if fam == DELTA_ZERO else mirror(sys)
-    th, d1, d2, P0, g = dz.theta0, dz.delta1, dz.delta2, dz.P0, dz.gamma0
-    th_n, d1_n, d2_n, p_n, q1_n, q2_n = _CASE_NAMES[fam]
-    if d1 == 0.0 or d2 == 0.0 or P0 == 0.0 or th == 0.0:
-        raise UnsupportedCase(f"{fam} analysis requires {th_n}, {d1_n}, "
-                              f"{d2_n}, {p_n} nonzero")
-    q1, q2 = g * d1 - P0, g * d1 - 2.0 * P0
-    signs = ((th_n, _sign_of(th)), (d1_n, _sign_of(d1)),
-             (q1_n, _sign_of(q1)), (q2_n, _sign_of(q2)))
+    d1, P0, g = dz.delta1, dz.P0, dz.gamma0
+    names = _CASE_NAMES[fam]
+    signs = tuple(map(_sign_of, names, (dz.theta0, d1, dz.delta2, P0,
+                                        g * d1 - P0, g * d1 - 2.0 * P0)))
+    # delta2 and P only have to be nonzero; the other four signs pick the
+    # case, and P's sign decides whether the tables cover it
     supported = P0 > 0.0
-    notes = () if supported else (f"table verification limited to {p_n}>0",)
-    return CaseDescriptor(fam, signs, supported, notes)
+    notes = () if supported else (
+        f"table verification limited to {names[3]}>0",)
+    return CaseDescriptor(fam, signs[:2] + signs[4:], supported, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +154,11 @@ def decompose(sys: ReducedSystem, case: CaseDescriptor | None,
     """Cut the circle |mu| = r into sectors of constant type-signature.
 
     When two boundary angles nearly coincide at this radius the
-    decomposition is retried at r/4, r/16 and r/64, but not below 1e-4
-    (parabola/axis angular separation grows relative to the resolution as
-    r shrinks); the sector structure itself is radius-stable.
+    decomposition is retried at r/4, r/16 and r/64, but not below 1e-4;
+    the sector structure itself is radius-stable.  A retry rescues only a
+    thin sector between two straight curves (T1 or T2 and an axis, say),
+    whose angular width is fixed while the required separation SEP_TOL * r
+    shrinks; a parabola's angle to its axis shrinks with r just as fast.
     """
     if case is None:
         case = select_case(sys)

@@ -127,7 +127,7 @@ def _generic_transcritical_checks(res: SuiteResult, sys_: ReducedSystem) -> None
             continue
         mu0 = curve.samples[0]
         eqs = find_equilibria(sys_, mu0)
-        axis_label = "E1" if kind == bif.T1 else "E2"
+        axis_label = bif.expected_collision_pair(sys_, kind)[0]
         eq = eqs.get(axis_label)
         if eq is None:
             res.check(False, f"{kind}: axis point {axis_label} missing")

@@ -112,9 +112,9 @@ def test_time_reversal_duality_of_mirrored_reduction():
     # corresponding raw-space point must repel
     from scipy.integrate import solve_ivp
 
-    from lvbif.model import RawSystem, reduce_negative
+    from lvbif.model import RawSystem, reduce
     raw = RawSystem.from_coeffs(p11=2.0, p12=-1.0, p21=-1.0, p22=1.0)
-    red = reduce_negative(raw)
+    red = reduce(raw)
     assert red.theta0 == -2.0 and red.delta0 == -1.0 and red.mu_negated
     nu = (1e-3, 1e-3)
     tr = integrate(red, nu, (2.1e-3, 3.1e-3))

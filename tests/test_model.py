@@ -7,7 +7,7 @@ from lvbif.errors import DiskError, DivisionError, SignError
 from lvbif.model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
                          THETA_ZERO, ParamPoint, RawSystem, ReducedSystem,
                          check_disk, eval_field, eval_jacobian, reduce,
-                         reduce_negative, system_from_dict)
+                         system_from_dict)
 from lvbif.oracle import fd_jacobian
 from lvbif.poly import linear_poly
 
@@ -116,7 +116,7 @@ def test_reduce_truncation_error_is_cubic_at_degree_two(rng):
 
 
 def test_reduce_negative_identity_symmetry():
-    red = reduce_negative(RawSystem.from_coeffs(p12=-1.0, p21=-1.0))
+    red = reduce(RawSystem.from_coeffs(p12=-1.0, p21=-1.0))
     assert red.gamma0 == 1.0
     assert red.mu_negated
     for name in ("M", "N", "L", "S", "P", "R"):
@@ -125,7 +125,7 @@ def test_reduce_negative_identity_symmetry():
 
 def test_reduce_negative_coefficients_and_oracle(rng):
     raw = RawSystem.from_coeffs(p12=-2.0, p21=-1.0, p13=1.0)
-    red = reduce_negative(raw)
+    red = reduce(raw)
     assert red.gamma0 == pytest.approx(2.0)
     assert red.M.at_zero == pytest.approx(-0.5)
     for _ in range(10):
@@ -137,7 +137,7 @@ def test_reduce_negative_coefficients_and_oracle(rng):
 def test_reduce_negative_random_oracle(rng):
     for _ in range(5):
         raw = make_raw(rng, sign=-1.0)
-        red = reduce_negative(raw)
+        red = reduce(raw)
         for _ in range(50):
             mu = ParamPoint(*rng.uniform(-4e-3, 4e-3, 2))
             xy = rng.uniform(-2e-3, 2e-3, 2)
@@ -147,7 +147,7 @@ def test_reduce_negative_random_oracle(rng):
 def test_reduce_negative_rejects_mixed_signs():
     raw = RawSystem.from_coeffs(p12=-1.0, p21=1.0)
     with pytest.raises(SignError):
-        reduce_negative(raw)
+        reduce(raw)
 
 
 # -- field evaluation --------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
                          deltazero_case, nondegenerate_case, thetazero_case)
 import lvbif.equilibria as equilibria
 from lvbif.equilibria import find_equilibria
-from lvbif.errors import AmbiguousLabel, DiskError, OnCurve, UnsupportedCase
+from lvbif.errors import (AmbiguousLabel, DiskError, OnCurve, SectorTooThin,
+                          UnsupportedCase)
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem)
 from lvbif.oracle import cross_check
@@ -30,6 +32,18 @@ def test_select_case_nondegenerate_signs():
 def test_select_case_rejects_unit_hyperbola():
     with pytest.raises(UnsupportedCase):
         select_case(nondegenerate_case(1.0, 1.0))
+
+
+@pytest.mark.parametrize("sys_, name", [
+    (deltazero_case(1.0, 1.0), "gamma*delta1-P"),
+    (deltazero_case(1.0, 2.0), "gamma*delta1-2P"),
+    (deltazero_case(1.0, 1e-13), "delta1"),
+    (thetazero_case(1.0, 1.0), "theta2-N*gamma"),
+])
+def test_select_case_rejects_vanishing_case_quantities(sys_, name):
+    # each quantity lies within CLASS_TOL of zero: its sign splits no case
+    with pytest.raises(UnsupportedCase, match=re.escape(f"{name} vanishes")):
+        select_case(sys_)
 
 
 def test_select_case_deltazero_p_negative_note():
@@ -444,6 +458,18 @@ def test_decompose_retries_thin_sectors_at_quarter_radii(monkeypatch):
         with pytest.raises(SectorTooThin):
             rg.decompose(sys_, None, r)
         assert tuple(tried) == radii
+
+
+def test_decompose_retry_rescues_a_thin_sector_between_lines():
+    # T1 has slope 1e-6: its sector against the negative mu1 semi-axis is
+    # 1e-6 rad wide at every radius, and the required separation
+    # SEP_TOL * r only falls below half of that at r/4
+    sys_ = nondegenerate_case(1e6, 0.3)
+    with pytest.raises(SectorTooThin):
+        rg._decompose_at(sys_, 1e-3)
+    sectors = decompose(sys_, None, 1e-3)
+    assert len(sectors) == 6
+    assert {s.radius for s in sectors} == {2.5e-4}
 
 
 def test_decompose_merges_runs_and_joins_across_the_zero_angle(monkeypatch):
