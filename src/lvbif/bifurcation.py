@@ -15,6 +15,7 @@ same index is the bifurcation parameter, and the other one is pinned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -247,6 +248,22 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
+@functools.lru_cache(maxsize=2)
+def _scan_e3(sys: ReducedSystem, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """E3 at the scan points of |mu| = r, as read-only arrays.
+
+    The last two (system, radius) solves are kept: systems hash by value,
+    so decompose's circle and a kind-by-kind trace at the same radii share
+    one solve.  Two entries match the default radii 1e-3, 1e-4; a larger
+    memo would only serve repeated runs of the same analysis.  A failed
+    solve is not kept, so it raises again on the next call.
+    """
+    xi = refine_e3(sys, scan_circle(r))
+    for x in xi:
+        x.flags.writeable = False
+    return xi
+
+
 # the angle of each semi-axis on a circle
 _AXIS_PHI = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi, X_MINUS: math.pi,
              Y_MINUS: 1.5 * math.pi}
@@ -256,11 +273,14 @@ def circle_zeros(sys: ReducedSystem, kinds,
                  r: float) -> list[tuple[ParamPoint, str]]:
     """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
 
-    The interior equilibrium is solved once for the whole circle, and each
-    residual is scanned once for the kinds that share it.  A zero is
-    labelled with the kind whose half-line holds it, or else with the first
-    of them in CURVES.  All sign changes on the circle are refined by one
-    Illinois solve.
+    The interior equilibrium is solved once for the whole circle and kept
+    for the last two (system, radius) pairs (_scan_e3), so decompose and a
+    kind-by-kind trace solve it once per radius; with three or more radii
+    the memo cycles and brings neither gain nor loss.  Each residual is
+    scanned once for the kinds that share it.  A zero is labelled with the
+    kind whose half-line holds it, or else with the first of them in
+    CURVES.  All sign changes on the circle are refined by one Illinois
+    solve.
     """
     residuals = {k: curve_residual(sys, k) for k in kinds if k not in AXES}
     groups: dict[str, list[str]] = {}
@@ -270,7 +290,7 @@ def circle_zeros(sys: ReducedSystem, kinds,
     scans = [(shared, residuals[shared[0]]) for shared in groups.values()]
     circle = scan_circle(r)
     # every scanned residual but the fold discriminant reads E3
-    xi = None if set(groups) <= {"fold"} else refine_e3(sys, circle)
+    xi = None if set(groups) <= {"fold"} else _scan_e3(sys, r)
     out = [(ParamPoint.from_polar(r, _AXIS_PHI[kind]), kind)
            for kind in kinds if kind in AXES]
     vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
@@ -299,6 +319,8 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
 
     Returns an empty curve with a note when no sample satisfies the kind's
     half-line constraint (the curve is absent for this sign pattern).
+    Each circle's E3 solve is shared with the other kinds traced, and with
+    decompose, on the same system and radius (see circle_zeros).
     Raises NotApplicable when the kind does not exist for the class.
     """
     residual = curve_residual(sys, kind)

@@ -77,7 +77,8 @@ def portrait_svg(port: Portrait) -> str:
     def points(tr: Trajectory) -> str:
         px = ((tr.states[:, 0] + pad) * scale).tolist()
         py = (SIZE - (tr.states[:, 1] + pad) * scale).tolist()
-        return " ".join(f"{x:.17g},{y:.17g}" for x, y in zip(px, py))
+        # display precision: 0.01 px on the canvas
+        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')

@@ -121,9 +121,11 @@ def _generic_transcritical_checks(res: SuiteResult, sys_: ReducedSystem) -> None
     for kind in (bif.T1, bif.T2):
         try:
             curve = bif.trace_curve(sys_, kind, [1e-3])
-        except LVError:
+        except LVError as exc:
+            res.check(False, f"{kind}: trace failed ({exc})")
             continue
         if curve.empty:
+            res.check(False, f"{kind}: no curve point on |mu| = 1e-3")
             continue
         mu0 = curve.samples[0]
         eqs = find_equilibria(sys_, mu0)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lvbif import bifurcation as bif
 from lvbif.cases import CANONICAL_BY_FAMILY
 from lvbif.model import ReducedSystem
 from lvbif.poly import CoefficientPoly
@@ -98,6 +99,13 @@ def scan_systems(n_random: int = 12) -> list[ReducedSystem]:
     return ([sys_ for cases in CANONICAL_BY_FAMILY.values()
              for _, sys_ in cases]
             + [gens[k % 3](rng) for k in range(n_random)])
+
+
+@pytest.fixture(autouse=True)
+def _empty_scan_memo():
+    """Start every test with an empty scan-circle E3 memo: systems compare by
+    value, so an entry left by an earlier test would change its call counts."""
+    bif._scan_e3.cache_clear()
 
 
 @pytest.fixture

@@ -9,10 +9,13 @@ from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
                          deltazero_case, nondegenerate_case)
 from lvbif.equilibria import find_equilibria, stable_quadratic_roots
 from lvbif.errors import (CollisionMismatch, DegenerateJacobian,
-                          HypothesisViolation, LVError, NotApplicable)
-from lvbif.model import (DELTA_ZERO, THETA_ZERO, ParamArray, ParamPoint,
-                         ReducedSystem, field_at, jacobian_at, mirror)
+                          HypothesisViolation, LVError, NewtonDivergence,
+                          NotApplicable)
+from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
+                         ParamPoint, ReducedSystem, field_at, jacobian_at,
+                         mirror)
 from lvbif.poly import linear_poly
+from lvbif.regions import decompose
 from lvbif.verification import sotomayor_fixture, sotomayor_suite
 
 from conftest import rand_deltazero, rand_thetazero, scan_systems
@@ -415,6 +418,83 @@ def test_circle_zeros_labels_shared_residual_by_half_line():
         assert got == [p for p, _ in alone if pred(p)], kind
 
 
+# -- the scan-circle E3 memo --------------------------------------------------
+
+MEMO_RADII = [1e-3, 1e-4]
+
+
+def trace_every_kind(sys_):
+    """trace_curve of every admissible kind that is defined for sys_."""
+    for kind in bif.admissible_kinds(sys_):
+        try:
+            yield kind, bif.trace_curve(sys_, kind, MEMO_RADII)
+        except NotApplicable:
+            continue
+
+
+def test_trace_is_the_same_from_a_cold_or_a_warm_memo():
+    for sys_ in scan_systems(0):
+        warm = dict(trace_every_kind(sys_))
+        for kind, curve in warm.items():
+            bif._scan_e3.cache_clear()
+            cold = bif.trace_curve(sys_, kind, MEMO_RADII)
+            assert cold.samples == curve.samples, kind
+            assert cold.residuals == curve.residuals, kind
+            assert cold.leading == curve.leading, kind
+
+
+def test_decompose_and_a_kind_by_kind_trace_solve_e3_once_per_radius(
+        monkeypatch):
+    solves = []
+    real = bif.refine_e3
+
+    def counted(sys_, mu, **kw):
+        solves.append(isinstance(mu, ParamArray))
+        return real(sys_, mu, **kw)
+    monkeypatch.setattr(bif, "refine_e3", counted)
+    sys_ = deltazero_case(1.0, 1.5)
+    decompose(sys_, None, 1e-3)
+    traced = dict(trace_every_kind(sys_))
+    assert {bif.T1, bif.T3, bif.T3_PLUS} <= set(traced)
+    assert solves.count(True) == 2
+
+
+def test_scan_memo_arrays_are_read_only():
+    for x in bif._scan_e3(nondegenerate_case(2.0, 1.0), 1e-3):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+def test_a_failed_circle_solve_is_tried_again(monkeypatch):
+    calls = []
+
+    def diverging(sys_, mu, **kw):
+        calls.append(mu)
+        raise NewtonDivergence("the interior solve failed")
+    monkeypatch.setattr(bif, "refine_e3", diverging)
+    sys_ = nondegenerate_case(2.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(NewtonDivergence):
+            bif.circle_zeros(sys_, [bif.T1], 1e-3)
+    assert len(calls) == 2
+
+
+def test_scan_memo_is_reused_only_within_one_system():
+    # two sweeps over the canonical fixtures hit and miss alike: no circle
+    # solved in the first sweep serves the second
+    counts = []
+    for _ in range(2):
+        before = bif._scan_e3.cache_info()
+        for sys_ in scan_systems(0):
+            decompose(sys_, None, 1e-3)
+            dict(trace_every_kind(sys_))
+        after = bif._scan_e3.cache_info()
+        counts.append((after.hits - before.hits,
+                       after.misses - before.misses))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 2 * len(scan_systems(0))
+
+
 # -- the table of curve kinds -------------------------------------------------
 
 # the pairs of kinds that are the two half-lines of one zero set, with the
@@ -617,6 +697,21 @@ def test_sotomayor_reports_match_the_per_family_rules_on_the_suite(monkeypatch):
     assert len(visited) == 12
     for sys_, mu0 in visited:
         assert_same_reports(sys_, mu0)
+
+
+def test_nondegenerate_suite_fails_on_a_missing_collision_line(monkeypatch):
+    def diverging(sys_, kind, radii):
+        raise NewtonDivergence("the interior solve failed")
+    monkeypatch.setattr(bif, "trace_curve", diverging)
+    suite = sotomayor_suite(NONDEGENERATE)
+    assert not suite.success
+    assert "  [FAIL] T1: trace failed (the interior solve failed)" \
+        in suite.lines
+    monkeypatch.setattr(bif, "trace_curve",
+                        lambda sys_, kind, radii: bif.BifurcationCurve(kind, ""))
+    suite = sotomayor_suite(NONDEGENERATE)
+    assert not suite.success
+    assert "  [FAIL] T2: no curve point on |mu| = 1e-3" in suite.lines
 
 
 def test_sotomayor_reports_match_the_per_family_rules_on_canonical_systems():

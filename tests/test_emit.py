@@ -26,8 +26,9 @@ def test_row_formatting_equals_the_per_value_formatter():
     size, w = 480, port.window
     pad = 0.06 * w
     scale = size / (w + 2.0 * pad)
-    expected = [" ".join(f"{fmt((x + pad) * scale)},"
-                         f"{fmt(size - (y + pad) * scale)}"
+    # the polylines are written at display precision, 0.01 px
+    expected = [" ".join(f"{(x + pad) * scale:.2f},"
+                         f"{size - (y + pad) * scale:.2f}"
                          for x, y in tr.states) for tr in trs]
     assert re.findall(r'<polyline points="([^"]*)"', portrait_svg(port)) \
         == expected
