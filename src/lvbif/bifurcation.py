@@ -3,10 +3,11 @@
 Each curve kind is the zero set of one scalar residual on one half-line
 (the table CURVES): an axis coordinate, the E3 coordinate that vanishes,
 the fold discriminant or the half-trace.  On each circle |mu| = r of a
-radius sweep the residual is root-solved in the angle by the Illinois
-solve model._roots.  The saddle-node and transcritical quantities
-C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)] at collisions use analytic
-state derivatives and a complex step in the bifurcation parameter.
+radius sweep the residuals are root-solved in the angle by the Illinois
+solve model._roots, and the zeros kept per system (memo_zeros).  The
+saddle-node and transcritical quantities C1 = w.f_b, C2 = w.[Df_b v],
+C3 = w.[D^2 f (v,v)] at collisions use analytic state derivatives and a
+complex step in the bifurcation parameter.
 Both degenerate classes follow one rule, FOLD_AXIS: the root pair of one
 axis (xi2 for DeltaZero, xi1 for ThetaZero) folds on the discriminant
 parabola and meets E3 on the transcritical one, the mu coordinate of the
@@ -25,7 +26,8 @@ import numpy as np
 from .equilibria import (_axis_quadratics, find_equilibria, refine_e3,
                          stable_quadratic_roots)
 from .errors import (CollisionMismatch, DegenerateJacobian,
-                     HypothesisViolation, NotApplicable, UnsupportedCase)
+                     HypothesisViolation, NewtonDivergence, NotApplicable,
+                     UnsupportedCase)
 from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                     ParamPoint, ReducedSystem, _EPS, _roots, field_at,
                     hessian_form_at, jacobian_at, mirror, mirror_name)
@@ -142,13 +144,11 @@ def curve_residual(sys: ReducedSystem, kind: str):
     """
     if kind not in admissible_kinds(sys):
         raise NotApplicable(f"{kind} is not defined for class {sys.degeneracy}")
+    if not _defined(sys, kind):
+        raise NotApplicable(
+            "the half-trace zero set is not a unique curve here "
+            "(theta*gamma = 1 or gamma = delta)")
     res = CURVES[kind].residual
-    if res == "trace":
-        g = sys.gamma0
-        if abs(sys.theta0 * g - 1.0) < 1e-12 or abs(g - sys.delta0) < 1e-12:
-            raise NotApplicable(
-                "the half-trace zero set is not a unique curve here "
-                "(theta*gamma = 1 or gamma = delta)")
 
     def residual(mu, xi=None):
         if res in ("mu1", "mu2"):
@@ -162,6 +162,13 @@ def curve_residual(sys: ReducedSystem, kind: str):
             return 0.5 * (j11 + j22)
         return xi[("xi1", "xi2").index(res)]
     return residual
+
+
+def _defined(sys: ReducedSystem, kind: str) -> bool:
+    """False for the half-trace where theta*gamma = 1 or gamma = delta."""
+    g = sys.gamma0
+    return kind != H or min(abs(sys.theta0 * g - 1.0),
+                            abs(g - sys.delta0)) >= 1e-12
 
 
 def _fold_axis(sys: ReducedSystem) -> int:
@@ -248,22 +255,6 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
-@functools.lru_cache(maxsize=2)
-def _scan_e3(sys: ReducedSystem, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """E3 at the scan points of |mu| = r, as read-only arrays.
-
-    The last two (system, radius) solves are kept: systems hash by value,
-    so decompose's circle and a kind-by-kind trace at the same radii share
-    one solve.  Two entries match the default radii 1e-3, 1e-4; a larger
-    memo would only serve repeated runs of the same analysis.  A failed
-    solve is not kept, so it raises again on the next call.
-    """
-    xi = refine_e3(sys, scan_circle(r))
-    for x in xi:
-        x.flags.writeable = False
-    return xi
-
-
 # the angle of each semi-axis on a circle
 _AXIS_PHI = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi, X_MINUS: math.pi,
              Y_MINUS: 1.5 * math.pi}
@@ -273,14 +264,12 @@ def circle_zeros(sys: ReducedSystem, kinds,
                  r: float) -> list[tuple[ParamPoint, str]]:
     """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
 
-    The interior equilibrium is solved once for the whole circle and kept
-    for the last two (system, radius) pairs (_scan_e3), so decompose and a
-    kind-by-kind trace solve it once per radius; with three or more radii
-    the memo cycles and brings neither gain nor loss.  Each residual is
-    scanned once for the kinds that share it.  A zero is labelled with the
-    kind whose half-line holds it, or else with the first of them in
-    CURVES.  All sign changes on the circle are refined by one Illinois
-    solve.
+    The interior equilibrium is solved once for the whole circle, and each
+    residual is scanned once for the kinds that share it.  A zero is
+    labelled with the kind whose half-line holds it, or else with the first
+    of them in CURVES.  All sign changes on the circle are refined by one
+    Illinois solve, each to its own residual's rounding floor, so a kind's
+    zeros are the same whichever other kinds are asked for.
     """
     residuals = {k: curve_residual(sys, k) for k in kinds if k not in AXES}
     groups: dict[str, list[str]] = {}
@@ -290,7 +279,7 @@ def circle_zeros(sys: ReducedSystem, kinds,
     scans = [(shared, residuals[shared[0]]) for shared in groups.values()]
     circle = scan_circle(r)
     # every scanned residual but the fold discriminant reads E3
-    xi = None if set(groups) <= {"fold"} else _scan_e3(sys, r)
+    xi = None if set(groups) <= {"fold"} else refine_e3(sys, circle)
     out = [(ParamPoint.from_polar(r, _AXIS_PHI[kind]), kind)
            for kind in kinds if kind in AXES]
     vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
@@ -300,11 +289,11 @@ def circle_zeros(sys: ReducedSystem, kinds,
     def F(phis, idx):
         return np.array([scans[rows[i]][1](ParamPoint.from_polar(r, p))
                          for i, p in zip(idx.tolist(), phis.tolist())])
-    # a bracket is done at the residuals' rounding floor: 4 eps of the
-    # smallest residual's size on the circle
-    ftol = 4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0).min()
+    # a bracket is done at its residual's rounding floor: 4 eps of that
+    # residual's size on the circle
+    ftol = 4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0)
     phis = _roots(F, _SCAN_PHIS[j], _SCAN_PHIS[j + 1], a[rows, j], b[rows, j],
-                  ftol) % (2.0 * math.pi)
+                  ftol[rows]) % (2.0 * math.pi)
     for row, (shared, _) in enumerate(scans):
         preds = [(k, halfline_constraint(sys, k)[1]) for k in shared]
         for phi in sorted(phis[rows == row].tolist()):
@@ -314,20 +303,49 @@ def circle_zeros(sys: ReducedSystem, kinds,
     return out
 
 
+# the zeros memo_zeros keeps: radius -> zeros for the last system asked
+# about (systems hash by value), at most MEMO_CIRCLES radii, the oldest
+# dropped first; enough for decompose's retries and a few traced radii
+MEMO_CIRCLES = 8
+
+
+@functools.lru_cache(maxsize=1)
+def _circle_memo(sys: ReducedSystem) -> dict:
+    return {}
+
+
+def memo_zeros(sys: ReducedSystem, kinds, r: float) -> tuple:
+    """circle_zeros of every defined kind on |mu| = r, H included, kept as
+    a tuple for the last MEMO_CIRCLES radii of the last system; when E3
+    fails, nothing is kept and circle_zeros(sys, kinds, r) is returned."""
+    memo = _circle_memo(sys)
+    if r not in memo:
+        defined = [k for k in admissible_kinds(sys) if _defined(sys, k)]
+        try:
+            zeros = tuple(circle_zeros(sys, defined, r))
+        except NewtonDivergence:
+            return tuple(circle_zeros(sys, kinds, r))
+        if len(memo) >= MEMO_CIRCLES:
+            del memo[next(iter(memo))]
+        memo[r] = zeros
+    return memo[r]
+
+
 def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     """Sample a curve at the given radii and fit its leading coefficient.
 
     Returns an empty curve with a note when no sample satisfies the kind's
     half-line constraint (the curve is absent for this sign pattern).
-    Each circle's E3 solve is shared with the other kinds traced, and with
-    decompose, on the same system and radius (see circle_zeros).
+    The circles' zeros come from memo_zeros, shared with the other kinds
+    and with decompose on the same system and radius.
     Raises NotApplicable when the kind does not exist for the class.
     """
     residual = curve_residual(sys, kind)
     desc, pred = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
     for r in sorted(radii, reverse=True):
-        pts = [p for p, _ in circle_zeros(sys, [kind], r) if pred(p)]
+        pts = [p for p, k in memo_zeros(sys, [kind], r)
+               if k == kind and pred(p)]
         if not pts:
             curve.notes.append(f"NoRoot: no {kind} point on |mu| = {r:.3e}")
             continue
@@ -617,7 +635,7 @@ __all__ = [
     "BifurcationCurve", "SotomayorReport", "Curve", "curve_residual",
     "FOLD_AXIS", "fold_discriminant",
     "halfline_constraint", "predicted_leading", "fitted_leading",
-    "scan_circle", "circle_zeros", "trace_curve",
+    "scan_circle", "circle_zeros", "memo_zeros", "trace_curve",
     "parabola_point",
     "sotomayor_quantities", "sotomayor_saddle_node", "sotomayor_transcritical",
     "transcritical_branch", "expected_collision_pair", "collision_check",

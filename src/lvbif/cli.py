@@ -57,10 +57,12 @@ def _parse_radii(text: str) -> list[float]:
         radii = [float(r) for r in text.split(",")]
     except ValueError:
         raise ValueError(f"--radii expects 'r1,r2,...', got {text!r}") from None
-    for r in radii:
+    for i, r in enumerate(radii):
         if not 0.0 < r < EPSILON_DISK:
             raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
                              f"{EPSILON_DISK!r})")
+        if r in radii[:i]:
+            raise ValueError(f"radius {r!r} given twice in --radii")
     return radii
 
 

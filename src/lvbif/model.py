@@ -93,12 +93,13 @@ _EPS = np.finfo(float).eps
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _roots(F, a, b, fa, fb, ftol):
-    """Zeros of F(x, idx) on the brackets [a, b], all together, by the
-    Illinois method (Dowell & Jarratt 1971).  A bracket is done, and left
-    alone, once |F| <= ftol (the rounding floor of F) or it is below 4 eps
+    """Zeros of F(x, idx) on the brackets [a, b], together but each as if
+    alone, by the Illinois method (Dowell & Jarratt 1971).  A bracket is
+    done once |F| <= its ftol (a scalar serves all) or it is below 4 eps
     relative; one whose ends do not change sign keeps the end nearer zero."""
     out = np.where(np.abs(fa) <= np.abs(fb), a, b)
     live = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
+    ftol = np.broadcast_to(ftol, out.shape)[live]
     a, b, fa, fb = a[live], b[live], fa[live], fb[live]
     while live.size:
         x = b - fb * (b - a) / (fb - fa)
@@ -109,7 +110,8 @@ def _roots(F, a, b, fa, fb, ftol):
         tol = 4.0 * _EPS * (np.abs(b) + 1.0)
         done = (np.abs(f) <= ftol) | (np.abs(b - a) < tol)
         out[live[done]] = b[done]
-        live, a, b, fa, fb = (v[~done] for v in (live, a, b, fa, fb))
+        live, a, b, fa, fb, ftol = (v[~done]
+                                    for v in (live, a, b, fa, fb, ftol))
     return out
 
 

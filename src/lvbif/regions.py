@@ -134,10 +134,11 @@ def boundary_candidates(sys: ReducedSystem,
     Every zero of a curve's residual counts, on both of its half-lines:
     decompose merges the cuts that only move virtual equilibria, and no
     sector representative can sit on such a zero, where equilibria collide.
+    The zeros come from bif.memo_zeros, which each kind's trace reuses.
     """
     kinds = [k for k in bif.admissible_kinds(sys) if k != bif.H]
     out = sorted((p.angle, kind)
-                 for p, kind in bif.circle_zeros(sys, kinds, r))
+                 for p, kind in bif.memo_zeros(sys, kinds, r) if kind != bif.H)
     dedup: list[tuple[float, str]] = []
     for ang, kind in out:
         if dedup and abs(ang - dedup[-1][0]) < 1e-9:

@@ -103,9 +103,9 @@ def scan_systems(n_random: int = 12) -> list[ReducedSystem]:
 
 @pytest.fixture(autouse=True)
 def _empty_scan_memo():
-    """Start every test with an empty scan-circle E3 memo: systems compare by
+    """Start every test with an empty scan-circle memo: systems compare by
     value, so an entry left by an earlier test would change its call counts."""
-    bif._scan_e3.cache_clear()
+    bif._circle_memo.cache_clear()
 
 
 @pytest.fixture

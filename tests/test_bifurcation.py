@@ -418,51 +418,98 @@ def test_circle_zeros_labels_shared_residual_by_half_line():
         assert got == [p for p, _ in alone if pred(p)], kind
 
 
-# -- the scan-circle E3 memo --------------------------------------------------
+# -- the scan-circle memo -----------------------------------------------------
 
 MEMO_RADII = [1e-3, 1e-4]
 
 
-def trace_every_kind(sys_):
+def trace_every_kind(sys_, radii=MEMO_RADII):
     """trace_curve of every admissible kind that is defined for sys_."""
     for kind in bif.admissible_kinds(sys_):
         try:
-            yield kind, bif.trace_curve(sys_, kind, MEMO_RADII)
+            yield kind, bif.trace_curve(sys_, kind, radii)
         except NotApplicable:
             continue
+
+
+def counting(monkeypatch, name):
+    """Record each call of bif.<name> by the type of its second argument."""
+    calls = []
+    real = getattr(bif, name)
+
+    def counted(*args, **kw):
+        calls.append(type(args[1]))
+        return real(*args, **kw)
+    monkeypatch.setattr(bif, name, counted)
+    return calls
+
+
+def bits(points):
+    return [(p.mu1.hex(), p.mu2.hex()) for p in points]
 
 
 def test_trace_is_the_same_from_a_cold_or_a_warm_memo():
     for sys_ in scan_systems(0):
         warm = dict(trace_every_kind(sys_))
         for kind, curve in warm.items():
-            bif._scan_e3.cache_clear()
+            bif._circle_memo.cache_clear()
             cold = bif.trace_curve(sys_, kind, MEMO_RADII)
-            assert cold.samples == curve.samples, kind
+            assert bits(cold.samples) == bits(curve.samples), kind
             assert cold.residuals == curve.residuals, kind
             assert cold.leading == curve.leading, kind
 
 
 def test_decompose_and_a_kind_by_kind_trace_solve_e3_once_per_radius(
         monkeypatch):
-    solves = []
-    real = bif.refine_e3
-
-    def counted(sys_, mu, **kw):
-        solves.append(isinstance(mu, ParamArray))
-        return real(sys_, mu, **kw)
-    monkeypatch.setattr(bif, "refine_e3", counted)
+    # one batched E3 solve and one Illinois solve per circle, however many
+    # radii and kinds are traced
+    solves = counting(monkeypatch, "refine_e3")
+    illinois = counting(monkeypatch, "_roots")
     sys_ = deltazero_case(1.0, 1.5)
     decompose(sys_, None, 1e-3)
-    traced = dict(trace_every_kind(sys_))
-    assert {bif.T1, bif.T3, bif.T3_PLUS} <= set(traced)
-    assert solves.count(True) == 2
+    traced = dict(trace_every_kind(sys_, [1e-3, 5e-4, 1e-4]))
+    assert {bif.T1, bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS} <= set(traced)
+    assert solves.count(ParamArray) == 3
+    assert len(illinois) == 3
 
 
-def test_scan_memo_arrays_are_read_only():
-    for x in bif._scan_e3(nondegenerate_case(2.0, 1.0), 1e-3):
-        with pytest.raises(ValueError):
-            x[0] = 0.0
+def test_memo_zeros_equal_a_one_kind_circle_zeros():
+    for sys_ in scan_systems(0):
+        for r in (1e-3, 5e-4, 1e-4):
+            kept = bif.memo_zeros(sys_, [], r)
+            for kind, curve in bif.CURVES.items():
+                try:
+                    alone = bif.circle_zeros(sys_, [kind], r)
+                except NotApplicable:
+                    continue
+                res = curve.residual
+                got = [p for p, k in kept if bif.CURVES[k].residual == res
+                       and (kind not in bif.AXES or k == kind)]
+                assert bits(got) == bits(p for p, _ in alone), (kind, r)
+
+
+def test_axis_and_fold_traces_survive_a_failed_circle(monkeypatch):
+    real = bif.refine_e3
+
+    def no_arrays(sys_, mu, **kw):
+        if isinstance(mu, ParamArray):
+            raise NewtonDivergence("the interior solve failed")
+        return real(sys_, mu, **kw)
+    monkeypatch.setattr(bif, "refine_e3", no_arrays)
+    sys_ = deltazero_case(1.0, 1.5)
+    for kind in (bif.X_PLUS, bif.D_NEG):
+        assert len(bif.trace_curve(sys_, kind, MEMO_RADII).samples) == 2, kind
+    with pytest.raises(NewtonDivergence):
+        bif.trace_curve(sys_, bif.T1, MEMO_RADII)
+
+
+def test_scan_memo_results_are_read_only():
+    zeros = bif.memo_zeros(nondegenerate_case(2.0, 1.0), [], 1e-3)
+    assert isinstance(zeros, tuple) and zeros
+    with pytest.raises(TypeError):
+        zeros[0] = zeros[1]
+    with pytest.raises(AttributeError):
+        zeros[0][0].mu1 = 0.0
 
 
 def test_a_failed_circle_solve_is_tried_again(monkeypatch):
@@ -475,24 +522,26 @@ def test_a_failed_circle_solve_is_tried_again(monkeypatch):
     sys_ = nondegenerate_case(2.0, 1.0)
     for _ in range(2):
         with pytest.raises(NewtonDivergence):
-            bif.circle_zeros(sys_, [bif.T1], 1e-3)
-    assert len(calls) == 2
+            bif.trace_curve(sys_, bif.T1, [1e-3])
+    # each call tries the whole circle, then T1 alone
+    assert len(calls) == 4
 
 
-def test_scan_memo_is_reused_only_within_one_system():
-    # two sweeps over the canonical fixtures hit and miss alike: no circle
-    # solved in the first sweep serves the second
+def test_scan_memo_is_reused_only_within_one_system(monkeypatch):
+    # two sweeps over the canonical fixtures solve alike: no circle solved
+    # in the first sweep serves the second
+    solves = counting(monkeypatch, "refine_e3")
     counts = []
     for _ in range(2):
-        before = bif._scan_e3.cache_info()
+        before = len(solves), bif._circle_memo.cache_info()
         for sys_ in scan_systems(0):
             decompose(sys_, None, 1e-3)
             dict(trace_every_kind(sys_))
-        after = bif._scan_e3.cache_info()
-        counts.append((after.hits - before.hits,
-                       after.misses - before.misses))
-    assert counts[0] == counts[1]
-    assert counts[0][1] == 2 * len(scan_systems(0))
+        after = bif._circle_memo.cache_info()
+        counts.append((solves[before[0]:].count(ParamArray),
+                       after.misses - before[1].misses))
+    assert counts[0] == counts[1] == (2 * len(scan_systems(0)),
+                                      len(scan_systems(0)))
 
 
 # -- the table of curve kinds -------------------------------------------------

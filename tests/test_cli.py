@@ -275,6 +275,9 @@ def test_readme_commands_exit_zero_on_every_shipped_fixture(tmp_path, capsys,
     ("portrait", "--config", fixture_path("nondegenerate_iv.json"),
      "--mu", "1e-3,1e-3", "--grid", "0"),
     ("curves", "--config", fixture_path("deltazero_i.json"), "--radii", "0.5"),
+    # a repeated radius would write each of its samples twice
+    ("curves", "--config", fixture_path("nondegenerate_iv.json"),
+     "--radii", "1e-3,1e-3"),
     # output paths in a missing directory
     ("curves", "--config", fixture_path("deltazero_i.json"),
      "--out", "{missing}/c.csv"),

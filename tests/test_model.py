@@ -6,8 +6,8 @@ import pytest
 from lvbif.errors import DiskError, DivisionError, SignError
 from lvbif.model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
                          THETA_ZERO, ParamPoint, RawSystem, ReducedSystem,
-                         check_disk, eval_field, eval_jacobian, reduce,
-                         system_from_dict)
+                         _EPS, _roots, check_disk, eval_field, eval_jacobian,
+                         reduce, system_from_dict)
 from lvbif.oracle import fd_jacobian
 from lvbif.poly import linear_poly
 
@@ -270,3 +270,21 @@ def test_truncated_copy():
     t = sys_.truncated()
     assert t.theta0 == 2.0 and t.M.is_zero() and t.P.is_zero()
     assert t.degeneracy == sys_.degeneracy
+
+
+def test_brackets_solved_together_keep_the_zeros_each_gets_alone():
+    # four residuals of very different size, each done at its own floor;
+    # one floor for all (the smallest) moves the 3e-7 bracket's zero
+    scales = np.array([1.0, 1e-12, 1e6, 3e-7])
+    a, b = np.array([0.0, 0.1, 0.3, 0.2]), np.array([1.0, 1.3, 1.1, 0.9])
+
+    def F(x, idx):
+        return scales[idx] * (np.exp(x) - 2.0)
+    ends = np.arange(4)
+    fa, fb, ftol = F(a, ends), F(b, ends), 4.0 * _EPS * scales
+    together = _roots(F, a, b, fa, fb, ftol)
+    for k in range(4):
+        one = slice(k, k + 1)
+        alone = _roots(lambda x, idx: F(x, idx + k), a[one], b[one],
+                       fa[one], fb[one], ftol[k])
+        assert together[k].hex() == alone[0].hex(), k
