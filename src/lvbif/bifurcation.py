@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equilibria import (_axis_quadratics, find_equilibria, refine_e3,
-                         stable_quadratic_roots)
+from .equilibria import (_axis_quadratics, _skip_e3, find_equilibria,
+                         refine_e3, stable_quadratic_roots)
 from .errors import (CollisionMismatch, DegenerateJacobian,
                      HypothesisViolation, NewtonDivergence, NotApplicable,
                      UnsupportedCase)
@@ -145,6 +145,8 @@ def curve_residual(sys: ReducedSystem, kind: str):
     if kind not in admissible_kinds(sys):
         raise NotApplicable(f"{kind} is not defined for class {sys.degeneracy}")
     if not _defined(sys, kind):
+        if _skip_e3(sys):
+            raise UnsupportedCase("theta*delta - 1 vanishes")
         raise NotApplicable(
             "the half-trace zero set is not a unique curve here "
             "(theta*gamma = 1 or gamma = delta)")
@@ -165,7 +167,10 @@ def curve_residual(sys: ReducedSystem, kind: str):
 
 
 def _defined(sys: ReducedSystem, kind: str) -> bool:
-    """False for the half-trace where theta*gamma = 1 or gamma = delta."""
+    """False for the kinds that read E3 where find_equilibria skips it, and
+    for the half-trace where theta*gamma = 1 or gamma = delta."""
+    if CURVES[kind].residual in ("xi1", "xi2", "trace") and _skip_e3(sys):
+        return False
     g = sys.gamma0
     return kind != H or min(abs(sys.theta0 * g - 1.0),
                             abs(g - sys.delta0)) >= 1e-12
@@ -626,18 +631,3 @@ def collision_check(sys: ReducedSystem,
             vanishing=axis_eq.label, vanishing_eig=float(lam.real),
             companion=companion, companion_kind=companion_kind))
     return records
-
-
-__all__ = [
-    "T1", "T2", "T3", "T3_PLUS", "T4", "T4_PLUS", "D_NEG", "D_POS", "H",
-    "X_PLUS", "X_MINUS", "Y_PLUS", "Y_MINUS", "AXES", "ADMISSIBLE",
-    "CURVE_TOL", "CURVES", "N_SCAN", "admissible_kinds",
-    "BifurcationCurve", "SotomayorReport", "Curve", "curve_residual",
-    "FOLD_AXIS", "fold_discriminant",
-    "halfline_constraint", "predicted_leading", "fitted_leading",
-    "scan_circle", "circle_zeros", "memo_zeros", "trace_curve",
-    "parabola_point",
-    "sotomayor_quantities", "sotomayor_saddle_node", "sotomayor_transcritical",
-    "transcritical_branch", "expected_collision_pair", "collision_check",
-    "CollisionRecord",
-]

@@ -70,10 +70,3 @@ CANONICAL_BY_FAMILY = {
     DELTA_ZERO: CANONICAL_DELTAZERO,
     THETA_ZERO: CANONICAL_THETAZERO,
 }
-
-
-__all__ = [
-    "HIGHER", "nondegenerate_case", "deltazero_case", "thetazero_case",
-    "CANONICAL_NONDEGENERATE", "CANONICAL_DELTAZERO", "CANONICAL_THETAZERO",
-    "CANONICAL_BY_FAMILY",
-]

@@ -268,7 +268,3 @@ def portrait(sys: ReducedSystem, mu, grid_density: int = 10,
     n = grid_density * grid_density
     return Portrait(mu=mu, window=window, equilibria=equilibria,
                     trajectories=trs[:n], separatrices=trs[n:])
-
-
-__all__ = ["RTOL", "ATOL", "CONVERGED", "LEFT_WINDOW", "MAX_TIME",
-           "Trajectory", "Portrait", "integrate", "separatrices", "portrait"]

@@ -109,6 +109,3 @@ def portrait_svg(port: Portrait) -> str:
               f'mu=({fmt(port.mu.mu1)}, {fmt(port.mu.mu2)})</text>\n')
     out.write("</svg>\n")
     return out.getvalue()
-
-
-__all__ = ["fmt", "curves_csv", "trajectories_csv", "portrait_svg"]

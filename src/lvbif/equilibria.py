@@ -469,22 +469,14 @@ def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint) -> None:
         eqs[k] = replace(eqs[k], trivial=True)
 
 
-class EquilibriumArrays(NamedTuple):
-    """One label's equilibrium at many parameter points."""
+def _signature_columns(sys: ReducedSystem,
+                       mu: ParamArray) -> list[list[str]]:
+    """The type-signatures at many points at once, one column per label of
+    the family: find_equilibria at every point, in the default disk.
 
-    present: np.ndarray    # bool
-    letter: np.ndarray     # s/a/r/d
-    proper: np.ndarray     # bool
-    trivial: np.ndarray    # bool
-
-
-def _find_equilibria_array(sys: ReducedSystem,
-                           mu: ParamArray) -> dict[str, EquilibriumArrays]:
-    """find_equilibria at many points at once, per label of the family.
-
-    The disk is the default one.  A label is present where find_equilibria lists it, with the letter,
-    properness and collision flag find_equilibria gives it there; it raises
-    what find_equilibria raises at any of the points.
+    A column holds the s/a/r/d letter of its label where find_equilibria
+    lists it proper and not colliding, and "-" elsewhere; it raises what
+    find_equilibria raises at any of the points.
     """
     norm = mu.norm
     bad = np.flatnonzero(~(norm < EPSILON_DISK))
@@ -535,14 +527,14 @@ def _find_equilibria_array(sys: ReducedSystem,
                             f"{k} collides with both {a} and {b}, which are "
                             f"distinct (at point {int(np.argmax(amb))})")
         band = TOL_PROPER * norm
-        out = {}
+        cols = []
         for k in labels:
             has, x1, x2 = found[k]
-            out[k] = EquilibriumArrays(
-                has, _letters(c, x1, x2, TOL_EIG * norm),
-                (x1 >= -band) & (x2 >= -band),
-                np.any([close[k, j] for j in labels if j != k], axis=0))
-    return out
+            shown = (has & (x1 >= -band) & (x2 >= -band)
+                     & ~np.any([close[k, j] for j in labels if j != k], axis=0))
+            cols.append(np.where(shown, _letters(c, x1, x2, TOL_EIG * norm),
+                                 "-").tolist())
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +578,3 @@ def char_poly_identities(sys: ReducedSystem, mu, e3) -> CharPolyCheck:
     (j11, j12), (j21, j22) = jacobian_at(c, xi)
     return CharPolyCheck(p_formula, det_formula,
                          0.5 * (j11 + j22), j11 * j22 - j12 * j21)
-
-
-__all__ = [
-    "SADDLE", "ATTRACTOR_NODE", "ATTRACTOR_FOCUS", "REPELLER_NODE",
-    "REPELLER_FOCUS", "DEGENERATE", "LABELS_BY_FAMILY", "sar_letter",
-    "Tolerances", "TOL", "TOL_PROPER", "TOL_COLLIDE", "TOL_EIG", "QUAD_FLOOR",
-    "NEWTON_TOL", "MAX_ITER", "HYPERBOLA_TOL", "Equilibrium", "EquilibriumList",
-    "Classification",
-    "classify", "stable_quadratic_roots", "seed_e3", "refine_e3",
-    "find_equilibria", "CharPolyCheck", "char_poly_identities",
-]

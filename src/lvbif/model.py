@@ -498,16 +498,3 @@ def load_system(path) -> ReducedSystem:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     return system_from_dict(cfg)
-
-
-__all__ = [
-    "NONDEGENERATE", "DELTA_ZERO", "THETA_ZERO", "DOUBLY_DEGENERATE",
-    "CLASS_TOL", "EPSILON_DISK",
-    "ParamPoint", "ParamArray", "hypot", "check_disk", "Coeffs", "RawSystem",
-    "ReducedSystem",
-    "classify_degeneracy", "reduce",
-    "MIRROR_NAMES", "mirror_name", "mirror",
-    "bracket1", "bracket2", "field_at", "jacobian_at", "bracket_jacobian_at",
-    "hessian_form_at", "eval_field", "eval_jacobian",
-    "system_from_dict", "load_system",
-]

@@ -364,7 +364,3 @@ def cross_check(sys: ReducedSystem, sectors: list[RegionReport],
         edge_gap=gap,
         roots=[_grid_roots_match(sys, s.representative, r, jitter_seed)
                for s in sectors])
-
-
-__all__ = ["fd_jacobian", "grid_equilibria", "SignScan", "SignScanBlock",
-           "sign_scan", "blocks_from", "CrossCheck", "cross_check"]

@@ -210,12 +210,3 @@ def as_poly(value, degree: int = DEFAULT_DEGREE) -> CoefficientPoly:
 def linear_poly(c0: float, c1: float, c2: float) -> CoefficientPoly:
     """Convenience constructor c0 + c1*mu1 + c2*mu2."""
     return CoefficientPoly({(0, 0): c0, (1, 0): c1, (0, 1): c2})
-
-
-__all__ = [
-    "CoefficientPoly",
-    "DEFAULT_DEGREE",
-    "DIV_FLOOR",
-    "as_poly",
-    "linear_poly",
-]

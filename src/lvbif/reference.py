@@ -109,9 +109,3 @@ def expected_column(family: str, signature: tuple[str, ...]) -> int | None:
         return EXPECTED_SIGNATURES[family].index(tuple(signature)) + 1
     except ValueError:
         return None
-
-
-__all__ = [
-    "ROW_DISPLAY", "EXPECTED_SIGNATURES",
-    "EXPECTED_REGION_COUNT", "expected_column",
-]

@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
-from .equilibria import (LABELS_BY_FAMILY, _find_equilibria_array,
-                         _skip_e3, find_equilibria, sar_letter)
+from .equilibria import (LABELS_BY_FAMILY, _signature_columns, _skip_e3,
+                         find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (CLASS_TOL, DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
                     NONDEGENERATE, THETA_ZERO, ParamArray, ParamPoint,
@@ -31,10 +29,6 @@ TWO_PI = 2.0 * math.pi
 # angular separation required between a representative and its boundaries,
 # per unit radius
 SEP_TOL = 1e-3
-
-# retries of a decomposition whose boundary angles nearly coincide, each at
-# a quarter of the previous radius
-RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -117,10 +111,7 @@ def signature_at(sys: ReducedSystem, mu) -> tuple[str, ...]:
     order.
     """
     if isinstance(mu, ParamArray):
-        cols = [np.where(e.present & e.proper & ~e.trivial, e.letter,
-                         "-").tolist()
-                for e in _find_equilibria_array(sys, mu.ravel()).values()]
-        return list(zip(*cols))
+        return list(zip(*_signature_columns(sys, mu.ravel())))
     eqs = find_equilibria(sys, mu)
     return tuple("-" if eq is None or not eq.proper or eq.trivial
                  else sar_letter(eq.kind)
@@ -154,23 +145,26 @@ def decompose(sys: ReducedSystem, case: CaseDescriptor | None,
               r: float) -> list[RegionReport]:
     """Cut the circle |mu| = r into sectors of constant type-signature.
 
-    When two boundary angles nearly coincide at this radius the
-    decomposition is retried at r/4, r/16 and r/64, but not below 1e-4;
-    the sector structure itself is radius-stable.  A retry rescues only a
-    thin sector between two straight curves (T1 or T2 and an axis, say),
-    whose angular width is fixed while the required separation SEP_TOL * r
-    shrinks; a parabola's angle to its axis shrinks with r just as fast.
+    The system's case is checked by select_case, whatever case is passed:
+    it raises UnsupportedCase outside the analyzed cases.  When two
+    boundary angles nearly coincide at this radius the decomposition is
+    retried at a quarter of the radius, again and again while the radius
+    stays at or above 1e-4; the sector structure itself is radius-stable.
+    A retry rescues only a thin sector between two straight curves (T1 or
+    T2 and an axis, say), whose angular width is fixed while the required
+    separation SEP_TOL * r shrinks; a parabola's angle to its axis shrinks
+    with r just as fast.
     """
-    if case is None:
-        case = select_case(sys)
+    select_case(sys)
     if not (1e-4 <= r < EPSILON_DISK):
         raise ValueError(
             f"radius {r!r} outside [1e-4, epsilon_disk={EPSILON_DISK!r})")
-    for k in range(RETRIES + 1):
+    while True:
         try:
-            return _decompose_at(sys, r / 4.0 ** k)
+            return _decompose_at(sys, r)
         except SectorTooThin:
-            if k == RETRIES or r / 4.0 ** (k + 1) < 1e-4:
+            r /= 4.0    # exact, so r/4/4 is r/16 to the bit
+            if r < 1e-4:
                 raise
 
 
@@ -234,8 +228,8 @@ def region_membership(sys: ReducedSystem, mu) -> RegionReport:
         if off >= width:
             continue  # not in this sector's angular span
         if off <= sep or width - off <= sep:
-            raise OnCurve(
-                f"mu lies within sep_tol of the {s.bounding} boundary")
+            edge = s.bounding[0] if off <= sep else s.bounding[1]
+            raise OnCurve(f"mu lies within sep_tol of the {edge} boundary")
         return replace(s, representative=mu,
                        signature=signature_at(sys, mu))
     raise OnCurve("mu does not fall strictly inside any sector")
@@ -359,11 +353,3 @@ def verify_tables(family: str, r: float = 1e-3,
         unmatched_expected=sorted(expected.difference(distinct)),
         duplicates={s: ids for s, ids in seen.items() if len(ids) > 1})
     return report
-
-
-__all__ = [
-    "SEP_TOL", "CaseDescriptor", "RegionReport",
-    "select_case", "signature_at", "boundary_candidates", "decompose",
-    "region_membership", "DiagramReport", "FamilyVerification",
-    "verify_tables",
-]

@@ -154,6 +154,3 @@ def sotomayor_suite(family: str) -> SuiteResult:
         _saddle_node_checks(res, sys_)
         _transcritical_checks(res, sys_)
     return res
-
-
-__all__ = ["sotomayor_fixture", "SuiteResult", "sotomayor_suite"]

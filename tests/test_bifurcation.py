@@ -10,12 +10,12 @@ from lvbif.cases import (CANONICAL_BY_FAMILY, CANONICAL_NONDEGENERATE,
 from lvbif.equilibria import find_equilibria, stable_quadratic_roots
 from lvbif.errors import (CollisionMismatch, DegenerateJacobian,
                           HypothesisViolation, LVError, NewtonDivergence,
-                          NotApplicable)
+                          NotApplicable, UnsupportedCase)
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem, field_at, jacobian_at,
                          mirror)
 from lvbif.poly import linear_poly
-from lvbif.regions import decompose
+from lvbif.regions import decompose, select_case
 from lvbif.verification import sotomayor_fixture, sotomayor_suite
 
 from conftest import rand_deltazero, rand_thetazero, scan_systems
@@ -525,6 +525,23 @@ def test_a_failed_circle_solve_is_tried_again(monkeypatch):
             bif.trace_curve(sys_, bif.T1, [1e-3])
     # each call tries the whole circle, then T1 alone
     assert len(calls) == 4
+
+
+def test_interior_curves_are_undefined_where_e3_is_skipped(monkeypatch):
+    # theta*delta = 1: find_equilibria skips E3, and so does the curve scan
+    solves = counting(monkeypatch, "refine_e3")
+    sys_ = nondegenerate_case(2.0, 0.5)
+    for kind in bif.admissible_kinds(sys_):
+        if kind in bif.AXES:
+            assert len(bif.trace_curve(sys_, kind, MEMO_RADII).samples) == 2
+            continue
+        with pytest.raises(UnsupportedCase,
+                           match=r"^theta\*delta - 1 vanishes$"):
+            bif.trace_curve(sys_, kind, MEMO_RADII)
+    for case in (None, select_case(nondegenerate_case(2.0, 1.0))):
+        with pytest.raises(UnsupportedCase):
+            decompose(sys_, case, 1e-3)
+    assert solves == []
 
 
 def test_scan_memo_is_reused_only_within_one_system(monkeypatch):

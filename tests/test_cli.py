@@ -41,6 +41,9 @@ def test_analyze_at_origin_single_degenerate_point(capsys):
 @pytest.mark.parametrize("mu, line", [
     # on the positive mu1 semi-axis, a sector boundary
     ("1e-3,0", "region: on a bifurcation curve"),
+    # on the positive mu2 semi-axis: the message names that one curve
+    ("0,1e-3", "region: on a bifurcation curve (mu lies within sep_tol of "
+               "the Yplus boundary)"),
     # |mu| below the smallest radius decompose accepts
     ("5e-5,5e-5", "region: not resolved"),
 ])
@@ -248,6 +251,8 @@ def shipped_fixtures():
 
 
 @pytest.mark.parametrize("argv", [("analyze", "--mu", "1e-3,1e-3"),
+                                  # a negative mu1 after --mu is its value
+                                  ("analyze", "--mu", "-1e-3,1e-3"),
                                   ("curves", "--radii", "1e-3,1e-4"),
                                   ("portrait", "--mu", "1e-3,1e-3", "--grid",
                                    "2", "--csv", "{tmp}/p.csv"),
