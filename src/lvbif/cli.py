@@ -277,11 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
-    # bind the value after --mu to it, so argparse does not read a negative
-    # mu1 such as -1e-3,1e-3 as an option
-    while "--mu" in argv[:-1]:
-        i = argv.index("--mu")
-        argv[i:i + 2] = [f"--mu={argv[i + 1]}"]
+    # bind the value after --mu, --r or --radii to it, so argparse does not
+    # read a negative value such as -1e-3,1e-3 as an option
+    for opt in ("--mu", "--r", "--radii"):
+        while opt in argv[:-1]:
+            i = argv.index(opt)
+            argv[i:i + 2] = [f"{opt}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

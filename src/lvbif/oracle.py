@@ -122,10 +122,30 @@ def _straddles(G):
 
 def _flagged_cells(c: Coeffs, xs, ys):
     """Row-major (i, j) of the lattice cells where both brackets straddle
-    zero; g2 is evaluated only at the corners of the cells g1 straddles."""
+    zero; g2 is evaluated only at the corners of the cells g1 straddles.
+
+    g1 is summed in place from its 1-D factors, term by term in bracket1's
+    own order, so every lattice value is bitwise the one bracket1 gives.
+    The sums run in row bands of 64 that share one band-sized product
+    buffer: a single pass over the whole lattice measured slower, probably
+    from allocating a lattice-sized buffer for every lattice.
+    """
+    lin_x = c.mu1 + c.theta * xs
+    gamma_y = c.gamma * ys
+    m_x = c.M * xs
+    n_xx = c.N * xs * xs
+    l_yy = c.L * ys * ys
     G1 = np.empty((len(xs), len(ys)))
-    for a in range(0, len(xs), 32):   # row bands keep temporaries in cache
-        G1[a:a + 32] = bracket1(c, xs[a:a + 32, None], ys)
+    prod = np.empty((64, len(ys)))
+    for a in range(0, len(xs), 64):
+        rows = slice(a, a + 64)
+        band = G1[rows]
+        mxy = prod[:len(band)]
+        np.add(lin_x[rows, None], gamma_y, out=band)
+        np.multiply(m_x[rows, None], ys, out=mxy)
+        band += mxy
+        band += n_xx[rows, None]
+        band += l_yy
     i, j = np.divmod(np.flatnonzero(_straddles(G1)), len(ys) - 1)
     keep = _straddles(bracket2(c, xs[np.stack([i, i + 1])[:, None]],
                                ys[np.stack([j, j + 1])[None]]))[0, 0]
@@ -216,13 +236,16 @@ class SignScan:
 # tolerance of cross_check
 NARROW_FLOOR = 2e-6
 
+# bisection levels sign_scan classifies per array signature_at call
+LEVELS = 5
+
 
 def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     """Run-length-encoded signature structure of the circle |mu| = r.
 
     Samples n_angles directions (offset by half a step so the axes are never
-    hit exactly) and recursively bisects every pair of neighbouring samples
-    with different signatures, so blocks far narrower than the base step are
+    hit exactly) and bisects every pair of neighbouring samples with
+    different signatures, so blocks far narrower than the base step are
     still resolved.  Blocks narrower than NARROW_FLOOR (radians) are the
     classification tolerance bands hugging each boundary (collision and
     properness flags have radius-independent angular width well below 1e-6)
@@ -231,6 +254,14 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     the collision bands can widen to blocks of their own (0.2 rad where E1
     sits within TOL_COLLIDE * |mu| of E0), so the scan does not match the
     decomposition.  Wrap-around blocks are merged.
+
+    The bisection runs in rounds of LEVELS levels.  Each round classifies
+    the whole LEVELS-deep midpoint tree of every open interval in one array
+    signature_at call, then descends each tree wherever the signatures
+    differ, as a one-midpoint-at-a-time recursion would; the points and
+    the blocks are bitwise that recursion's.  The trees hold midpoints the
+    recursion never visits, so AmbiguousLabel can be raised at one of
+    them, as it is at any ambiguous base sample.
     """
     if n_angles < 720:
         raise ValueError("n_angles must be at least 720")
@@ -238,29 +269,50 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
         raise ValueError("sign_scan requires r > 0")
     step = TWO_PI / n_angles
     angles = [(k + 0.5) * step for k in range(n_angles)]
-    sig = lambda phi: signature_at(sys, ParamPoint.from_polar(r, phi))
     sigs = signature_at(sys, ParamArray.from_polar(r, angles))
+    floor = NARROW_FLOOR / 100.0
 
     events: list[tuple[float, tuple[str, ...]]] = []
+    # open intervals (a, sa, b, sb) with sa != sb
+    todo = [(angles[k], sigs[k],
+             angles[(k + 1) % n_angles] + (0.0 if k + 1 < n_angles else TWO_PI),
+             sigs[(k + 1) % n_angles])
+            for k in range(n_angles) if sigs[k] != sigs[(k + 1) % n_angles]]
+    while todo:
+        mids = []
+        for a, _, b, _ in todo:
+            spans = [(a, b)]
+            for _ in range(LEVELS):
+                below = []
+                for lo, hi in spans:
+                    if hi - lo >= floor:
+                        m = 0.5 * (lo + hi)
+                        mids.append(m)
+                        below += [(lo, m), (m, hi)]
+                spans = below
+        # the walk below recomputes each midpoint bit for bit to look it up
+        sig_of = dict(zip(mids, signature_at(sys,
+                                             ParamArray.from_polar(r, mids))))
+        still_open = []
 
-    def refine(a: float, sa, b: float, sb):
-        # invariant: sa != sb; record every signature block inside (a, b)
-        if b - a < NARROW_FLOOR / 100.0:
-            events.append((b, sb))
-            return
-        m = 0.5 * (a + b)
-        sm = sig(m)
-        if sm != sa:
-            refine(a, sa, m, sm)
-        if sm != sb:
-            refine(m, sm, b, sb)
+        def descend(a: float, sa, b: float, sb, depth: int):
+            # invariant: sa != sb; record every signature block inside (a, b)
+            if b - a < floor:
+                events.append((b, sb))
+                return
+            if depth == LEVELS:
+                still_open.append((a, sa, b, sb))
+                return
+            m = 0.5 * (a + b)
+            sm = sig_of[m]
+            if sm != sa:
+                descend(a, sa, m, sm, depth + 1)
+            if sm != sb:
+                descend(m, sm, b, sb, depth + 1)
 
-    for k in range(n_angles):
-        a, sa = angles[k], sigs[k]
-        b = angles[(k + 1) % n_angles] + (0.0 if k + 1 < n_angles else TWO_PI)
-        sb = sigs[(k + 1) % n_angles]
-        if sa != sb:
-            refine(a, sa, b, sb)
+        for interval in todo:
+            descend(*interval, 0)
+        todo = still_open
 
     if not events:
         return SignScan(r, [SignScanBlock(0.0, TWO_PI, sigs[0])])

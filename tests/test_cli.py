@@ -312,6 +312,19 @@ def test_bad_argument_exits_two_with_one_line(tmp_path, capsys, argv):
         assert out == "", out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "deltazero", "--r", "-1e-3"),
+    ("curves", "--config", fixture_path("deltazero_i.json"),
+     "--radii", "-1e-3,1e-4"),
+])
+def test_negative_radius_reports_its_range(capsys, argv):
+    # a negative value after --r or --radii is that value, not an option,
+    # so the error names the radius range and not a missing argument
+    code, out, err = run(capsys, *argv)
+    assert code == 2, out
+    assert len(err.splitlines()) == 1 and "outside" in err, err
+
+
 def test_readme_cli_block_lists_every_parser_option():
     # each option a subcommand accepts is on that subcommand's README line
     import argparse

@@ -205,6 +205,98 @@ def test_sign_scan_equals_a_per_angle_scalar_scan(monkeypatch):
     assert got == want
 
 
+def _recursive_sign_scan(sys_, r, n_angles=1440):
+    # the scan before its bisection was batched, kept as the reference: one
+    # scalar signature_at call per midpoint, depth first
+    two_pi = regions.TWO_PI
+    step = two_pi / n_angles
+    angles = [(k + 0.5) * step for k in range(n_angles)]
+    sig = lambda phi: regions.signature_at(sys_, ParamPoint.from_polar(r, phi))
+    sigs = regions.signature_at(sys_, ParamArray.from_polar(r, angles))
+    events = []
+
+    def refine(a, sa, b, sb):
+        if b - a < NARROW_FLOOR / 100.0:
+            events.append((b, sb))
+            return
+        m = 0.5 * (a + b)
+        sm = sig(m)
+        if sm != sa:
+            refine(a, sa, m, sm)
+        if sm != sb:
+            refine(m, sm, b, sb)
+
+    for k in range(n_angles):
+        a, sa = angles[k], sigs[k]
+        b = angles[(k + 1) % n_angles] + (0.0 if k + 1 < n_angles else two_pi)
+        sb = sigs[(k + 1) % n_angles]
+        if sa != sb:
+            refine(a, sa, b, sb)
+    if not events:
+        return [oracle.SignScanBlock(0.0, two_pi, sigs[0])]
+    events.sort()
+    blocks = [oracle.SignScanBlock(ang % two_pi,
+                                   events[(i + 1) % len(events)][0] % two_pi, s)
+              for i, (ang, s) in enumerate(events)]
+
+    def cyclic_merge(items):
+        out = []
+        for b in items:
+            if out and out[-1].signature == b.signature:
+                out[-1] = oracle.SignScanBlock(out[-1].start, b.end,
+                                               b.signature)
+            else:
+                out.append(b)
+        if len(out) > 1 and out[0].signature == out[-1].signature:
+            first = out.pop(0)
+            out[-1] = oracle.SignScanBlock(out[-1].start, first.end,
+                                           first.signature)
+        return out
+
+    merged = cyclic_merge(blocks)
+    wide = [b for b in merged
+            if ((b.end - b.start) % two_pi or two_pi) >= NARROW_FLOOR]
+    if wide:
+        merged = cyclic_merge(wide)
+    merged.sort(key=lambda b: b.start)
+    return merged
+
+
+def _exact(blocks):
+    # dataclass equality would let -0.0 equal 0.0; compare the floats' bits
+    return [(b.start.hex(), b.end.hex(), b.signature) for b in blocks]
+
+
+def test_batched_bisection_is_the_scalar_recursion():
+    from conftest import scan_systems
+    cases = [(s, r) for r in (1e-3, 3e-3) for s in scan_systems()]
+    # the thin-sector system decompose retries on a smaller circle
+    cases.append((nondegenerate_case(1e6, 0.3), 2.5e-4))
+    for sys_, r in cases:
+        got = sign_scan(sys_, r).blocks
+        assert _exact(got) == _exact(_recursive_sign_scan(sys_, r)), (sys_, r)
+
+
+def test_sign_scan_classifies_levels_deep_per_array_call(monkeypatch):
+    # the base samples take one array call, and each round of LEVELS
+    # bisection levels one more; the 1440-angle base step halves 18 times
+    # before it is below NARROW_FLOOR / 100
+    from lvbif.cases import CANONICAL_NONDEGENERATE
+    calls = {"array": 0, "scalar": 0}
+    real = oracle.signature_at
+
+    def counted(sys_, mu):
+        calls["array" if isinstance(mu, ParamArray) else "scalar"] += 1
+        return real(sys_, mu)
+
+    monkeypatch.setattr(oracle, "signature_at", counted)
+    sys_ = CANONICAL_NONDEGENERATE[0][1]
+    assert len(sign_scan(sys_, 1e-3, 1440).blocks) > 1
+    step = 2 * math.pi / 1440
+    assert step / 2 ** 18 < NARROW_FLOOR / 100 <= step / 2 ** 17
+    assert calls == {"array": 1 + math.ceil(18 / oracle.LEVELS), "scalar": 0}
+
+
 def test_sign_scan_points_are_the_scalar_points():
     phis = [(k + 0.5) * 2.0 * math.pi / 1440 for k in range(1440)]
     mu = ParamArray.from_polar(3e-3, phis)
