@@ -4,10 +4,11 @@ Each curve kind is the zero set of one scalar residual on one half-line
 (the table CURVES): an axis coordinate, the E3 coordinate that vanishes,
 the fold discriminant or the half-trace.  On each circle |mu| = r of a
 radius sweep the residuals are root-solved in the angle by the Illinois
-solve model._roots, and the zeros kept per system (memo_zeros).  The
-saddle-node and transcritical quantities C1 = w.f_b, C2 = w.[Df_b v],
-C3 = w.[D^2 f (v,v)] at collisions use analytic state derivatives and a
-complex step in the bifurcation parameter.
+solve model._roots; circle_zeros keeps the zeros, and any failure of
+the circle's E3 solve, per system and radius.  The saddle-node and
+transcritical quantities C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)]
+at collisions use analytic state derivatives and a complex step in the
+bifurcation parameter.
 Both degenerate classes follow one rule, FOLD_AXIS: the root pair of one
 axis (xi2 for DeltaZero, xi1 for ThetaZero) folds on the discriminant
 parabola and meets E3 on the transcritical one, the mu coordinate of the
@@ -133,6 +134,9 @@ CURVES = {
     H: Curve("trace", "", lambda s, mu: True),
 }
 
+# the residuals that read the interior equilibrium E3
+_E3_RESIDUALS = ("xi1", "xi2", "trace")
+
 
 def curve_residual(sys: ReducedSystem, kind: str):
     """The defining scalar residual of a curve kind, as a function of mu.
@@ -169,7 +173,7 @@ def curve_residual(sys: ReducedSystem, kind: str):
 def _defined(sys: ReducedSystem, kind: str) -> bool:
     """False for the kinds that read E3 where find_equilibria skips it, and
     for the half-trace where theta*gamma = 1 or gamma = delta."""
-    if CURVES[kind].residual in ("xi1", "xi2", "trace") and _skip_e3(sys):
+    if CURVES[kind].residual in _E3_RESIDUALS and _skip_e3(sys):
         return False
     g = sys.gamma0
     return kind != H or min(abs(sys.theta0 * g - 1.0),
@@ -260,33 +264,52 @@ def scan_circle(r: float) -> ParamArray:
     return ParamArray(r * _SCAN_COS, r * _SCAN_SIN)
 
 
-# the angle of each semi-axis on a circle
-_AXIS_PHI = {X_PLUS: 0.0, Y_PLUS: 0.5 * math.pi, X_MINUS: math.pi,
-             Y_MINUS: 1.5 * math.pi}
+# the circles circle_zeros keeps: radius -> (zeros, failure) for the last
+# system asked about (systems hash by value), at most MEMO_CIRCLES radii,
+# the oldest dropped first; enough for decompose's retries and a few
+# traced radii
+MEMO_CIRCLES = 8
 
 
-def circle_zeros(sys: ReducedSystem, kinds,
-                 r: float) -> list[tuple[ParamPoint, str]]:
-    """Every zero of the kinds' residuals on |mu| = r, on both half-lines.
+@functools.lru_cache(maxsize=1)
+def _circle_memo(sys: ReducedSystem) -> dict:
+    return {}
+
+
+def circle_zeros(sys: ReducedSystem, r: float) -> tuple:
+    """(zeros, failure): the (point, kind) zeros of every defined kind on
+    |mu| = r, H included, on both half-lines, kept for the last MEMO_CIRCLES
+    radii of the last system.
 
     The interior equilibrium is solved once for the whole circle, and each
     residual is scanned once for the kinds that share it.  A zero is
     labelled with the kind whose half-line holds it, or else with the first
     of them in CURVES.  All sign changes on the circle are refined by one
-    Illinois solve, each to its own residual's rounding floor, so a kind's
-    zeros are the same whichever other kinds are asked for.
+    Illinois solve, each to its own residual's rounding floor.  failure is
+    the NewtonDivergence of the E3 solve, or None; the kinds that read E3
+    are not scanned then, the axes and the fold discriminant still are.
     """
-    residuals = {k: curve_residual(sys, k) for k in kinds if k not in AXES}
+    memo = _circle_memo(sys)
+    if r in memo:
+        return memo[r]
+    defined = [k for k in admissible_kinds(sys) if _defined(sys, k)]
     groups: dict[str, list[str]] = {}
     for kind in CURVES:
-        if kind in residuals:
+        if kind in defined and kind not in AXES:
             groups.setdefault(CURVES[kind].residual, []).append(kind)
-    scans = [(shared, residuals[shared[0]]) for shared in groups.values()]
     circle = scan_circle(r)
+    xi = failure = None
     # every scanned residual but the fold discriminant reads E3
-    xi = None if set(groups) <= {"fold"} else refine_e3(sys, circle)
-    out = [(ParamPoint.from_polar(r, _AXIS_PHI[kind]), kind)
-           for kind in kinds if kind in AXES]
+    if set(groups) - {"fold"}:
+        try:
+            xi = refine_e3(sys, circle)
+        except NewtonDivergence as exc:
+            failure = exc
+    scans = [(ks, curve_residual(sys, ks[0]))
+             for res, ks in groups.items() if res == "fold" or xi is not None]
+    # the semi-axes, a quarter turn apart in the order of AXES
+    out = [(ParamPoint.from_polar(r, 0.5 * math.pi * i), kind)
+           for i, kind in enumerate(AXES)]
     vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
     a, b = vals[:, :-1], vals[:, 1:]
     rows, j = np.nonzero((a == 0.0) | (a * b < 0.0))
@@ -305,34 +328,9 @@ def circle_zeros(sys: ReducedSystem, kinds,
             p = ParamPoint.from_polar(r, phi)
             out.append((p, next((k for k, pred in preds if pred(p)),
                                 shared[0])))
-    return out
-
-
-# the zeros memo_zeros keeps: radius -> zeros for the last system asked
-# about (systems hash by value), at most MEMO_CIRCLES radii, the oldest
-# dropped first; enough for decompose's retries and a few traced radii
-MEMO_CIRCLES = 8
-
-
-@functools.lru_cache(maxsize=1)
-def _circle_memo(sys: ReducedSystem) -> dict:
-    return {}
-
-
-def memo_zeros(sys: ReducedSystem, kinds, r: float) -> tuple:
-    """circle_zeros of every defined kind on |mu| = r, H included, kept as
-    a tuple for the last MEMO_CIRCLES radii of the last system; when E3
-    fails, nothing is kept and circle_zeros(sys, kinds, r) is returned."""
-    memo = _circle_memo(sys)
-    if r not in memo:
-        defined = [k for k in admissible_kinds(sys) if _defined(sys, k)]
-        try:
-            zeros = tuple(circle_zeros(sys, defined, r))
-        except NewtonDivergence:
-            return tuple(circle_zeros(sys, kinds, r))
-        if len(memo) >= MEMO_CIRCLES:
-            del memo[next(iter(memo))]
-        memo[r] = zeros
+    if len(memo) >= MEMO_CIRCLES:
+        del memo[next(iter(memo))]
+    memo[r] = tuple(out), failure
     return memo[r]
 
 
@@ -341,16 +339,18 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
 
     Returns an empty curve with a note when no sample satisfies the kind's
     half-line constraint (the curve is absent for this sign pattern).
-    The circles' zeros come from memo_zeros, shared with the other kinds
-    and with decompose on the same system and radius.
+    The circles' zeros come from circle_zeros, shared with decompose and
+    the other kinds; a kind that reads E3 re-raises a circle's failure.
     Raises NotApplicable when the kind does not exist for the class.
     """
     residual = curve_residual(sys, kind)
     desc, pred = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
     for r in sorted(radii, reverse=True):
-        pts = [p for p, k in memo_zeros(sys, [kind], r)
-               if k == kind and pred(p)]
+        zeros, failure = circle_zeros(sys, r)
+        if failure is not None and CURVES[kind].residual in _E3_RESIDUALS:
+            raise failure.with_traceback(None)
+        pts = [p for p, k in zeros if k == kind and pred(p)]
         if not pts:
             curve.notes.append(f"NoRoot: no {kind} point on |mu| = {r:.3e}")
             continue

@@ -33,11 +33,8 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 
-FAMILY_ALIASES = {
-    "nondegenerate": NONDEGENERATE,
-    "deltazero": DELTA_ZERO,
-    "thetazero": THETA_ZERO,
-}
+FAMILY_ALIASES = {f.lower(): f for f in (NONDEGENERATE, DELTA_ZERO,
+                                         THETA_ZERO)}
 
 
 class ConfigError(Exception):
@@ -69,7 +66,7 @@ def _parse_radii(text: str) -> list[float]:
 def _load(path: str):
     try:
         return load_system(path)
-    except (LVError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LVError, ValueError, TypeError, KeyError, OSError) as exc:
         raise ConfigError(exc) from exc
 
 

@@ -236,17 +236,17 @@ class ReducedSystem:
     P: CoefficientPoly
     R: CoefficientPoly
     degree: int = DEFAULT_DEGREE
-    degeneracy: str = field(default="")
+    # the class of theta(0) and delta(0), set by __post_init__
+    degeneracy: str = field(init=False)
     mu_negated: bool = False
 
     def __post_init__(self):
         if self.gamma.at_zero <= 0.0:
             raise SignError(
                 f"gamma(0) must be positive (got {self.gamma.at_zero!r})")
-        if not self.degeneracy:
-            object.__setattr__(
-                self, "degeneracy",
-                classify_degeneracy(self.theta.at_zero, self.delta.at_zero))
+        object.__setattr__(
+            self, "degeneracy",
+            classify_degeneracy(self.theta.at_zero, self.delta.at_zero))
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
@@ -315,8 +315,7 @@ class ReducedSystem:
     def truncated(self) -> "ReducedSystem":
         """Copy with the quadratic/cubic bracket coefficients forced to zero."""
         zero = CoefficientPoly({}, self.degree)
-        return replace(self, M=zero, N=zero, L=zero, S=zero, P=zero, R=zero,
-                       degeneracy=self.degeneracy)
+        return replace(self, M=zero, N=zero, L=zero, S=zero, P=zero, R=zero)
 
     def to_json_dict(self) -> dict:
         d = {"form": "reduced", "degree": self.degree}
@@ -482,6 +481,8 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     strings; missing coefficients are zero.  A raw system is reduced by
     reduce, with either sign pair.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError("a system config must be a JSON object")
     form = cfg.get("form", "reduced")
     degree = int(cfg.get("degree", DEFAULT_DEGREE))
     if form == "raw":

@@ -96,12 +96,6 @@ EXPECTED_SIGNATURES[THETA_ZERO] = tuple(
     _mirror_rows(EXPECTED_SIGNATURES[DELTA_ZERO][j - 1])
     for j in _MIRROR_COLUMNS)
 
-EXPECTED_REGION_COUNT = {
-    NONDEGENERATE: 30,
-    DELTA_ZERO: 20,
-    THETA_ZERO: 20,
-}
-
 
 def expected_column(family: str, signature: tuple[str, ...]) -> int | None:
     """1-based column number of a signature in the family table, if present."""

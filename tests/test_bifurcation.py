@@ -367,6 +367,16 @@ AXIS_ZERO_SET = {bif.X_PLUS: [bif.X_PLUS, bif.X_MINUS],
                  bif.Y_MINUS: [bif.Y_PLUS, bif.Y_MINUS]}
 
 
+def zero_set_on_circle(sys_, kind, r):
+    """circle_zeros' points of the kind's whole zero set, both half-lines."""
+    zeros, failure = bif.circle_zeros(sys_, r)
+    assert failure is None
+    res = bif.CURVES[kind].residual
+    same = AXIS_ZERO_SET.get(kind) or [
+        k for k, curve in bif.CURVES.items() if curve.residual == res]
+    return [p for p, k in zeros if k in same]
+
+
 def test_batched_scan_matches_scalar_scan():
     r = 1e-3
     for sys_ in scan_systems(n_random=6):
@@ -380,8 +390,7 @@ def test_batched_scan_matches_scalar_scan():
             assert np.array_equal(np.sign(batched), np.sign(vals)), kind
             assert np.allclose(batched, vals, rtol=1e-12, atol=1e-18), kind
             # brentq and the Illinois solve stop at different last bits
-            got = [p.angle for p, _ in
-                   bif.circle_zeros(sys_, AXIS_ZERO_SET.get(kind, [kind]), r)]
+            got = [p.angle for p in zero_set_on_circle(sys_, kind, r)]
             assert len(got) == len(roots), kind
             for g, want in zip(got, roots):
                 gap = abs((g - want + math.pi) % (2.0 * math.pi) - math.pi)
@@ -397,25 +406,26 @@ def test_circle_zeros_solves_e3_once_on_both_half_lines(monkeypatch):
         return real(sys_, mu, **kw)
     monkeypatch.setattr(bif, "refine_e3", counted)
     sys_ = nondegenerate_case(2.0, 1.0)
-    kinds = [k for k in bif.admissible_kinds(sys_) if k != bif.H]
-    zeros = bif.circle_zeros(sys_, kinds, 1e-3)
-    assert solves.count(True) == 1
-    # the T2 line mu2 = mu1 meets the circle twice; one point is filtered
+    zeros, _ = bif.circle_zeros(sys_, 1e-3)
+    # the T2 line mu2 = mu1 meets the circle twice; the trace filters one
     t2 = {p for p, kind in zeros if kind == bif.T2}
     _, pred = bif.halfline_constraint(sys_, bif.T2)
-    kept = {p for p, _ in bif.circle_zeros(sys_, [bif.T2], 1e-3) if pred(p)}
-    assert len(t2) == 2 and len(kept) == 1 and kept < t2
+    kept = bif.trace_curve(sys_, bif.T2, [1e-3]).samples
+    assert len(t2) == 2 and len(kept) == 1 and set(kept) < t2
+    assert pred(kept[0])
+    assert solves.count(True) == 1
 
 
 def test_circle_zeros_labels_shared_residual_by_half_line():
     sys_ = deltazero_case(1.0, 1.5)
-    kinds = bif.admissible_kinds(sys_)
-    zeros = bif.circle_zeros(sys_, kinds, 1e-3)
-    for kind in (bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS):
-        got = [p for p, k in zeros if k == kind]
-        _, pred = bif.halfline_constraint(sys_, kind)
-        alone = bif.circle_zeros(sys_, [kind], 1e-3)
-        assert got == [p for p, _ in alone if pred(p)], kind
+    zeros, _ = bif.circle_zeros(sys_, 1e-3)
+    for pair in ((bif.T3, bif.T3_PLUS), (bif.D_NEG, bif.D_POS)):
+        preds = [bif.halfline_constraint(sys_, k)[1] for k in pair]
+        got = [(p, k) for p, k in zeros if k in pair]
+        assert {k for _, k in got} == set(pair)
+        # exactly one half-line holds each zero, and it names the zero
+        for p, k in got:
+            assert [pred(p) for pred in preds] == [k == kind for kind in pair]
 
 
 # -- the scan-circle memo -----------------------------------------------------
@@ -473,21 +483,6 @@ def test_decompose_and_a_kind_by_kind_trace_solve_e3_once_per_radius(
     assert len(illinois) == 3
 
 
-def test_memo_zeros_equal_a_one_kind_circle_zeros():
-    for sys_ in scan_systems(0):
-        for r in (1e-3, 5e-4, 1e-4):
-            kept = bif.memo_zeros(sys_, [], r)
-            for kind, curve in bif.CURVES.items():
-                try:
-                    alone = bif.circle_zeros(sys_, [kind], r)
-                except NotApplicable:
-                    continue
-                res = curve.residual
-                got = [p for p, k in kept if bif.CURVES[k].residual == res
-                       and (kind not in bif.AXES or k == kind)]
-                assert bits(got) == bits(p for p, _ in alone), (kind, r)
-
-
 def test_axis_and_fold_traces_survive_a_failed_circle(monkeypatch):
     real = bif.refine_e3
 
@@ -504,15 +499,15 @@ def test_axis_and_fold_traces_survive_a_failed_circle(monkeypatch):
 
 
 def test_scan_memo_results_are_read_only():
-    zeros = bif.memo_zeros(nondegenerate_case(2.0, 1.0), [], 1e-3)
-    assert isinstance(zeros, tuple) and zeros
+    zeros, failure = bif.circle_zeros(nondegenerate_case(2.0, 1.0), 1e-3)
+    assert isinstance(zeros, tuple) and zeros and failure is None
     with pytest.raises(TypeError):
         zeros[0] = zeros[1]
     with pytest.raises(AttributeError):
         zeros[0][0].mu1 = 0.0
 
 
-def test_a_failed_circle_solve_is_tried_again(monkeypatch):
+def test_a_failed_circle_solve_is_kept(monkeypatch):
     calls = []
 
     def diverging(sys_, mu, **kw):
@@ -523,8 +518,34 @@ def test_a_failed_circle_solve_is_tried_again(monkeypatch):
     for _ in range(2):
         with pytest.raises(NewtonDivergence):
             bif.trace_curve(sys_, bif.T1, [1e-3])
-    # each call tries the whole circle, then T1 alone
-    assert len(calls) == 4
+    # the first trace solves the circle once, the second reads the failure
+    assert len(calls) == 1
+
+
+# a NonDegenerate system with constant coefficients whose interior
+# equilibrium does not exist at 29 of the 257 scan points of |mu| = 1e-3
+E3_LESS = dict(theta=1.1068905932717232, gamma=0.795828152517494,
+               delta=0.9992850316337755, M=0.8636908465283903,
+               N=-0.5122070133539303, L=-0.7058713851335308,
+               S=-0.4402116913635734, P=-0.3205512453029373,
+               R=-0.5497680146812769)
+
+
+def test_a_circle_without_e3_is_solved_once_for_every_kind(monkeypatch):
+    solves = counting(monkeypatch, "refine_e3")
+    sys_ = ReducedSystem.from_coeffs(**E3_LESS)
+    for kind in bif.admissible_kinds(sys_):
+        if kind in bif.AXES:
+            assert len(bif.trace_curve(sys_, kind, MEMO_RADII).samples) == 2
+            continue
+        with pytest.raises(NewtonDivergence, match=(
+                r"^the interior solve failed at 29 of 257 points$")):
+            bif.trace_curve(sys_, kind, MEMO_RADII)
+    # decompose re-raises the kept failure without solving again
+    with pytest.raises(NewtonDivergence, match="at 29 of 257 points"):
+        decompose(sys_, None, 1e-3)
+    # one solve per radius: 1e-4 is reached by the axis traces only
+    assert solves.count(ParamArray) == 2
 
 
 def test_interior_curves_are_undefined_where_e3_is_skipped(monkeypatch):

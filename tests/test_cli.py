@@ -71,6 +71,16 @@ def test_config_error_exit_code(tmp_path, capsys):
                        "--mu", "1e-3,0")
     assert code == 2
     assert "p12(0) must be nonzero" in err
+    # a malformed value or a config that is not an object: one line, no
+    # traceback
+    good = load_system(fixture_path("nondegenerate_i.json")).to_json_dict()
+    for cfg in ({**good, "theta": {"(0,0)": None}}, {**good, "theta": "abc"},
+                {**good, "degree": None}, [1, 2]):
+        bad.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "analyze", "--config", str(bad),
+                           "--mu", "1e-3,1e-3")
+        assert code == 2, cfg
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_missing_file_exit_code(capsys):

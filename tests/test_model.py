@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lvbif.errors import DiskError, DivisionError, SignError
 from lvbif.model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
-                         THETA_ZERO, ParamPoint, RawSystem, ReducedSystem,
-                         _EPS, _roots, check_disk, eval_field, eval_jacobian,
-                         reduce, system_from_dict)
+                         REDUCED_NAMES, THETA_ZERO, ParamPoint, RawSystem,
+                         ReducedSystem, _EPS, _roots, check_disk, eval_field,
+                         eval_jacobian, mirror, reduce, system_from_dict)
 from lvbif.oracle import fd_jacobian
 from lvbif.poly import linear_poly
 
@@ -232,6 +233,23 @@ def test_degeneracy_classification():
     assert canonical(1.0, 0.0).degeneracy == DELTA_ZERO
     assert canonical(0.0, 1.0).degeneracy == THETA_ZERO
     assert canonical(1e-13, 1e-13).degeneracy == DOUBLY_DEGENERATE
+
+
+def test_degeneracy_is_derived_never_passed():
+    sys_ = canonical(1.0, 1.0)
+    coeffs = {n: getattr(sys_, n) for n in REDUCED_NAMES}
+    with pytest.raises(TypeError):
+        ReducedSystem(degeneracy=THETA_ZERO, **coeffs)
+    for theta, delta, family, image in (
+            (1.0, 1.0, NONDEGENERATE, NONDEGENERATE),
+            (1.0, 0.0, DELTA_ZERO, THETA_ZERO),
+            (0.0, 1.0, THETA_ZERO, DELTA_ZERO)):
+        sys_ = canonical(theta, delta, M=0.1, P=0.2)
+        assert sys_.truncated().degeneracy == family
+        assert mirror(sys_).degeneracy == image
+        # replace re-derives the class from the new theta(0) and delta(0)
+        assert replace(sys_, theta=sys_.delta,
+                       delta=sys_.theta).degeneracy == image
 
 
 def test_config_reduced_form():

@@ -14,7 +14,7 @@ from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem)
 from lvbif.oracle import cross_check
 from lvbif.poly import linear_poly
-from lvbif.reference import EXPECTED_REGION_COUNT, expected_column
+from lvbif.reference import EXPECTED_SIGNATURES, expected_column
 import lvbif.regions as rg
 from lvbif.regions import (decompose, region_membership, select_case,
                            signature_at, verify_tables)
@@ -157,12 +157,24 @@ def test_region_membership_on_curve_raises():
 
 # -- table verification ---------------------------------------------------------
 
+# the paper's region counts per family
+PAPER_REGIONS = {NONDEGENERATE: 30, DELTA_ZERO: 20, THETA_ZERO: 20}
+
+
+def test_reference_tables_hold_the_papers_counts_without_repeats():
+    # success reads the count off the tables: no repeat may shorten one
+    for fam, count in PAPER_REGIONS.items():
+        sigs = EXPECTED_SIGNATURES[fam]
+        assert len(sigs) == len(set(sigs)) == count, fam
+    assert len(EXPECTED_SIGNATURES) == len(PAPER_REGIONS)
+
+
 def test_verify_tables_all_families():
     for fam in (NONDEGENERATE, DELTA_ZERO, THETA_ZERO):
         report = verify_tables(fam, r=1e-3)
         assert report.success, (fam, report.unmatched_computed,
                                 report.unmatched_expected)
-        assert report.total_regions == EXPECTED_REGION_COUNT[fam]
+        assert report.total_regions == PAPER_REGIONS[fam]
         assert not report.unmatched_computed
         assert not report.unmatched_expected
 
@@ -495,8 +507,9 @@ def test_boundary_candidates_drop_near_duplicate_and_wrap_around_cuts(
     # 2 pi is the wrap-around twin of the cut at 0
     phis = {"Xplus": 0.0, "a": 1.0, "b": 1.0 + 1e-10, "c": 2.0,
             "z": 2.0 * math.pi - 1e-10}
-    monkeypatch.setattr(rg.bif, "circle_zeros", lambda sys_, kinds, r: [
-        (ParamPoint.from_polar(r, phi), kind) for kind, phi in phis.items()])
+    monkeypatch.setattr(rg.bif, "circle_zeros", lambda sys_, r: ([
+        (ParamPoint.from_polar(r, phi), kind) for kind, phi in phis.items()],
+        None))
     got = rg.boundary_candidates(nondegenerate_case(0.5, 0.5), 1e-3)
     assert [kind for _, kind in got] == ["Xplus", "a", "c"]
     assert [ang for ang, _ in got] == pytest.approx([0.0, 1.0, 2.0])
