@@ -162,10 +162,10 @@ def cmd_portrait(args) -> int:
     return EXIT_OK
 
 
-def _oracle_pass(report, seed: int) -> tuple[bool, list[str]]:
+def _oracle_pass(report) -> tuple[bool, list[str]]:
     """oracle.cross_check of every diagram, one line each."""
-    lines = [f"oracle cross-checks (seed {seed}):"]
-    checks = [cross_check(d.system, d.sectors, seed) for d in report.diagrams]
+    lines = ["oracle cross-checks:"]
+    checks = [cross_check(d.system, d.sectors) for d in report.diagrams]
     for d, check in zip(report.diagrams, checks):
         edges = "" if check.edges else (
             f", block edges up to {check.edge_gap:.1e} rad off")
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     soto = sotomayor_suite(family)
     for line in soto.lines:
         print(line)
-    oracle_ok, oracle_lines = (_oracle_pass(report, args.seed) if args.oracle
+    oracle_ok, oracle_lines = (_oracle_pass(report) if args.oracle
                                else (True, []))
     for line in oracle_lines:
         print(line)
@@ -265,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional extra system to include in the family run")
     v.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle cross-checks")
-    v.add_argument("--seed", type=int, default=0,
-                   help="jitter seed for the oracle grid passes")
     v.add_argument("--json-out", dest="json_out", default="")
     v.set_defaults(func=cmd_verify)
     return p

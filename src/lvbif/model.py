@@ -479,20 +479,30 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     Two forms are accepted: {"form": "raw", "p11": {...}, ...} or
     {"form": "reduced", "theta": {...}, ...}.  Exponent keys are "(i,j)"
     strings; missing coefficients are zero.  A raw system is reduced by
-    reduce, with either sign pair.
+    reduce, with either sign pair.  An unknown key, a non-finite
+    coefficient and a degree that is not an integer are errors.
     """
     if not isinstance(cfg, dict):
         raise ValueError("a system config must be a JSON object")
     form = cfg.get("form", "reduced")
-    degree = int(cfg.get("degree", DEFAULT_DEGREE))
+    names = {"raw": RAW_NAMES, "reduced": REDUCED_NAMES}.get(form)
+    if names is None:
+        raise ValueError(f"unknown system form {form!r}")
+    unknown = sorted(set(cfg) - {"form", "degree", *names})
+    if unknown:
+        raise ValueError(f"unknown {form} config keys: {unknown}")
+    degree = cfg.get("degree", DEFAULT_DEGREE)
+    if isinstance(degree, float) and degree.is_integer():
+        degree = int(degree)
+    if type(degree) is not int:   # a JSON true is a bool
+        raise ValueError(f"degree must be an integer, got {degree!r}")
+    polys = {n: as_poly(cfg[n], degree) for n in names if n in cfg}
+    for n, p in polys.items():
+        if not all(map(math.isfinite, p.coeffs().values())):
+            raise ValueError(f"coefficient {n} is not finite: {cfg[n]!r}")
     if form == "raw":
-        raw = RawSystem.from_coeffs(
-            degree=degree, **{n: cfg[n] for n in RAW_NAMES if n in cfg})
-        return reduce(raw)
-    if form == "reduced":
-        return ReducedSystem.from_coeffs(
-            degree=degree, **{n: cfg[n] for n in REDUCED_NAMES if n in cfg})
-    raise ValueError(f"unknown system form {form!r}")
+        return reduce(RawSystem.from_coeffs(degree=degree, **polys))
+    return ReducedSystem.from_coeffs(degree=degree, **polys)
 
 
 def load_system(path) -> ReducedSystem:

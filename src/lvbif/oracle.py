@@ -1,9 +1,9 @@
 """Brute-force verification tools, independent of the primary solvers.
 
 These deliberately avoid the closed-form seeds and quadratic formulas of the
-primary path: equilibria come from sign-change scans (1-D bisection on the
-axes; in the interior, lattice cells flagged by g1, then by g2 at their
-corners only, refined by finite-difference Newton), Jacobians from central
+primary path: equilibria come from elimination (companion-matrix roots of the
+axis quadratics, and of the resultant quartic of the two brackets, whose
+interior roots finite-difference Newton refines), Jacobians from central
 differences, and sector structure from direct angular sampling with recursive
 boundary refinement.  They may be orders of magnitude slower; that is fine.
 cross_check holds a decomposition against them.
@@ -38,50 +38,15 @@ def fd_jacobian(sys: ReducedSystem, mu, xi):
 
 
 # ---------------------------------------------------------------------------
-# grid equilibrium scan
+# equilibria by elimination
 # ---------------------------------------------------------------------------
 
-def _bisect_1d(fn, a: float, b: float) -> float:
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0 or (b - a) < 1e-12:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _axis_roots_scan(fn, lo: float, hi: float, n: int) -> list[float]:
-    """Zeros of fn on [lo, hi] from n + 1 samples, taken in one array call;
-    fn must broadcast.  Each sign change is bisected on scalars."""
-    xs = np.linspace(lo, hi, n + 1)
-    vals = fn(xs)
-    va, vb = vals[:-1], vals[1:]
-    roots = []
-    for k in np.flatnonzero((va == 0.0) | (va * vb < 0.0)).tolist():
-        if va[k] == 0.0:
-            roots.append(xs[k])
-        else:
-            roots.append(_bisect_1d(fn, xs[k], xs[k + 1]))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
-
-
 def _fd_newton(c: Coeffs, x1: float, x2: float) -> tuple[float, float] | None:
-    """Finite-difference Newton on the bracket system, at most 40 steps.
+    """Finite-difference Newton on the bracket system, at most 40 steps;
+    None unless the residual falls below 1e-12 (1 + |seed|).
 
-    Once the residual is below 1e-12 (1 + |xi|), iterates are polished while
-    the residual still falls, so two cells refining the same root agree to
-    roundoff.
+    From there iterates are polished while the residual still falls, so two
+    seeds refining the same root agree to roundoff.
     """
     scale = 1.0 + math.hypot(x1, x2)
     polished = None   # (residual, point) once below 1e-12 scale
@@ -104,69 +69,68 @@ def _fd_newton(c: Coeffs, x1: float, x2: float) -> tuple[float, float] | None:
             return None if polished is None else polished[1]
         x1 -= (e * g1 - b * g2) / det
         x2 -= (-d * g1 + a * g2) / det
-    if polished is not None:
-        return polished[1]
-    g1, g2 = bracket1(c, x1, x2), bracket2(c, x1, x2)
-    if math.hypot(g1, g2) <= 1e-9 * scale:
-        return (x1, x2)
-    return None
+    # an iterate that has not reached the polish tolerance is no root: from
+    # a far seed, step 40 can land 1e-8 short of a root found elsewhere
+    return None if polished is None else polished[1]
 
 
-def _straddles(G):
-    """Cells of the lattice G (its first two axes) whose four corners are
-    neither all > 0 nor all < 0, so an exact-zero corner flags its cell."""
-    pos, neg = G > 0, G < 0
-    pos, neg = pos[:-1] & pos[1:], neg[:-1] & neg[1:]
-    return ~((pos[:, :-1] & pos[:, 1:]) | (neg[:, :-1] & neg[:, 1:]))
+def _horner(p: list[float], x: float) -> float:
+    acc = 0.0
+    for a in p:
+        acc = acc * x + a
+    return acc
 
 
-def _flagged_cells(c: Coeffs, xs, ys):
-    """Row-major (i, j) of the lattice cells where both brackets straddle
-    zero; g2 is evaluated only at the corners of the cells g1 straddles.
+def _interior_seeds(c: Coeffs) -> list[tuple[float, float]]:
+    """Seeds of the interior roots, by eliminating y.
 
-    g1 is summed in place from its 1-D factors, term by term in bracket1's
-    own order, so every lattice value is bitwise the one bracket1 gives.
-    The sums run in row bands of 64 that share one band-sized product
-    buffer: a single pass over the whole lattice measured slower, probably
-    from allocating a lattice-sized buffer for every lattice.
+    Write g1 = L y^2 + a1(x) y + a0(x) and g2 = P y^2 + b1(x) y + b0(x).
+    Their Sylvester resultant in y,
+    Res = u^2 - v w with u = L b0 - P a0, v = L b1 - P a1, w = a1 b0 - a0 b1,
+    is a quartic in x (w alone when L = P = 0, where Res vanishes
+    identically).  The real part of each of its roots seeds x, so a near
+    double root that comes back as a complex pair is still seeded.  y comes
+    from P g1 - L g2 = -(v y + u), linear in y, and from the roots of
+    g1(x, .) where that is degenerate (v(x) = 0 there, as when L = P, M = S
+    and gamma = delta).  Polynomials are numpy's highest-first lists.
     """
-    lin_x = c.mu1 + c.theta * xs
-    gamma_y = c.gamma * ys
-    m_x = c.M * xs
-    n_xx = c.N * xs * xs
-    l_yy = c.L * ys * ys
-    G1 = np.empty((len(xs), len(ys)))
-    prod = np.empty((64, len(ys)))
-    for a in range(0, len(xs), 64):
-        rows = slice(a, a + 64)
-        band = G1[rows]
-        mxy = prod[:len(band)]
-        np.add(lin_x[rows, None], gamma_y, out=band)
-        np.multiply(m_x[rows, None], ys, out=mxy)
-        band += mxy
-        band += n_xx[rows, None]
-        band += l_yy
-    i, j = np.divmod(np.flatnonzero(_straddles(G1)), len(ys) - 1)
-    keep = _straddles(bracket2(c, xs[np.stack([i, i + 1])[:, None]],
-                               ys[np.stack([j, j + 1])[None]]))[0, 0]
-    return i[keep], j[keep]
+    a1, a0 = [c.M, c.gamma], [c.N, c.theta, c.mu1]
+    b1, b0 = [c.S, c.delta], [c.R, 1.0 / c.gamma, c.mu2]
+    u = [c.L * b - c.P * a for a, b in zip(a0, b0)]
+    v = [c.L * b - c.P * a for a, b in zip(a1, b1)]
+    w = np.convolve(a1, b0) - np.convolve(a0, b1)
+    res = w if c.L == c.P == 0.0 else np.convolve(u, u) - np.convolve(v, w)
+    seeds = []
+    for x in np.roots(res).real.tolist():
+        a1x, a0x, b1x, ux, vx = (_horner(p, x) for p in (a1, a0, b1, u, v))
+        if abs(vx) > 1e-12 * (abs(c.L * b1x) + abs(c.P * a1x)):
+            seeds.append((x, -ux / vx))
+        else:
+            seeds += [(x, y) for y in np.roots([c.L, a1x, a0x]).real.tolist()]
+    return seeds
+
+
+def _real_roots_in(coeffs, lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of the polynomial with these coefficients."""
+    return [r.real for r in np.roots(coeffs).tolist()
+            if r.imag == 0.0 and lo <= r.real <= hi]
 
 
 def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
                     jitter_seed: int | None = None) -> list[tuple[float, float]]:
-    """Equilibria of the reduced field inside a rectangular window.
+    """Equilibria of the reduced field inside the closed rectangular window
+    ((x_lo, x_hi), (y_lo, y_hi)), by elimination.
 
-    window is ((x_lo, x_hi), (y_lo, y_hi)); n is the lattice resolution per
-    axis (n <= 2000).  The origin and the axis roots are found by 1-D
-    bisection scans, interior roots by flagging lattice cells where both
-    bracket functions straddle zero (corners not all > 0 nor all < 0; g2 is
-    evaluated only at the corners of the cells g1 flags) and refining with
-    finite-difference Newton.  A second, half-cell-shifted pass catches roots
-    that straddle cell boundaries; passing jitter_seed adds a small random
-    shift as well.  Window bounds and coefficients must be finite.
+    Both brackets are conics in (xi1, xi2), so there are at most 4 interior
+    equilibria (Bezout), seeded from the roots of one resultant quartic
+    (_interior_seeds) and refined by finite-difference Newton; the axis roots
+    are the real roots of the two axis quadratics, and the origin is always
+    an equilibrium.  Roots come from companion-matrix eigenvalues
+    (np.roots; Edelman & Murakami 1995), never from the primary solver's
+    closed-form seeds.  n and jitter_seed, the resolution and the shift of
+    the lattice this replaced, are accepted and ignored.  Window bounds and
+    coefficients must be finite.
     """
-    if n > 2000:
-        raise ValueError("n must be at most 2000 per axis")
     mu = ParamPoint.coerce(mu)
     c = sys.at(mu)
     (x_lo, x_hi), (y_lo, y_hi) = window
@@ -176,32 +140,17 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
     # the origin is an equilibrium by the factored structure of the field
     if x_lo <= 0.0 <= x_hi and y_lo <= 0.0 <= y_hi:
         roots.append((0.0, 0.0))
-
-    # axis roots: zeros of the restricted bracket functions
-    for r in _axis_roots_scan(lambda x: bracket1(c, x, 0.0), x_lo, x_hi, n):
-        roots.append((r, 0.0))
-    for r in _axis_roots_scan(lambda y: bracket2(c, 0.0, y), y_lo, y_hi, n):
-        roots.append((0.0, r))
-
-    # interior roots of the bracket system
-    shifts = [(0.0, 0.0), (0.5, 0.5)]
-    if jitter_seed is not None:
-        rng = np.random.default_rng(jitter_seed)
-        shifts.append(tuple(rng.uniform(0.05, 0.45, size=2)))
-    dx = (x_hi - x_lo) / n
-    dy = (y_hi - y_lo) / n
-    for sx, sy in shifts:
-        xs = np.linspace(x_lo + sx * dx, x_hi + sx * dx, n + 1)
-        ys = np.linspace(y_lo + sy * dy, y_hi + sy * dy, n + 1)
-        ii, jj = _flagged_cells(c, xs, ys)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            got = _fd_newton(c, 0.5 * (xs[i] + xs[i + 1]),
-                             0.5 * (ys[j] + ys[j + 1]))
-            if got is None:
-                continue
-            gx, gy = got
-            if not (x_lo - dx <= gx <= x_hi + dx and y_lo - dy <= gy <= y_hi + dy):
-                continue
+    # axis roots: zeros of g1(x, 0) and g2(0, y)
+    if y_lo <= 0.0 <= y_hi:
+        roots += [(x, 0.0) for x in _real_roots_in([c.N, c.theta, c.mu1],
+                                                   x_lo, x_hi)]
+    if x_lo <= 0.0 <= x_hi:
+        roots += [(0.0, y) for y in _real_roots_in([c.P, c.delta, c.mu2],
+                                                   y_lo, y_hi)]
+    for x, y in _interior_seeds(c):
+        got = _fd_newton(c, x, y)
+        if got is not None and (x_lo <= got[0] <= x_hi
+                                and y_lo <= got[1] <= y_hi):
             roots.append(got)
 
     # dedupe
@@ -363,9 +312,6 @@ def blocks_from(scan: SignScan, phi: float) -> list[SignScanBlock]:
 WINDOW_SCALE = 1.7
 WINDOW_PAD = 10.0
 
-# lattice resolution per axis of the cross-check's grid scans
-GRID_N = 300
-
 # distance within which a grid root matches a primary equilibrium
 ROOT_TOL = 1e-9
 
@@ -387,24 +333,21 @@ class CrossCheck:
         return self.rle and self.edges and all(self.roots)
 
 
-def _grid_roots_match(sys: ReducedSystem, mu: ParamPoint, r: float,
-                      jitter_seed: int | None) -> bool:
+def _grid_roots_match(sys: ReducedSystem, mu: ParamPoint, r: float) -> bool:
     eqs = find_equilibria(sys, mu)
     m = (max(max(abs(e.xi[0]), abs(e.xi[1])) for e in eqs) * WINDOW_SCALE
          + r / WINDOW_PAD)
-    roots = grid_equilibria(sys, mu, ((-m, m), (-m, m)), n=GRID_N,
-                            jitter_seed=jitter_seed)
+    roots = grid_equilibria(sys, mu, ((-m, m), (-m, m)))
     return len(roots) == len(eqs) and all(
         min(math.hypot(e.xi[0] - q[0], e.xi[1] - q[1]) for q in roots)
         < ROOT_TOL for e in eqs)
 
 
-def cross_check(sys: ReducedSystem, sectors: list[RegionReport],
-                jitter_seed: int | None = None) -> CrossCheck:
+def cross_check(sys: ReducedSystem, sectors: list[RegionReport]) -> CrossCheck:
     """Hold decompose's sectors against sign_scan and grid_equilibria on
     the circle they were cut on, sectors[0].radius (below the requested
     one after a retry).  edge_gap is inf when the block and sector counts
-    differ; jitter_seed goes to grid_equilibria."""
+    differ."""
     r = sectors[0].radius
     blocks = blocks_from(sign_scan(sys, r), sectors[0].representative.angle)
     gap = math.inf
@@ -414,5 +357,4 @@ def cross_check(sys: ReducedSystem, sectors: list[RegionReport],
     return CrossCheck(
         rle=[b.signature for b in blocks] == [s.signature for s in sectors],
         edge_gap=gap,
-        roots=[_grid_roots_match(sys, s.representative, r, jitter_seed)
-               for s in sectors])
+        roots=[_grid_roots_match(sys, s.representative, r) for s in sectors])

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -71,16 +72,31 @@ def test_config_error_exit_code(tmp_path, capsys):
                        "--mu", "1e-3,0")
     assert code == 2
     assert "p12(0) must be nonzero" in err
-    # a malformed value or a config that is not an object: one line, no
-    # traceback
+    # a malformed value, an unknown key, a non-finite coefficient, a degree
+    # that is not an integer or a config that is not an object: one line
+    # that names the culprit, no traceback
     good = load_system(fixture_path("nondegenerate_i.json")).to_json_dict()
-    for cfg in ({**good, "theta": {"(0,0)": None}}, {**good, "theta": "abc"},
-                {**good, "degree": None}, [1, 2]):
+    for cfg, named in (({**good, "theta": {"(0,0)": None}}, ""),
+                       ({**good, "theta": "abc"}, ""),
+                       ({**good, "degree": None}, "None"),
+                       ({**good, "thta": {"(0,0)": 0.5}}, "'thta'"),
+                       ({"form": "raw", "p12": 1.0, "p21": 1.0, "L": 1.0},
+                        "'L'"),
+                       ({**good, "delta": {"(0,0)": math.inf}}, "delta"),
+                       ({**good, "theta": {"(0,0)": math.nan}}, "theta"),
+                       ({**good, "degree": 2.7}, "2.7"),
+                       ({**good, "degree": True}, "True"),
+                       ([1, 2], "")):
         bad.write_text(json.dumps(cfg))
         code, _, err = run(capsys, "analyze", "--config", str(bad),
                            "--mu", "1e-3,1e-3")
         assert code == 2, cfg
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert named in err, (named, err)
+    # an integral float degree is the integer
+    bad.write_text(json.dumps({**good, "degree": 2.0}))
+    assert run(capsys, "analyze", "--config", str(bad),
+               "--mu", "1e-3,1e-3")[0] == 0
 
 
 def test_missing_file_exit_code(capsys):
@@ -216,7 +232,7 @@ def test_verify_json_report(tmp_path, capsys):
 @pytest.mark.parametrize("family", ["nondegenerate", "deltazero", "thetazero"])
 def test_verify_oracle_passes_every_family(capsys, family):
     code, out, _ = run(capsys, "verify", "--family", family, "--r", "1e-3",
-                       "--oracle", "--seed", "7")
+                       "--oracle")
     assert code == 0, out
     assert "FAIL" not in out
 
@@ -240,7 +256,7 @@ def test_verify_oracle_scans_at_the_radius_of_a_retried_decomposition(
     monkeypatch.setattr(rg, "_decompose_at", thin_once)
     monkeypatch.setattr(oracle, "sign_scan", scan)
     code, out, _ = run(capsys, "verify", "--family", "nondegenerate",
-                       "--r", "1e-3", "--oracle", "--seed", "7")
+                       "--r", "1e-3", "--oracle")
     assert code == 0, out
     assert tried[:2] == [1e-3, 1e-3 / 4]
     # the first diagram was cut at r/4, every other one at r

@@ -7,8 +7,8 @@ import pytest
 from lvbif.cases import deltazero_case, nondegenerate_case
 from lvbif.cli import main as cli_main
 from lvbif.equilibria import find_equilibria
-from lvbif.model import (ParamArray, ParamPoint, ReducedSystem, bracket1,
-                         bracket2, system_from_dict)
+from lvbif.model import (Coeffs, ParamArray, ParamPoint, ReducedSystem,
+                         bracket1, bracket2, system_from_dict)
 import lvbif.oracle as oracle
 from lvbif.oracle import (NARROW_FLOOR, cross_check, fd_jacobian,
                           grid_equilibria, sign_scan)
@@ -38,7 +38,7 @@ def test_grid_finds_only_origin_at_mu_zero():
 def test_grid_matches_primary_solver():
     # the window pads the largest |xi| by r / 10 = 1e-4
     assert oracle._grid_roots_match(nondegenerate_case(-2.0, -1.0),
-                                    ParamPoint(1e-3, 1e-3), 1e-3, None)
+                                    ParamPoint(1e-3, 1e-3), 1e-3)
 
 
 def test_grid_vertical_axis_empty_when_discriminant_negative():
@@ -52,18 +52,13 @@ def test_grid_vertical_axis_empty_when_discriminant_negative():
 
 
 def test_grid_jitter_pass_is_deterministic():
+    # n and jitter_seed, the lattice's resolution and shift, change nothing
     sys_ = nondegenerate_case(0.5, 0.5)
     mu = (-8e-4, -3e-4)
     w = ((-5e-3, 5e-3), (-5e-3, 5e-3))
     a = grid_equilibria(sys_, mu, w, n=250, jitter_seed=5)
-    b = grid_equilibria(sys_, mu, w, n=250, jitter_seed=5)
-    assert a == b
-
-
-def test_grid_resolution_cap():
-    with pytest.raises(ValueError):
-        grid_equilibria(nondegenerate_case(1.0, 2.0), (0.0, 0.0),
-                        ((-1e-3, 1e-3), (-1e-3, 1e-3)), n=4000)
+    assert a == grid_equilibria(sys_, mu, w, n=4000, jitter_seed=None)
+    assert len(a) == 4 and a == grid_equilibria(sys_, mu, w)
 
 
 @pytest.mark.parametrize("coeffs, mu, window", [
@@ -82,88 +77,100 @@ def test_grid_rejects_non_finite_input(coeffs, mu, window):
         grid_equilibria(sys_, mu, window, n=50)
 
 
-def _sign_product_rule(G):
-    # the flagging rule before the two-stage scan, kept as the reference
-    s = np.sign(G)
-    return ((s[:-1, :-1] * s[1:, :-1] <= 0)
-            | (s[:-1, :-1] * s[:-1, 1:] <= 0)
-            | (s[:-1, :-1] * s[1:, 1:] <= 0))
+def test_grid_finds_a_close_fold_axis_pair():
+    # the two axis roots are 7e-6 apart, closer than one cell of the
+    # 300-cell lattice the elimination replaced, which found neither
+    sys_ = ReducedSystem.from_coeffs(theta=2.02e-3, gamma=1.0, delta=-1.0,
+                                     N=1.0)
+    mu = (2.02e-3 ** 2 / 4 - 3.5e-6 ** 2, 2e-3)
+    roots = grid_equilibria(sys_, mu, ((-3e-3, 3e-3), (-3e-3, 3e-3)), n=300)
+    axis = [x for x, y in roots if y == 0.0 and x != 0.0]
+    assert len(axis) == 2
+    for x, want in zip(axis, (-1.0135e-3, -1.0065e-3)):
+        assert abs(x - want) < oracle.ROOT_TOL
 
 
-def _sign_product_cells(c, xs, ys):
-    X, Y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    return np.nonzero(_sign_product_rule(bracket1(c, X, Y))
-                      & _sign_product_rule(bracket2(c, X, Y)))
+def _count_newton(monkeypatch):
+    calls = []
+    solve = oracle._fd_newton
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(oracle, "_fd_newton", counted)
+    return calls
 
 
-_ZERO_CORNER = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 1.0], [2.0, 1.0, 5.0]])
+def test_grid_eliminates_linear_brackets(monkeypatch):
+    # with L = P = 0 both brackets are linear in y and the quartic resultant
+    # vanishes identically; their cubic resultant a1 b0 - a0 b1 seeds x
+    sys_ = ReducedSystem.from_coeffs(theta=-2.0, gamma=1.0, delta=-1.0,
+                                     M=0.1, N=0.1, S=0.1, R=0.1)
+    calls = _count_newton(monkeypatch)
+    for mu in ((1e-3, 1e-3), (-1e-3, -1e-3), (1e-3, 5e-4)):
+        eqs = find_equilibria(sys_, mu)
+        assert eqs.get("E3") is not None and 0.0 not in eqs.get("E3").xi
+        assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 1e-3)
+    # M R = N S drops w to a quadratic: two seeds, two solves a grid
+    assert len(calls) == 2 * 3
 
 
-@pytest.mark.parametrize("G, flagged", [
-    (_ZERO_CORNER, [(0, 0)]),
-    (-_ZERO_CORNER, [(0, 0)]),
-    (_ZERO_CORNER[::-1, ::-1], [(1, 1)]),
-    (np.array([[2.0, 1.0, 3.0], [0.0, 0.0, -0.0], [4.0, 1.0, 2.0]]),
-     [(0, 0), (0, 1), (1, 0), (1, 1)]),
-    (np.array([[-2.0, -1.0, 0.0], [-1.0, -3.0, 0.0], [-4.0, -1.0, 0.0]]),
-     [(0, 1), (1, 1)]),
-    (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
-     [(0, 0), (0, 1), (1, 0), (1, 1)]),
-    (np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],
-               [2.0, 3.0, 4.0, 0.0], [3.0, 4.0, 0.0, 6.0]]),
-     [(0, 0), (1, 2), (2, 1), (2, 2)]),
-    (np.array([[1.0, -1.0, 2.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
-     [(0, 0), (0, 1)]),
-])
-def test_straddles_flags_zero_corners_like_the_sign_products(G, flagged):
-    # exact zeros at a corner, along an edge (both signs of zero) and on
-    # the diagonal, in lattices of positive, negative and mixed values
-    from lvbif.oracle import _straddles
-    got = _straddles(G)
-    assert list(zip(*np.nonzero(got))) == flagged
-    assert np.array_equal(got, _sign_product_rule(G))
-    # the same cells through the lattice-axes-first layout g2 is flagged in
-    cells = np.stack([np.stack([G[:-1, :-1], G[:-1, 1:]]),
-                      np.stack([G[1:, :-1], G[1:, 1:]])])
-    assert np.array_equal(_straddles(cells)[0, 0], got)
+@pytest.mark.parametrize("mu", [(-1e-3, 1e-3), (1e-3, -1e-3), (1e-3, 5e-4)])
+def test_grid_seeds_y_from_g1_where_the_combination_degenerates(
+        monkeypatch, mu):
+    # canonical NonDegenerate II has L = P, M = S and gamma = delta, so
+    # P g1 - L g2 has no y term and y is seeded from the roots of g1(x, .):
+    # two x seeds (a double root of the resultant), two y seeds each
+    from lvbif.cases import CANONICAL_NONDEGENERATE
+    sys_ = dict(CANONICAL_NONDEGENERATE)["II"]
+    c = sys_.at(mu)
+    assert c.L * c.S == c.P * c.M and c.L * c.delta == c.P * c.gamma
+    calls = _count_newton(monkeypatch)
+    e3 = find_equilibria(sys_, mu).get("E3").xi
+    assert 0.0 not in e3
+    assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 1e-3)
+    assert len(calls) == 4
 
 
-def test_grid_flags_equal_the_sign_product_rule(monkeypatch):
-    # every lattice of every grid_equilibria call at the sector
-    # representatives of the scan systems must flag exactly the cells the
-    # sign-product rule flags, in its order, and give the same roots; the
-    # systems alternate between two pairings of n with the jitter pass so
-    # that all four combinations occur
+def test_grid_makes_one_newton_solve_per_resultant_root(monkeypatch):
+    # a system with every coefficient polynomial set has a full quartic:
+    # four seeds, four solves, where the lattice solved once per flagged
+    # cell of each of its two or three passes
+    sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM)
+    calls = _count_newton(monkeypatch)
+    roots = grid_equilibria(sys_, (4.3e-4, 4.7e-5),
+                            ((-2e-3, 2e-3), (-2e-3, 2e-3)))
+    assert len(calls) == 4
+    assert len(roots) == 4
+
+
+def test_fd_newton_refuses_an_unpolished_last_step():
+    # a random DeltaZero system at a sector representative: from the real
+    # part of a complex resultant root, Newton wanders for 39 steps and its
+    # 40th lands 5e-9 from the interior root, which the old loose final
+    # test (residual <= 1e-9 (1 + |seed|)) kept as a second root
+    c = Coeffs(
+        mu1=-0.0014039391953035005, mu2=2.5412999246245524e-06,
+        theta=-1.9447322482522467, gamma=0.8122254309972959,
+        delta=-0.0019591880529367493, M=-0.38607530304319376,
+        N=-0.07464703067169443, L=-0.1991587790382471,
+        S=-0.2797408800871296, P=-0.5654920922326482, R=-0.2162732374524459)
+    root = (2.077764612355744e-06, 0.001734223289433559)
+    assert oracle._fd_newton(c, 10.978030648506696, -11.061867315830987) \
+        is None
+    got = oracle._fd_newton(c, 2.1e-6, 1.7e-3)
+    assert math.hypot(got[0] - root[0], got[1] - root[1]) < 1e-15
+
+
+def test_grid_roots_match_the_solver_on_the_scan_systems():
+    # every sector representative of the 22 canonical fixtures and 12
+    # random systems, on two circles, in the window cross_check uses
     from conftest import scan_systems
-    two_stage = oracle._flagged_cells
-
-    def recorder(flag, cells):
-        def record(c, xs, ys):
-            ii, jj = flag(c, xs, ys)
-            cells.append((ii.tolist(), jj.tolist()))
-            return ii, jj
-        return record
-
-    r = 1e-3
-    for k, sys_ in enumerate(scan_systems()):
-        for sector in decompose(sys_, None, r):
-            mu = sector.representative
-            eqs = find_equilibria(sys_, mu)
-            m = max(max(map(abs, e.xi)) for e in eqs) * 1.7 + r / 10
-            for n in (250, 300):
-                jitter = 1000 + k if (n == 250) == (k % 2 == 1) else None
-                args = (sys_, mu, ((-m, m), (-m, m)), n, jitter)
-                got_cells, want_cells = [], []
-                monkeypatch.setattr(oracle, "_flagged_cells",
-                                    recorder(two_stage, got_cells))
-                got = grid_equilibria(*args)
-                monkeypatch.setattr(oracle, "_flagged_cells",
-                                    recorder(_sign_product_cells, want_cells))
-                want = grid_equilibria(*args)
-                assert len(want_cells) == (2 if jitter is None else 3)
-                assert got_cells == want_cells, (k, mu, n, jitter)
-                assert all(ii for ii, _ in want_cells)
-                assert got == want, (k, mu, n, jitter)
+    for sys_ in scan_systems():
+        for r in (1e-3, 3e-3):
+            for sector in decompose(sys_, None, r):
+                assert oracle._grid_roots_match(
+                    sys_, sector.representative, sector.radius), (sys_, r)
 
 
 def test_sign_scan_validates_arguments():
@@ -349,23 +356,35 @@ _DUPLICATE_ROOTS_SYSTEM = {
 def test_grid_roots_are_not_duplicated(mu):
     # the window of the circle r = 4.283e-4 the roots came back twice on
     sys_ = system_from_dict(_DUPLICATE_ROOTS_SYSTEM)
-    assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 4.283e-4,
-                                    997654866)
+    assert oracle._grid_roots_match(sys_, ParamPoint(*mu), 4.283e-4)
 
 
 def test_axis_scan_roots_equal_a_per_sample_scan():
-    # the axis samples come from one array call; the roots must be the
-    # roots a sample-by-sample scan with the same bisection finds
-    from lvbif.model import bracket1
-    from lvbif.oracle import _axis_roots_scan, _bisect_1d
+    # the axis roots, eigenvalues of the axis quadratics, must be the roots
+    # a sample-by-sample sign scan of g1(x, 0) and g2(0, y) bisects to
     sys_ = nondegenerate_case(-2.0, -1.0)
-    c = sys_.at((1e-3, 1e-3))
-    fn = lambda x: bracket1(c, x, 0.0)
-    xs = np.linspace(-5e-3, 5e-3, 301)
-    vals = [fn(x) for x in xs]
-    want = [_bisect_1d(fn, xs[k], xs[k + 1]) for k in range(300)
-            if vals[k] * vals[k + 1] < 0.0]
-    assert want and _axis_roots_scan(fn, -5e-3, 5e-3, 300) == want
+    c = sys_.at((1e-3, -1e-3))
+    roots = grid_equilibria(sys_, (1e-3, -1e-3),
+                            ((-5e-3, 5e-3), (-5e-3, 5e-3)))
+
+    def scan(fn):
+        xs = np.linspace(-5e-3, 5e-3, 301).tolist()
+        found = []
+        for a, b in zip(xs, xs[1:]):
+            if fn(a) * fn(b) < 0.0:
+                while b - a > 1e-15:
+                    m = 0.5 * (a + b)
+                    a, b = (m, b) if fn(a) * fn(m) > 0.0 else (a, m)
+                found.append(a)
+        return found
+
+    for got, want in (
+            ([x for x, y in roots if y == 0.0 and x != 0.0],
+             scan(lambda x: bracket1(c, x, 0.0))),
+            ([y for x, y in roots if x == 0.0 and y != 0.0],
+             scan(lambda y: bracket2(c, 0.0, y)))):
+        assert want and len(got) == len(want)
+        assert all(abs(g - w) < 1e-14 for g, w in zip(got, want))
 
 
 # -- the cross-check ----------------------------------------------------------
