@@ -7,7 +7,7 @@ from .errors import (AmbiguousLabel, CollisionMismatch, DegenerateJacobian,
                      DiskError, DivisionError, HypothesisViolation, LVError,
                      NewtonDivergence, NotApplicable, OnCurve, SectorTooThin,
                      SignError, StepFailure, UnsupportedCase)
-from .poly import CoefficientPoly, as_poly, linear_poly
+from .poly import CoefficientPoly, linear_poly
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
                     NONDEGENERATE, THETA_ZERO, ParamPoint, RawSystem,
                     ReducedSystem, eval_field, eval_jacobian, load_system,
@@ -32,7 +32,7 @@ __all__ = [
     "DivisionError", "HypothesisViolation", "LVError", "NewtonDivergence",
     "NotApplicable", "OnCurve", "SectorTooThin", "SignError", "StepFailure",
     "UnsupportedCase",
-    "CoefficientPoly", "as_poly", "linear_poly",
+    "CoefficientPoly", "linear_poly",
     "DELTA_ZERO", "DOUBLY_DEGENERATE", "EPSILON_DISK", "NONDEGENERATE",
     "THETA_ZERO", "ParamPoint", "RawSystem", "ReducedSystem",
     "eval_field", "eval_jacobian", "load_system", "reduce", "system_from_dict",

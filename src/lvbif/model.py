@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiskError, DivisionError, SignError
-from .poly import DEFAULT_DEGREE, DIV_FLOOR, CoefficientPoly, as_poly
+from .poly import DEFAULT_DEGREE, DIV_FLOOR, CoefficientPoly
 
 # degeneracy classes, decided by theta(0) and delta(0)
 NONDEGENERATE = "NonDegenerate"
@@ -184,7 +184,8 @@ class RawSystem:
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE, **kw) -> "RawSystem":
-        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in RAW_NAMES}
+        polys = {n: CoefficientPoly.coerce(kw.pop(n, 0.0), degree)
+                 for n in RAW_NAMES}
         if kw:
             raise TypeError(f"unknown raw coefficients: {sorted(kw)}")
         return cls(degree=degree, **polys)
@@ -251,7 +252,8 @@ class ReducedSystem:
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
                     **kw) -> "ReducedSystem":
-        polys = {n: as_poly(kw.pop(n, 0.0), degree) for n in REDUCED_NAMES}
+        polys = {n: CoefficientPoly.coerce(kw.pop(n, 0.0), degree)
+                 for n in REDUCED_NAMES}
         if kw:
             raise TypeError(f"unknown reduced coefficients: {sorted(kw)}")
         return cls(degree=degree, **polys)
@@ -479,8 +481,9 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     Two forms are accepted: {"form": "raw", "p11": {...}, ...} or
     {"form": "reduced", "theta": {...}, ...}.  Exponent keys are "(i,j)"
     strings; missing coefficients are zero.  A raw system is reduced by
-    reduce, with either sign pair.  An unknown key, a non-finite
-    coefficient and a degree that is not an integer are errors.
+    reduce, with either sign pair.  An unknown key, a coefficient that is
+    not a finite number, two keys naming one exponent pair and a degree
+    that is not an integer are errors.
     """
     if not isinstance(cfg, dict):
         raise ValueError("a system config must be a JSON object")
@@ -496,7 +499,8 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
         degree = int(degree)
     if type(degree) is not int:   # a JSON true is a bool
         raise ValueError(f"degree must be an integer, got {degree!r}")
-    polys = {n: as_poly(cfg[n], degree) for n in names if n in cfg}
+    polys = {n: CoefficientPoly.coerce(cfg[n], degree)
+             for n in names if n in cfg}
     for n, p in polys.items():
         if not all(map(math.isfinite, p.coeffs().values())):
             raise ValueError(f"coefficient {n} is not finite: {cfg[n]!r}")

@@ -176,7 +176,6 @@ class SignScanBlock:
 
 @dataclass
 class SignScan:
-    radius: float
     blocks: list[SignScanBlock]
 
 
@@ -202,7 +201,8 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
     nearly coincide, such as T1 of slope 1e-6 against an axis; there, too,
     the collision bands can widen to blocks of their own (0.2 rad where E1
     sits within TOL_COLLIDE * |mu| of E0), so the scan does not match the
-    decomposition.  Wrap-around blocks are merged.
+    decomposition.  Equal neighbours left by a dropped block are merged,
+    across the zero angle too.
 
     The bisection runs in rounds of LEVELS levels.  Each round classifies
     the whole LEVELS-deep midpoint tree of every open interval in one array
@@ -264,32 +264,27 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
         todo = still_open
 
     if not events:
-        return SignScan(r, [SignScanBlock(0.0, TWO_PI, sigs[0])])
+        return SignScan([SignScanBlock(0.0, TWO_PI, sigs[0])])
 
+    # each event changes the signature, so neighbouring blocks differ, also
+    # across the zero angle, until narrow blocks are dropped
     events.sort()
     blocks = [SignScanBlock(ang % TWO_PI,
                             events[(i + 1) % len(events)][0] % TWO_PI, s)
               for i, (ang, s) in enumerate(events)]
-
-    def cyclic_merge(items: list[SignScanBlock]) -> list[SignScanBlock]:
-        out: list[SignScanBlock] = []
-        for b in items:
-            if out and out[-1].signature == b.signature:
-                out[-1] = SignScanBlock(out[-1].start, b.end, b.signature)
-            else:
-                out.append(b)
-        if len(out) > 1 and out[0].signature == out[-1].signature:
-            first = out.pop(0)
-            out[-1] = SignScanBlock(out[-1].start, first.end, first.signature)
-        return out
-
-    merged = cyclic_merge(blocks)
-    wide = [b for b in merged
+    wide = [b for b in blocks
             if ((b.end - b.start) % TWO_PI or TWO_PI) >= NARROW_FLOOR]
-    if wide:
-        merged = cyclic_merge(wide)
-    merged.sort(key=lambda b: b.start)
-    return SignScan(r, merged)
+    out: list[SignScanBlock] = []
+    for b in wide or blocks:
+        if out and out[-1].signature == b.signature:
+            out[-1] = SignScanBlock(out[-1].start, b.end, b.signature)
+        else:
+            out.append(b)
+    if len(out) > 1 and out[0].signature == out[-1].signature:
+        first = out.pop(0)
+        out[-1] = SignScanBlock(out[-1].start, first.end, first.signature)
+    out.sort(key=lambda b: b.start)
+    return SignScan(out)
 
 
 def blocks_from(scan: SignScan, phi: float) -> list[SignScanBlock]:

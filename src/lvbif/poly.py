@@ -8,6 +8,7 @@ is power-series division of the truncations.
 
 from __future__ import annotations
 
+import numbers
 import re
 from typing import Mapping
 
@@ -61,19 +62,23 @@ class CoefficientPoly:
 
     @classmethod
     def coerce(cls, value, degree: int = DEFAULT_DEGREE) -> "CoefficientPoly":
-        """Accept a CoefficientPoly, a number, or an exponent->value mapping."""
+        """Accept a CoefficientPoly, a number, or an exponent->number mapping;
+        a bool or a string is not a number, and no exponent pair repeats."""
         if isinstance(value, CoefficientPoly):
             if value.degree == degree:
                 return value
             return cls(value.coeffs(), degree)
-        if isinstance(value, (int, float)):
-            return cls.constant(value, degree)
-        if isinstance(value, Mapping):
-            parsed = {}
-            for k, v in value.items():
-                parsed[cls._parse_key(k)] = float(v)
-            return cls(parsed, degree)
-        raise TypeError(f"cannot coerce {type(value).__name__} to CoefficientPoly")
+        items = (value.items() if isinstance(value, Mapping)
+                 else [((0, 0), value)])
+        parsed = {}
+        for k, v in items:
+            key = cls._parse_key(k)
+            if key in parsed:
+                raise ValueError(f"exponent key {k!r} repeats {key}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"coefficient {v!r} is not a number")
+            parsed[key] = float(v)
+        return cls(parsed, degree)
 
     @staticmethod
     def _parse_key(key) -> tuple[int, int]:
@@ -119,26 +124,10 @@ class CoefficientPoly:
 
     # -- arithmetic (all truncated) -----------------------------------------
 
-    def __add__(self, other) -> "CoefficientPoly":
-        other = CoefficientPoly.coerce(other, self.degree)
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0.0) + v
-        return CoefficientPoly(c, self.degree)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CoefficientPoly":
-        other = CoefficientPoly.coerce(other, self.degree)
-        return self + (-other)
-
     def __neg__(self) -> "CoefficientPoly":
         return CoefficientPoly({k: -v for k, v in self._c.items()}, self.degree)
 
     def __mul__(self, other) -> "CoefficientPoly":
-        if isinstance(other, (int, float)):
-            return CoefficientPoly(
-                {k: v * other for k, v in self._c.items()}, self.degree)
         other = CoefficientPoly.coerce(other, self.degree)
         c: dict[tuple[int, int], float] = {}
         for (i1, j1), v1 in self._c.items():
@@ -147,8 +136,6 @@ class CoefficientPoly:
                 if i + j <= self.degree:
                     c[(i, j)] = c.get((i, j), 0.0) + v1 * v2
         return CoefficientPoly(c, self.degree)
-
-    __rmul__ = __mul__
 
     def truncated_div(self, den: "CoefficientPoly") -> "CoefficientPoly":
         """Power-series quotient self/den modulo O(|mu|^(degree+1)).
@@ -201,10 +188,6 @@ class CoefficientPoly:
 
     def to_json_dict(self) -> dict[str, float]:
         return {f"({i},{j})": v for (i, j), v in sorted(self._c.items())}
-
-
-def as_poly(value, degree: int = DEFAULT_DEGREE) -> CoefficientPoly:
-    return CoefficientPoly.coerce(value, degree)
 
 
 def linear_poly(c0: float, c1: float, c2: float) -> CoefficientPoly:

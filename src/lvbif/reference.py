@@ -15,10 +15,9 @@ from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, mirror_name
 
 # row headers use the classical naming ("O" for the origin in the
 # degenerate families)
-ROW_DISPLAY = {
-    NONDEGENERATE: ("E0", "E1", "E2", "E3"),
-    DELTA_ZERO: ("O", "E1", "E21", "E22", "E3"),
-}
+ROW_DISPLAY = {family: tuple("O" if label == "E0" and family != NONDEGENERATE
+                             else label for label in labels)
+               for family, labels in LABELS_BY_FAMILY.items()}
 
 EXPECTED_SIGNATURES = {
     NONDEGENERATE: (
@@ -85,15 +84,8 @@ _MIRROR_ROWS = tuple(LABELS_BY_FAMILY[DELTA_ZERO].index(mirror_name(label))
 _MIRROR_COLUMNS = (1, 7, 6, 5, 4, 3, 2, 8, 9, 18,
                    10, 16, 15, 14, 13, 12, 11, 17, 19, 20)
 
-
-def _mirror_rows(column: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(column[i] for i in _MIRROR_ROWS)
-
-
-ROW_DISPLAY[THETA_ZERO] = _mirror_rows(
-    tuple(mirror_name(n) for n in ROW_DISPLAY[DELTA_ZERO]))
 EXPECTED_SIGNATURES[THETA_ZERO] = tuple(
-    _mirror_rows(EXPECTED_SIGNATURES[DELTA_ZERO][j - 1])
+    tuple(EXPECTED_SIGNATURES[DELTA_ZERO][j - 1][i] for i in _MIRROR_ROWS)
     for j in _MIRROR_COLUMNS)
 
 

@@ -45,12 +45,16 @@ def test_discriminant_parabola_closed_form():
 
 
 def test_half_trace_curve_slope():
+    # the fitted slopes of the three lines are the paper's leading ones
     sys_ = ReducedSystem.from_coeffs(theta=2.0, delta=-1.0, gamma=1.0)
-    curve = bif.trace_curve(sys_, bif.H, [1e-3, 1e-4])
-    assert not curve.empty
-    expect = (2.0 * 1.0 - 1.0) * (-1.0) / (2.0 * 1.0 * (1.0 - (-1.0)))
-    assert expect == pytest.approx(-0.25)
-    assert curve.leading == pytest.approx(expect, rel=0.05)
+    assert [bif.predicted_leading(sys_, k) for k in (bif.T1, bif.T2, bif.H)
+            ] == [0.5, -1.0, -0.25]
+    for kind in (bif.T1, bif.T2, bif.H):
+        for r in (1e-3, 1e-4):
+            curve = bif.trace_curve(sys_, kind, [r])
+            assert not curve.empty, (kind, r)
+            assert curve.leading == pytest.approx(
+                bif.predicted_leading(sys_, kind), rel=1e-4), (kind, r)
 
 
 def test_half_trace_needs_distinct_gamma_delta():
@@ -563,6 +567,22 @@ def test_interior_curves_are_undefined_where_e3_is_skipped(monkeypatch):
         with pytest.raises(UnsupportedCase):
             decompose(sys_, case, 1e-3)
     assert solves == []
+
+
+def test_scan_memo_drops_its_oldest_circle(monkeypatch):
+    # MEMO_CIRCLES radii are kept; one more drops the first, which is then
+    # solved again, and the kept ones are not
+    solves = counting(monkeypatch, "refine_e3")
+    sys_ = nondegenerate_case(2.0, 1.0)
+    radii = [1e-3 * 0.9 ** k for k in range(bif.MEMO_CIRCLES + 1)]
+    for r in radii:
+        bif.circle_zeros(sys_, r)
+    assert list(bif._circle_memo(sys_)) == radii[1:]
+    bif.circle_zeros(sys_, radii[-1])
+    assert solves.count(ParamArray) == len(radii)
+    bif.circle_zeros(sys_, radii[0])
+    assert solves.count(ParamArray) == len(radii) + 1
+    assert list(bif._circle_memo(sys_)) == radii[2:] + radii[:1]
 
 
 def test_scan_memo_is_reused_only_within_one_system(monkeypatch):

@@ -72,9 +72,9 @@ def test_config_error_exit_code(tmp_path, capsys):
                        "--mu", "1e-3,0")
     assert code == 2
     assert "p12(0) must be nonzero" in err
-    # a malformed value, an unknown key, a non-finite coefficient, a degree
-    # that is not an integer or a config that is not an object: one line
-    # that names the culprit, no traceback
+    # a malformed value, an unknown key or form, a non-finite coefficient,
+    # a degree that is not an integer or a config that is not an object:
+    # one line that names the culprit, no traceback
     good = load_system(fixture_path("nondegenerate_i.json")).to_json_dict()
     for cfg, named in (({**good, "theta": {"(0,0)": None}}, ""),
                        ({**good, "theta": "abc"}, ""),
@@ -86,6 +86,14 @@ def test_config_error_exit_code(tmp_path, capsys):
                        ({**good, "theta": {"(0,0)": math.nan}}, "theta"),
                        ({**good, "degree": 2.7}, "2.7"),
                        ({**good, "degree": True}, "True"),
+                       ({**good, "form": "xyz"}, "'xyz'"),
+                       # a coefficient is a JSON number, not a bool or a
+                       # string, and no two keys name one exponent pair
+                       ({**good, "theta": True}, "True"),
+                       ({**good, "delta": False}, "False"),
+                       ({**good, "theta": {"(0,0)": "0.5"}}, "'0.5'"),
+                       ({**good, "theta": {"(0,0)": 0.5, "( 0 , 0 )": -2.0}},
+                        "'( 0 , 0 )'"),
                        ([1, 2], "")):
         bad.write_text(json.dumps(cfg))
         code, _, err = run(capsys, "analyze", "--config", str(bad),
@@ -127,6 +135,58 @@ def test_curves_prints_half_trace_slope(capsys):
     assert "H: " in out and "leading=" in out
 
 
+def test_curves_skips_the_e3_kinds_where_theta_delta_is_one(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "hyperbola.json"
+    cfg.write_text(json.dumps({"theta": 2.0, "delta": 0.5, "gamma": 1.0}))
+    code, out, _ = run(capsys, "curves", "--config", str(cfg),
+                       "--radii", "1e-3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:7] == [f"{k}: 1 samples leading=0"
+                         for k in ("Xplus", "Yplus", "Xminus", "Yminus")] + [
+        f"{k}: skipped (theta*delta - 1 vanishes)" for k in ("T1", "T2", "H")]
+
+
+def test_curves_on_a_doubly_degenerate_config_is_unsupported(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "doubly.json"
+    cfg.write_text(json.dumps({"theta": {"(1,0)": 1.0}, "gamma": 1.0,
+                               "delta": {"(0,1)": 1.0}}))
+    code, _, err = run(capsys, "curves", "--config", str(cfg))
+    assert code == 3
+    assert err.startswith("unsupported case: ") and "DoublyDegenerate" in err
+
+
+def test_analyze_prints_the_case_and_equilibrium_notes(tmp_path, capsys):
+    # a DeltaZero system with P(0) < 0, which the tables do not cover
+    from lvbif.cases import deltazero_case
+    cfg = tmp_path / "p_negative.json"
+    cfg.write_text(json.dumps({**deltazero_case(1.0, 1.5).to_json_dict(),
+                               "P": {"(0,0)": -1.0}}))
+    code, out, _ = run(capsys, "analyze", "--config", str(cfg),
+                       "--mu", "1e-3,1e-3")
+    assert code == 0
+    assert "note: table verification limited to P>0" in out.splitlines()
+    # a point of a NonDegenerate system where E3 does not exist
+    from test_bifurcation import E3_LESS
+    cfg.write_text(json.dumps(E3_LESS))
+    code, out, _ = run(capsys, "analyze", "--config", str(cfg),
+                       "--mu", "-0.000492898192229784,0.0008700869911087114")
+    assert code == 0
+    assert ("  note: NewtonDivergence: E3 absent (Newton step did not lower "
+            "the residual 3.470e-07)") in out.splitlines()
+    assert not any(l.startswith("  E3 ") for l in out.splitlines())
+
+
+def test_portrait_without_an_output_writes_nothing(capsys):
+    code, out, _ = run(capsys, "portrait",
+                       "--config", fixture_path("nondegenerate_iv.json"),
+                       "--mu", "1e-3,1e-3", "--grid", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "nothing written (pass --svg and/or --csv)"
+
+
 def test_portrait_outputs_deterministic(tmp_path, capsys):
     svgs, csvs = [], []
     for name in ("p1.svg", "p2.svg"):
@@ -160,6 +220,12 @@ def test_verify_doubly_degenerate_out_of_scope(capsys):
     assert "out of scope" in err
 
 
+def test_verify_unknown_family_is_unsupported(capsys):
+    code, _, err = run(capsys, "verify", "--family", "foo")
+    assert code == 3
+    assert err == "unknown family 'foo'\n"
+
+
 def test_verify_corrupted_config_fails_with_diff(tmp_path, capsys):
     # a system whose sign cell does not produce new table columns is fine,
     # but a wrong-family config must be refused
@@ -191,6 +257,22 @@ def test_verify_mismatch_exits_one(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "verification FAILED" in out
     assert "unmatched expected" in out
+
+
+def test_verify_reports_a_signature_the_table_lacks(capsys, monkeypatch):
+    # the table without its first column: that region is computed but
+    # not expected
+    import lvbif.regions as regions
+    from lvbif.model import NONDEGENERATE
+    table = regions.EXPECTED_SIGNATURES[NONDEGENERATE]
+    monkeypatch.setitem(regions.EXPECTED_SIGNATURES, NONDEGENERATE,
+                        table[1:])
+    code, out, _ = run(capsys, "verify", "--family", "nondegenerate")
+    assert code == 1
+    lines = out.splitlines()
+    assert "unexpected signatures: " + "".join(table[0]) in lines
+    assert lines[-2:] == ["verification FAILED",
+                          "unmatched computed: " + "".join(table[0])]
 
 
 def test_analyze_negative_pair_reports_relabeling(tmp_path, capsys):

@@ -304,6 +304,41 @@ def test_sign_scan_classifies_levels_deep_per_array_call(monkeypatch):
     assert calls == {"array": 1 + math.ceil(18 / oracle.LEVELS), "scalar": 0}
 
 
+# a 1e-6 rad block about the base angle k of a 1440-angle scan, which the
+# scan sees and then drops as narrower than NARROW_FLOOR
+def _narrow(k):
+    phi = (k + 0.5) * 2.0 * math.pi / 1440
+    return [(phi - 5e-7, "n"), (phi + 5e-7, "a")]
+
+
+@pytest.mark.parametrize("runs, want", [
+    # the "a" runs on both sides of the narrow block join, away from the
+    # zero angle
+    ([(0.0, "b"), (0.5, "a"), *_narrow(229), (3.0, "b")],
+     [(0.5, "a"), (3.0, "b")]),
+    # the narrow block is the first one: the last "a" run joins the one
+    # after it across the zero angle
+    ([(0.0, "a"), *_narrow(0), (1.0, "b"), (3.0, "a")],
+     [(1.0, "b"), (3.0, "a")]),
+])
+def test_sign_scan_merges_equal_neighbours_of_a_dropped_block(
+        monkeypatch, runs, want):
+    # runs: (start angle, signature) of each run of the synthetic circle
+    def sig(phi):
+        return (max((a, s) for a, s in runs if a <= phi)[1],)
+
+    def synthetic(sys_, mu):
+        return [sig(p) for p in
+                (np.arctan2(mu.mu2, mu.mu1) % regions.TWO_PI).tolist()]
+    monkeypatch.setattr(oracle, "signature_at", synthetic)
+    blocks = sign_scan(nondegenerate_case(1.0, 2.0), 1e-3).blocks
+    assert [b.signature for b in blocks] == [(s,) for _, s in want]
+    assert [b.start for b in blocks] == pytest.approx(
+        [a for a, _ in want], abs=NARROW_FLOOR)
+    assert [b.end for b in blocks] == pytest.approx(
+        [a for a, _ in want[1:] + want[:1]], abs=NARROW_FLOOR)
+
+
 def test_sign_scan_points_are_the_scalar_points():
     phis = [(k + 0.5) * 2.0 * math.pi / 1440 for k in range(1440)]
     mu = ParamArray.from_polar(3e-3, phis)

@@ -388,7 +388,8 @@ def _base_angles(n=1440):
 def test_batched_signatures_equal_scalar_at_every_base_angle(r):
     from conftest import scan_systems
     phis = _base_angles()
-    for sys_ in scan_systems():
+    # theta*delta = 1: E3 is skipped at every point
+    for sys_ in scan_systems() + [nondegenerate_case(2.0, 0.5)]:
         batched = signature_at(sys_, ParamArray.from_polar(r, phis))
         scalar = [signature_at(sys_, ParamPoint.from_polar(r, p)) for p in phis]
         assert batched == scalar, sys_
@@ -485,20 +486,20 @@ def test_decompose_retry_rescues_a_thin_sector_between_lines():
 
 
 def test_decompose_merges_runs_and_joins_across_the_zero_angle(monkeypatch):
-    # runs of equal signatures merge, the last run joins the first one
-    # across the zero angle, and a merged sector keeps the representative
-    # of its first part
+    # runs of equal signatures merge, the last run (4 to 0.5 across zero)
+    # joins the first one (0.5 to 1), and a merged sector keeps the
+    # representative of its first part
     cuts = [0.5, 1.0, 2.0, 4.0, 5.0]
     monkeypatch.setattr(rg, "boundary_candidates",
                         lambda sys_, r: [(a, f"c{a}") for a in cuts])
     monkeypatch.setattr(rg, "signature_at", lambda sys_, mu:
-                        ("s",) if 0.5 < mu.angle < 2.0 else ("a",))
+                        ("s",) if 1.0 < mu.angle < 4.0 else ("a",))
     sectors = decompose(nondegenerate_case(0.5, 0.5), None, 1e-3)
     assert [(s.sector_id, s.angles, s.bounding, s.signature)
-            for s in sectors] == [(0, (0.5, 2.0), ("c0.5", "c2.0"), ("s",)),
-                                  (1, (2.0, 0.5), ("c2.0", "c0.5"), ("a",))]
+            for s in sectors] == [(0, (1.0, 4.0), ("c1.0", "c4.0"), ("s",)),
+                                  (1, (4.0, 1.0), ("c4.0", "c1.0"), ("a",))]
     assert [s.representative.angle for s in sectors] == pytest.approx(
-        [0.75, 3.0])
+        [1.5, 4.5])
 
 
 def test_boundary_candidates_drop_near_duplicate_and_wrap_around_cuts(
