@@ -456,9 +456,9 @@ def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint) -> None:
             if eqs[i].distance(eqs[j]) <= thresh:
                 partners.setdefault(i, set()).add(j)
                 partners.setdefault(j, set()).add(i)
-    for k, others in partners.items():
-        if len(others) > 1:
-            rest = sorted(others)
+    for k in sorted(partners):
+        if len(partners[k]) > 1:
+            rest = sorted(partners[k])
             for a in rest:
                 for b in rest:
                     if b > a and eqs[a].distance(eqs[b]) > thresh:
@@ -469,72 +469,67 @@ def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint) -> None:
         eqs[k] = replace(eqs[k], trivial=True)
 
 
-def _signature_columns(sys: ReducedSystem,
-                       mu: ParamArray) -> list[list[str]]:
-    """The type-signatures at many points at once, one column per label of
-    the family: find_equilibria at every point, in the default disk.
+def _signature_rows(sys: ReducedSystem,
+                    mu: ParamArray) -> list[tuple[str, ...]]:
+    """The type-signatures at many points at once, one row per point over
+    the family's labels: find_equilibria at every point, in the default disk.
 
-    A column holds the s/a/r/d letter of its label where find_equilibria
-    lists it proper and not colliding, and "-" elsewhere; it raises what
-    find_equilibria raises at any of the points.
+    A row holds the s/a/r/d letter of a label where find_equilibria lists
+    it proper and not colliding, and "-" elsewhere; it raises what
+    find_equilibria raises at any of the points.  It works on one
+    (label x point) table, the labels in family order.
     """
     norm = mu.norm
-    bad = np.flatnonzero(~(norm < EPSILON_DISK))
-    if bad.size:
-        k = bad[0]
+    if not (norm < EPSILON_DISK).all():
+        k = np.argmin(norm < EPSILON_DISK)
         check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])))
     if sys.degeneracy == DOUBLY_DEGENERATE:
         raise UnsupportedCase(
             "equilibrium labeling is not defined for the DoublyDegenerate class")
     c = sys.at(mu)
     labels = LABELS_BY_FAMILY[sys.degeneracy]
-    moving = norm != 0.0
     zero = np.zeros(norm.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        found = {"E0": (np.ones(norm.shape, dtype=bool), zero, zero)}
-        for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
+        found = [(np.ones(norm.shape, dtype=bool), zero, zero)]   # E0
+        for axis, (single, _, a, b, m) in enumerate(_axis_quadratics(c)):
             rp, has_p, rm, has_m = _quadratic_roots_array(a, b, m)
-            has_p, has_m = has_p & moving, has_m & moving
             if single in labels:
                 # the root nearest the seed; a tie goes to the plus root
                 seed = np.where(b != 0.0, -m / b, 0.0)
                 minus = has_m & (~has_p | (np.abs(rm - seed) < np.abs(rp - seed)))
-                roots = {single: (has_p | has_m, np.where(minus, rm, rp))}
+                roots = [(has_p | has_m, np.where(minus, rm, rp))]
             else:
-                roots = {pair[0]: (has_p, rp), pair[1]: (has_m, rm)}
-            for label, (has, r) in roots.items():
-                found[label] = (has, r, zero) if axis == 0 else (has, zero, r)
+                roots = [(has_p, rp), (has_m, rm)]
+            found += [(has, r, zero) if axis == 0 else (has, zero, r)
+                      for has, r in roots]
         if _skip_e3(sys):
-            found["E3"] = (np.zeros(norm.shape, dtype=bool), zero, zero)
+            found.append((np.zeros(norm.shape, dtype=bool), zero, zero))
         else:
             x1, x2, ok = _refine_e3_array(sys, c, norm, None)
-            found["E3"] = (ok & moving, x1, x2)
+            found.append((ok, x1, x2))
+        has, x1, x2 = (np.stack(v) for v in zip(*found))
+        has[1:] &= norm != 0.0   # at mu = 0 only E0 exists
 
         thresh = TOL_COLLIDE * norm
-        dist, close = {}, {}
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                (ha, a1, a2), (hb, b1, b2) = found[a], found[b]
-                dist[a, b] = dist[b, a] = d = hypot(a1 - b1, a2 - b2)
-                close[a, b] = close[b, a] = ha & hb & (d <= thresh)
-        for k in labels:
-            partners = [j for j in labels if j != k]
-            for i, a in enumerate(partners):
-                for b in partners[i + 1:]:
-                    amb = close[k, a] & close[k, b] & (dist[a, b] > thresh)
-                    if amb.any():
-                        raise AmbiguousLabel(
-                            f"{k} collides with both {a} and {b}, which are "
-                            f"distinct (at point {int(np.argmax(amb))})")
+        # distances label to label; NaN on the diagonal compares false
+        i, j = np.triu_indices(len(labels), 1)
+        dist = np.full((len(labels),) + has.shape, np.nan)
+        dist[i, j] = dist[j, i] = hypot(x1[i] - x1[j], x2[i] - x2[j])
+        close = has[:, None] & has & (dist <= thresh)
+        if (close.sum(axis=1) > 1).any():
+            # (k, a, b, point) where k is close to both a and b, which are
+            # distinct: the first in C order has a < b
+            amb = np.argwhere(close[:, :, None] & close[:, None]
+                              & (dist > thresh))
+            if amb.size:
+                k, a, b, p = amb[0]
+                raise AmbiguousLabel(
+                    f"{labels[k]} collides with both {labels[a]} and "
+                    f"{labels[b]}, which are distinct (at point {p})")
         band = TOL_PROPER * norm
-        cols = []
-        for k in labels:
-            has, x1, x2 = found[k]
-            shown = (has & (x1 >= -band) & (x2 >= -band)
-                     & ~np.any([close[k, j] for j in labels if j != k], axis=0))
-            cols.append(np.where(shown, _letters(c, x1, x2, TOL_EIG * norm),
-                                 "-").tolist())
-    return cols
+        shown = (has & (x1 >= -band) & (x2 >= -band) & ~close.any(axis=1))
+        table = np.where(shown, _letters(c, x1, x2, TOL_EIG * norm), "-")
+    return list(zip(*table.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from . import bifurcation as bif
 from .cases import CANONICAL_BY_FAMILY
-from .equilibria import (LABELS_BY_FAMILY, _signature_columns, _skip_e3,
+from .equilibria import (LABELS_BY_FAMILY, _signature_rows, _skip_e3,
                          find_equilibria, sar_letter)
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (CLASS_TOL, DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
@@ -110,7 +110,7 @@ def signature_at(sys: ReducedSystem, mu) -> tuple[str, ...]:
     order.
     """
     if isinstance(mu, ParamArray):
-        return list(zip(*_signature_columns(sys, mu.ravel())))
+        return _signature_rows(sys, mu.ravel())
     eqs = find_equilibria(sys, mu)
     return tuple("-" if eq is None or not eq.proper or eq.trivial
                  else sar_letter(eq.kind)

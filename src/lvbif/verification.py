@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bifurcation as bif
-from .cases import CANONICAL_NONDEGENERATE
+from .cases import CANONICAL_NONDEGENERATE, deltazero_case
 from .equilibria import find_equilibria
 from .errors import CollisionMismatch, LVError
 from .model import DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ReducedSystem
@@ -29,11 +29,8 @@ def sotomayor_fixture(family: str, branch: str = "a") -> ReducedSystem:
     """
     if family == DELTA_ZERO:
         d1 = 1.5 if branch == "a" else 3.0   # gamma*d1-2P < 0 vs > 0
-        return ReducedSystem.from_coeffs(
-            theta=1.0,
-            gamma=linear_poly(1.0, 0.5, 1.0),
-            delta=linear_poly(0.0, d1, 1.0),
-            P=1.0, M=0.1, N=0.1, L=0.1, S=0.1, R=0.1)
+        return deltazero_case(1.0, d1, P=1.0, gamma=linear_poly(1.0, 0.5, 1.0),
+                              delta2=1.0)
     if family == THETA_ZERO:
         t2 = 1.5 if branch == "a" else 3.0   # theta2-2N*gamma < 0 vs > 0
         return ReducedSystem.from_coeffs(

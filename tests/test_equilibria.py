@@ -100,6 +100,16 @@ def test_ambiguous_collision_pairing_rejected():
     # E3 collides with both, but E1 and E2 are farther than the tolerance
     with pytest.raises(AmbiguousLabel):
         _flag_collisions(eqs, mu)
+    # labels are checked in label order: E1 (close to E2 and E3) comes
+    # before E3 (close to E0 and E1)
+    eqs = EquilibriumList([eq("E0", (-0.6 * thresh, 0.0)),
+                           eq("E1", (0.6 * thresh, 0.0)),
+                           eq("E2", (1.2 * thresh, 0.0)),
+                           eq("E3", (0.0, 0.0))])
+    with pytest.raises(AmbiguousLabel,
+                       match="^E1 collides with both E2 and E3, which are "
+                             "distinct$"):
+        _flag_collisions(eqs, mu)
     # a clean pairwise collision is only flagged trivial
     eqs = EquilibriumList([eq("E1", (0.0, 0.0)),
                            eq("E3", (0.6 * thresh, 0.0)),

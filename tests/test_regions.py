@@ -389,10 +389,18 @@ def test_batched_signatures_equal_scalar_at_every_base_angle(r):
     from conftest import scan_systems
     phis = _base_angles()
     # theta*delta = 1: E3 is skipped at every point
+    # the origin, where only E0 exists, and the four semi-axis points,
+    # where an axis root meets E0
+    pts = [(0.0, 0.0), (r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)]
+    special = ParamArray(*(np.array(v) for v in zip(*pts)))
+    empty = ParamArray(np.array([]), np.array([]))
     for sys_ in scan_systems() + [nondegenerate_case(2.0, 0.5)]:
         batched = signature_at(sys_, ParamArray.from_polar(r, phis))
         scalar = [signature_at(sys_, ParamPoint.from_polar(r, p)) for p in phis]
         assert batched == scalar, sys_
+        assert signature_at(sys_, special) == [
+            signature_at(sys_, ParamPoint(*p)) for p in pts], sys_
+        assert signature_at(sys_, empty) == []
 
 
 def test_two_dimensional_param_arrays_solve_point_by_point():
@@ -434,14 +442,19 @@ def test_batched_signatures_raise_where_the_scalar_path_raises(monkeypatch):
     def ambiguous(p):
         try:
             find_equilibria(sys_, ParamPoint.from_polar(1e-3, p))
-        except AmbiguousLabel:
-            return True
-        return False
+        except AmbiguousLabel as exc:
+            return str(exc)
+        return None
     flags = [ambiguous(p) for p in phis]
-    assert 0 < sum(flags) < len(phis)
-    with pytest.raises(AmbiguousLabel):
+    assert 0 < sum(f is not None for f in flags) < len(phis)
+    with pytest.raises(AmbiguousLabel) as raised:
         signature_at(sys_, ParamArray.from_polar(1e-3, phis))
-    clean = [p for p, f in zip(phis, flags) if not f]
+    # the batched message names a point where the scalar path raises the
+    # same message
+    msg, point = re.fullmatch(r"(.*) \(at point (\d+)\)",
+                              str(raised.value)).groups()
+    assert flags[int(point)] == msg
+    clean = [p for p, f in zip(phis, flags) if f is None]
     assert signature_at(sys_, ParamArray.from_polar(1e-3, clean)) == [
         signature_at(sys_, ParamPoint.from_polar(1e-3, p)) for p in clean]
     # one point outside the disk fails the whole array, as it fails alone
