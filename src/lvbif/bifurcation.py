@@ -29,9 +29,10 @@ from .equilibria import (_axis_quadratics, _skip_e3, find_equilibria,
 from .errors import (CollisionMismatch, DegenerateJacobian,
                      HypothesisViolation, NewtonDivergence, NotApplicable,
                      UnsupportedCase)
-from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
-                    ParamPoint, ReducedSystem, _EPS, _roots, field_at,
-                    hessian_form_at, jacobian_at, mirror, mirror_name)
+from .model import (DELTA_ZERO, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
+                    ParamArray, ParamPoint, ReducedSystem, _EPS, _roots,
+                    field_at, hessian_form_at, jacobian_at, mirror,
+                    mirror_name)
 
 # curve kinds
 T1 = "T1"
@@ -341,8 +342,16 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     half-line constraint (the curve is absent for this sign pattern).
     The circles' zeros come from circle_zeros, shared with decompose and
     the other kinds; a kind that reads E3 re-raises a circle's failure.
-    Raises NotApplicable when the kind does not exist for the class.
+    Raises ValueError unless each radius lies in (0, EPSILON_DISK) and is
+    given once, and NotApplicable when the kind does not exist for the
+    class.
     """
+    for i, r in enumerate(radii):
+        if not 0.0 < r < EPSILON_DISK:
+            raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
+                             f"{EPSILON_DISK!r})")
+        if r in radii[:i]:
+            raise ValueError(f"radius {r!r} given twice")
     residual = curve_residual(sys, kind)
     desc, pred = halfline_constraint(sys, kind)
     curve = BifurcationCurve(kind=kind, halfline=desc)
@@ -578,7 +587,6 @@ def sotomayor_transcritical(sys: ReducedSystem, mu0) -> SotomayorReport:
 class CollisionRecord:
     mu: ParamPoint
     pair: tuple[str, str]
-    distance: float
     vanishing: str          # label whose transverse eigenvalue vanishes
     vanishing_eig: float
     companion: str | None
@@ -627,7 +635,7 @@ def collision_check(sys: ReducedSystem,
             if comp is not None and comp.proper and not comp.trivial:
                 companion_kind = comp.kind
         records.append(CollisionRecord(
-            mu=mu, pair=pair, distance=ea.distance(eb),
-            vanishing=axis_eq.label, vanishing_eig=float(lam.real),
-            companion=companion, companion_kind=companion_kind))
+            mu=mu, pair=pair, vanishing=axis_eq.label,
+            vanishing_eig=float(lam.real), companion=companion,
+            companion_kind=companion_kind))
     return records

@@ -22,8 +22,8 @@ from .dynamics import portrait
 from .emit import curves_csv, fmt, portrait_svg, trajectories_csv
 from .equilibria import find_equilibria
 from .errors import LVError, NotApplicable, OnCurve, UnsupportedCase
-from .model import (DELTA_ZERO, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
-                    ParamPoint, load_system)
+from .model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
+                    load_system)
 from .oracle import cross_check
 from .regions import region_membership, select_case, verify_tables
 from .verification import sotomayor_suite
@@ -51,16 +51,9 @@ def _parse_mu(text: str) -> ParamPoint:
 
 def _parse_radii(text: str) -> list[float]:
     try:
-        radii = [float(r) for r in text.split(",")]
+        return [float(r) for r in text.split(",")]
     except ValueError:
         raise ValueError(f"--radii expects 'r1,r2,...', got {text!r}") from None
-    for i, r in enumerate(radii):
-        if not 0.0 < r < EPSILON_DISK:
-            raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
-                             f"{EPSILON_DISK!r})")
-        if r in radii[:i]:
-            raise ValueError(f"radius {r!r} given twice in --radii")
-    return radii
 
 
 def _load(path: str):

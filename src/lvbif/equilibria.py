@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -84,10 +85,6 @@ class Equilibrium:
     proper: bool
     trivial: bool = False
 
-    def distance(self, other: "Equilibrium") -> float:
-        d1, d2 = self.xi[0] - other.xi[0], self.xi[1] - other.xi[1]
-        return math.sqrt(d1 * d1 + d2 * d2)
-
 
 class EquilibriumList(list):
     """List of equilibria plus analysis notes (e.g. skipped refinements)."""
@@ -97,10 +94,7 @@ class EquilibriumList(list):
         self.notes: list[str] = []
 
     def get(self, label: str) -> Equilibrium | None:
-        for eq in self:
-            if eq.label == label:
-                return eq
-        return None
+        return next((eq for eq in self if eq.label == label), None)
 
 
 class Classification(NamedTuple):
@@ -110,46 +104,37 @@ class Classification(NamedTuple):
     det: float    # Jacobian determinant
 
 
-def _eig2(j11: float, j12: float, j21: float, j22: float
-          ) -> tuple[complex, complex, float, float]:
-    p = 0.5 * (j11 + j22)
-    det = j11 * j22 - j12 * j21
-    disc = p * p - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return complex(p - s), complex(p + s), p, det
-    s = math.sqrt(-disc)
-    return complex(p, -s), complex(p, s), p, det
-
-
-def _kind_from_eigs(lam1: complex, lam2: complex, tol_eig: float) -> str:
-    re1, re2 = lam1.real, lam2.real
-    if abs(re1) <= tol_eig or abs(re2) <= tol_eig:
-        return DEGENERATE
-    focus = abs(lam1.imag) > 0.0
-    if re1 < 0.0 and re2 < 0.0:
-        return ATTRACTOR_FOCUS if focus else ATTRACTOR_NODE
-    if re1 > 0.0 and re2 > 0.0:
-        return REPELLER_FOCUS if focus else REPELLER_NODE
-    return SADDLE
-
-
 def classify(sys: ReducedSystem, mu, xi) -> Classification:
     """Eigenvalues and kind at a state xi, by the closed 2x2 formulas."""
     mu = ParamPoint.coerce(mu)
-    return _classify(sys.at(mu), xi, TOL_EIG * mu.norm)
+    return _classify(jacobian_at(sys.at(mu), tuple(xi)), TOL_EIG * mu.norm)
 
 
-def _classify(c: Coeffs, xi, tol_eig: float) -> Classification:
-    (j11, j12), (j21, j22) = jacobian_at(c, tuple(xi))
-    lam1, lam2, p, det = _eig2(j11, j12, j21, j22)
-    return Classification((lam1, lam2), _kind_from_eigs(lam1, lam2, tol_eig),
-                          p, det)
+def _classify(jac, tol_eig: float) -> Classification:
+    """The Classification of one Jacobian; _letters gives its letter."""
+    (j11, j12), (j21, j22) = jac
+    p = 0.5 * (j11 + j22)
+    det = j11 * j22 - j12 * j21
+    disc = p * p - det
+    s = math.sqrt(abs(disc))
+    if disc >= 0.0:
+        re1, re2, eigs = p - s, p + s, (complex(p - s), complex(p + s))
+    else:
+        re1, re2, eigs = p, p, (complex(p, -s), complex(p, s))
+    if abs(re1) <= tol_eig or abs(re2) <= tol_eig:
+        kind = DEGENERATE
+    elif re1 < 0.0 and re2 < 0.0:
+        kind = ATTRACTOR_FOCUS if disc < 0.0 else ATTRACTOR_NODE
+    elif re1 > 0.0 and re2 > 0.0:
+        kind = REPELLER_FOCUS if disc < 0.0 else REPELLER_NODE
+    else:
+        kind = SADDLE
+    return Classification(eigs, kind, p, det)
 
 
-def _letters(c: Coeffs, x1, x2, tol_eig) -> np.ndarray:
-    """The s/a/r/d letter of _classify at arrays of states."""
-    (j11, j12), (j21, j22) = jacobian_at(c, (x1, x2))
+def _letters(jac, tol_eig) -> np.ndarray:
+    """The s/a/r/d letter of _classify over arrays of Jacobians."""
+    (j11, j12), (j21, j22) = jac
     p = 0.5 * (j11 + j22)
     disc = p * p - (j11 * j22 - j12 * j21)
     real = disc >= 0.0
@@ -368,14 +353,6 @@ def _refine_e3_array(sys: ReducedSystem, c: Coeffs, norm: np.ndarray, seed):
 # assembly
 # ---------------------------------------------------------------------------
 
-def _make_equilibrium(c: Coeffs, mu: ParamPoint, label: str,
-                      xi: tuple[float, float]) -> Equilibrium:
-    cls = _classify(c, xi, TOL_EIG * mu.norm)
-    band = TOL_PROPER * mu.norm
-    return Equilibrium(label=label, xi=xi, eigenvalues=cls.eigenvalues,
-                       kind=cls.kind, proper=xi[0] >= -band and xi[1] >= -band)
-
-
 def _axis_quadratics(c: Coeffs):
     """Per axis: the label of its single root, the labels of its root pair,
     and the coefficients of its quadratic (x^2, x, 1)."""
@@ -392,6 +369,14 @@ def _skip_e3(sys: ReducedSystem) -> bool:
             and abs(sys.theta0 * sys.delta0 - 1.0) <= HYPERBOLA_TOL)
 
 
+def _labels(sys: ReducedSystem) -> tuple[str, ...]:
+    """The family's labels in label order: E0, the axis roots, E3."""
+    if sys.degeneracy == DOUBLY_DEGENERATE:
+        raise UnsupportedCase(
+            "equilibrium labeling is not defined for the DoublyDegenerate class")
+    return LABELS_BY_FAMILY[sys.degeneracy]
+
+
 def find_equilibria(sys: ReducedSystem, mu,
                     tol: Tolerances = TOL) -> EquilibriumList:
     """All labeled equilibria of the reduced system near the origin at mu.
@@ -402,43 +387,36 @@ def find_equilibria(sys: ReducedSystem, mu,
     """
     mu = ParamPoint.coerce(mu)
     check_disk(mu, tol.epsilon_disk)
-    if sys.degeneracy == DOUBLY_DEGENERATE:
-        raise UnsupportedCase(
-            "equilibrium labeling is not defined for the DoublyDegenerate class")
-    out = EquilibriumList()
+    labels = _labels(sys)
     c = sys.at(mu)
-
-    out.append(_make_equilibrium(c, mu, "E0", (0.0, 0.0)))
-    if mu.norm == 0.0:
-        return out
-
-    labels = LABELS_BY_FAMILY[sys.degeneracy]
-    for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
-        rp, rm = stable_quadratic_roots(a, b, m)
-        if single in labels:
-            # the root nearest the seed; a tie goes to the plus root
-            seed = -m / b if b != 0.0 else 0.0
-            cands = [r for r in (rp, rm) if r is not None]
-            roots = {single: min(cands, key=lambda r: abs(r - seed))
-                     if cands else None}
+    out = EquilibriumList()
+    found = {"E0": (0.0, 0.0)}
+    if mu.norm != 0.0:   # at mu = 0 only E0 exists
+        for axis, (single, pair, a, b, m) in enumerate(_axis_quadratics(c)):
+            rp, rm = stable_quadratic_roots(a, b, m)
+            if single in labels:
+                # the root nearest the seed; a tie goes to the plus root
+                seed = -m / b if b != 0.0 else 0.0
+                roots = {single: min((r for r in (rp, rm) if r is not None),
+                                     key=lambda r: abs(r - seed), default=None)}
+            else:
+                roots = {pair[0]: rp, pair[1]: rm}
+            found.update((label, (r, 0.0) if axis == 0 else (0.0, r))
+                         for label, r in roots.items() if r is not None)
+        if _skip_e3(sys):
+            out.notes.append("DegenerateCase: theta*delta - 1 vanishes; "
+                             "interior refinement skipped")
         else:
-            roots = {pair[0]: rp, pair[1]: rm}
-        for label, r in roots.items():
-            if r is not None:
-                xi = (r, 0.0) if axis == 0 else (0.0, r)
-                out.append(_make_equilibrium(c, mu, label, xi))
+            try:
+                found["E3"] = _refine_e3_point(sys, c, mu.norm, None)
+            except NewtonDivergence as exc:
+                out.notes.append(f"NewtonDivergence: E3 absent ({exc})")
 
-    # interior point
-    if _skip_e3(sys):
-        out.notes.append(
-            "DegenerateCase: theta*delta - 1 vanishes; interior refinement skipped")
-    else:
-        try:
-            xi3 = _refine_e3_point(sys, c, mu.norm, None)
-            out.append(_make_equilibrium(c, mu, "E3", xi3))
-        except NewtonDivergence as exc:
-            out.notes.append(f"NewtonDivergence: E3 absent ({exc})")
-
+    band, tol_eig = TOL_PROPER * mu.norm, TOL_EIG * mu.norm
+    for label, xi in found.items():
+        cls = _classify(jacobian_at(c, xi), tol_eig)
+        out.append(Equilibrium(label, xi, cls.eigenvalues, cls.kind,
+                               proper=xi[0] >= -band and xi[1] >= -band))
     _flag_collisions(out, mu)
     return out
 
@@ -446,27 +424,26 @@ def find_equilibria(sys: ReducedSystem, mu,
 def _flag_collisions(eqs: EquilibriumList, mu: ParamPoint) -> None:
     """Mark colliding pairs trivial; reject genuinely ambiguous matchings.
 
-    A root claiming two mutually distinct partners at once cannot be
-    attributed to a single collision pair.
+    close[k] lists the labels within TOL_COLLIDE * |mu| of label k, in
+    label order.  A label with a close partner is trivial; the first
+    (k, a < b) with a and b close to k but not to each other raises.
     """
     thresh = TOL_COLLIDE * mu.norm
-    partners: dict[int, set[int]] = {}
-    for i in range(len(eqs)):
-        for j in range(i + 1, len(eqs)):
-            if eqs[i].distance(eqs[j]) <= thresh:
-                partners.setdefault(i, set()).add(j)
-                partners.setdefault(j, set()).add(i)
-    for k in sorted(partners):
-        if len(partners[k]) > 1:
-            rest = sorted(partners[k])
-            for a in rest:
-                for b in rest:
-                    if b > a and eqs[a].distance(eqs[b]) > thresh:
-                        raise AmbiguousLabel(
-                            f"{eqs[k].label} collides with both "
-                            f"{eqs[a].label} and {eqs[b].label}, which are "
-                            "distinct")
-        eqs[k] = replace(eqs[k], trivial=True)
+    close = [[] for _ in eqs]
+    for i, j in combinations(range(len(eqs)), 2):
+        (a1, a2), (b1, b2) = eqs[i].xi, eqs[j].xi
+        d1, d2 = a1 - b1, a2 - b2
+        if math.sqrt(d1 * d1 + d2 * d2) <= thresh:
+            close[i].append(j)
+            close[j].append(i)
+    for k, near in enumerate(close):
+        if near:
+            for a, b in combinations(near, 2):
+                if b not in close[a]:
+                    raise AmbiguousLabel(
+                        f"{eqs[k].label} collides with both {eqs[a].label} "
+                        f"and {eqs[b].label}, which are distinct")
+            eqs[k] = replace(eqs[k], trivial=True)
 
 
 def _signature_rows(sys: ReducedSystem,
@@ -483,11 +460,8 @@ def _signature_rows(sys: ReducedSystem,
     if not (norm < EPSILON_DISK).all():
         k = np.argmin(norm < EPSILON_DISK)
         check_disk(ParamPoint(float(mu.mu1[k]), float(mu.mu2[k])))
-    if sys.degeneracy == DOUBLY_DEGENERATE:
-        raise UnsupportedCase(
-            "equilibrium labeling is not defined for the DoublyDegenerate class")
+    labels = _labels(sys)
     c = sys.at(mu)
-    labels = LABELS_BY_FAMILY[sys.degeneracy]
     zero = np.zeros(norm.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         found = [(np.ones(norm.shape, dtype=bool), zero, zero)]   # E0
@@ -511,7 +485,8 @@ def _signature_rows(sys: ReducedSystem,
         has[1:] &= norm != 0.0   # at mu = 0 only E0 exists
 
         thresh = TOL_COLLIDE * norm
-        # distances label to label; NaN on the diagonal compares false
+        # distances label to label; NaN on the diagonal compares false.
+        # close[k, j] is the relation close[k] of _flag_collisions
         i, j = np.triu_indices(len(labels), 1)
         dist = np.full((len(labels),) + has.shape, np.nan)
         dist[i, j] = dist[j, i] = hypot(x1[i] - x1[j], x2[i] - x2[j])
@@ -528,7 +503,8 @@ def _signature_rows(sys: ReducedSystem,
                     f"{labels[b]}, which are distinct (at point {p})")
         band = TOL_PROPER * norm
         shown = (has & (x1 >= -band) & (x2 >= -band) & ~close.any(axis=1))
-        table = np.where(shown, _letters(c, x1, x2, TOL_EIG * norm), "-")
+        table = np.where(shown, _letters(jacobian_at(c, (x1, x2)),
+                                         TOL_EIG * norm), "-")
     return list(zip(*table.tolist()))
 
 

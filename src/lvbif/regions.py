@@ -214,12 +214,18 @@ def region_membership(sys: ReducedSystem, mu) -> RegionReport:
     """The sector of the decomposition at radius |mu| containing mu.
 
     Raises OnCurve when mu is within the angular separation tolerance of a
-    sector boundary (including the origin, where every curve meets).
+    sector boundary (including the origin, where every curve meets), and
+    SectorTooThin when decompose cut its sectors on a smaller circle, whose
+    boundary angles are not those at |mu|.
     """
     mu = ParamPoint.coerce(mu)
     if mu.norm == 0.0:
         raise OnCurve("all bifurcation curves pass through mu = 0")
     sectors = decompose(sys, None, mu.norm)
+    if sectors[0].radius != mu.norm:
+        raise SectorTooThin(
+            f"sectors cut at r = {sectors[0].radius!r}, not at |mu| = "
+            f"{mu.norm!r}")
     ang = mu.angle
     sep = SEP_TOL * mu.norm
     for s in sectors:

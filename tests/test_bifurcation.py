@@ -70,6 +70,17 @@ def test_collision_line_respects_halfline():
     assert curve.samples[0].mu1 < 0.0  # theta > 0 forces mu1 < 0
 
 
+@pytest.mark.parametrize("radii, match", [
+    ([0.0], "outside"), ([-1e-3], "outside"), ([1e-2], "outside"),
+    ([0.5], "outside"), ([math.nan], "outside"), ([1e-3, 1e-4, 1e-3], "twice"),
+])
+def test_trace_rejects_a_radius_outside_the_disk_or_repeated(radii, match):
+    # each radius must lie in (0, EPSILON_DISK) and appear once, whatever
+    # the kind would find on that circle
+    with pytest.raises(ValueError, match=match):
+        bif.trace_curve(nondegenerate_case(-2.0, -1.0), bif.T1, radii)
+
+
 def test_kind_admissibility():
     with pytest.raises(NotApplicable):
         bif.trace_curve(dz(), bif.T4, [1e-3])

@@ -118,6 +118,57 @@ def test_ambiguous_collision_pairing_rejected():
     assert eqs[0].trivial and eqs[1].trivial and not eqs[2].trivial
 
 
+def test_flag_collisions_follows_the_rule_on_random_configurations():
+    # the rule, stated by brute force: k and j collide when they are distinct
+    # and within TOL_COLLIDE * |mu|; the first (k, a < b) in label order
+    # where a and b collide with k but not with each other raises, and
+    # otherwise each label with a partner is flagged trivial
+    from lvbif.equilibria import Equilibrium, EquilibriumList, _flag_collisions
+    from lvbif.errors import AmbiguousLabel
+
+    mu = ParamPoint(6e-4, -8e-4)
+    thresh = equilibria.TOL_COLLIDE * mu.norm
+
+    def collide(p, q):
+        d1, d2 = p[0] - q[0], p[1] - q[1]
+        return p is not q and math.sqrt(d1 * d1 + d2 * d2) <= thresh
+
+    rng = np.random.default_rng(24)
+    outcomes = {"raised": 0, "flagged": 0, "clean": 0}
+    for _ in range(2000):
+        n = int(rng.integers(3, 6))
+        base = rng.uniform(-1e-3, 1e-3, 2)
+        spread = thresh * rng.choice([0.5, 1.0, 2.0, 3.0])
+        xis = [tuple(map(float, base + spread * rng.uniform(-1.0, 1.0, 2)))
+               for _ in range(n)]
+        labels = [f"E{k}" for k in range(n)]
+        expected = None
+        for k in range(n):
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if (expected is None and collide(xis[k], xis[a])
+                            and collide(xis[k], xis[b])
+                            and not collide(xis[a], xis[b])):
+                        expected = (f"{labels[k]} collides with both "
+                                    f"{labels[a]} and {labels[b]}, which "
+                                    "are distinct")
+        eqs = EquilibriumList(
+            Equilibrium(label, xi, (0j, 0j), "degenerate", True)
+            for label, xi in zip(labels, xis))
+        if expected is not None:
+            with pytest.raises(AmbiguousLabel) as exc:
+                _flag_collisions(eqs, mu)
+            assert str(exc.value) == expected
+            outcomes["raised"] += 1
+            continue
+        _flag_collisions(eqs, mu)
+        flags = [any(collide(p, q) for q in xis) for p in xis]
+        assert [eq.trivial for eq in eqs] == flags
+        outcomes["flagged" if any(flags) else "clean"] += 1
+    # every outcome of the rule is drawn many times
+    assert min(outcomes.values()) > 200, outcomes
+
+
 def test_virtual_equilibria_flagged():
     sys_ = canonical(1.0, 2.0)  # E1, E2 virtual in the open first quadrant
     eqs = find_equilibria(sys_, (7e-4, 7e-4))
@@ -141,6 +192,42 @@ def test_classify_reports_half_trace_and_det():
     J = eval_jacobian(sys_, (1e-3, 1e-3), (0.002, 0.003))
     assert cls.p == pytest.approx(0.5 * (J[0][0] + J[1][1]))
     assert cls.det == pytest.approx(J[0][0] * J[1][1] - J[0][1] * J[1][0])
+
+
+def test_classify_boundary_cases_match_the_letters():
+    from lvbif.equilibria import _classify, _letters, sar_letter
+    tol = 1e-12
+    tiny = 2.0 ** -26      # j12 * j21 = -2**-52: a disc of -2**-52
+    cases = [
+        # disc = +0.0, a double eigenvalue: a node
+        (((1.0, 0.0), (0.0, 1.0)), "repeller_node"),
+        (((-1.0, 1.0), (0.0, -1.0)), "attractor_node"),
+        # det = -0.0; p * p - det rounds a zero to +0.0, so disc is never
+        # -0.0 and this is the nearest case
+        (((0.0, 0.0), (0.0, -0.0)), "degenerate"),
+        # a tiny negative disc: a focus
+        (((1.0, tiny), (-tiny, 1.0)), "repeller_focus"),
+        (((-1.0, tiny), (-tiny, -1.0)), "attractor_focus"),
+        # a real part inside the TOL_EIG band, and one just outside it
+        (((0.5 * tol, 0.0), (0.0, -1.0)), "degenerate"),
+        (((-0.5 * tol, 0.0), (0.0, 1.0)), "degenerate"),
+        (((-2.0 * tol, 0.0), (0.0, 1.0)), "saddle"),
+        (((0.5 * tol, 1.0), (-1.0, 0.5 * tol)), "degenerate"),
+        (((2.0 * tol, 1.0), (-1.0, 2.0 * tol)), "repeller_focus"),
+        (((2.0 * tol, 0.0), (0.0, -1.0)), "saddle"),
+    ]
+    (j11, j12), (j21, j22) = (
+        [[np.array([c[0][r][s] for c in cases]) for s in (0, 1)]
+         for r in (0, 1)])
+    letters = _letters(((j11, j12), (j21, j22)), tol)
+    for (jac, kind), letter in zip(cases, letters.tolist()):
+        cls = _classify(jac, tol)
+        assert cls.kind == kind, jac
+        assert sar_letter(cls.kind) == letter, jac
+    p, disc = 1.0, 1.0 - (1.0 + 2.0 ** -52)
+    assert disc < 0.0
+    assert _classify(cases[3][0], tol).eigenvalues == (
+        complex(p, -math.sqrt(-disc)), complex(p, math.sqrt(-disc)))
 
 
 def test_e3_saddle_below_unit_hyperbola():

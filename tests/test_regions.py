@@ -153,6 +153,19 @@ def test_region_membership_on_curve_raises():
         region_membership(sys_, t1)
     with pytest.raises(OnCurve):
         region_membership(sys_, (1e-3, 0.0))
+    # decompose cuts this system's sectors at r = 2.5e-4, where the T2 cut
+    # lies short of the T2 zero on |mu| = 1e-3: neither that zero nor the
+    # midpoint of the two T2 angles may be placed among those sectors
+    sys_ = nondegenerate_case(1e6, 0.3)
+    t2 = bif.trace_curve(sys_, bif.T2, [1e-3]).samples[0]
+    cut, = (s.angles[0] for s in decompose(sys_, None, 1e-3)
+            if s.bounding[0] == bif.T2)
+    assert cut < t2.angle
+    mid = ParamPoint.from_polar(1e-3, 0.5 * (cut + t2.angle))
+    for mu in (t2, mid):
+        with pytest.raises(SectorTooThin,
+                           match=r"r = 0\.00025, not at \|mu\| = 0\.001"):
+            region_membership(sys_, mu)
 
 
 # -- table verification ---------------------------------------------------------
