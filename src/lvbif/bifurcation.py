@@ -3,9 +3,10 @@
 Each curve kind is the zero set of one scalar residual on one half-line
 (the table CURVES): an axis coordinate, the E3 coordinate that vanishes,
 the fold discriminant or the half-trace.  On each circle |mu| = r of a
-radius sweep the residuals are root-solved in the angle by the Illinois
-solve model._roots; circle_zeros keeps the zeros, and any failure of
-the circle's E3 solve, per system and radius.  The saddle-node and
+radius sweep the residuals are scanned at once and each sign-change
+bracket is root-solved in the angle by the scalar Illinois solver
+model._roots; circle_zeros keeps the zeros, and any failure of the
+circle's E3 solve, per system and radius.  The saddle-node and
 transcritical quantities C1 = w.f_b, C2 = w.[Df_b v], C3 = w.[D^2 f (v,v)]
 at collisions use analytic state derivatives and a complex step in the
 bifurcation parameter.
@@ -285,8 +286,8 @@ def circle_zeros(sys: ReducedSystem, r: float) -> tuple:
     The interior equilibrium is solved once for the whole circle, and each
     residual is scanned once for the kinds that share it.  A zero is
     labelled with the kind whose half-line holds it, or else with the first
-    of them in CURVES.  All sign changes on the circle are refined by one
-    Illinois solve, each to its own residual's rounding floor.  failure is
+    of them in CURVES.  Each sign change on the circle is refined by its
+    own Illinois solve, to its residual's rounding floor.  failure is
     the NewtonDivergence of the E3 solve, or None; the kinds that read E3
     are not scanned then, the axes and the fold discriminant still are.
     """
@@ -313,19 +314,17 @@ def circle_zeros(sys: ReducedSystem, r: float) -> tuple:
            for i, kind in enumerate(AXES)]
     vals = np.array([residual(circle, xi) for _, residual in scans], ndmin=2)
     a, b = vals[:, :-1], vals[:, 1:]
-    rows, j = np.nonzero((a == 0.0) | (a * b < 0.0))
-
-    def F(phis, idx):
-        return np.array([scans[rows[i]][1](ParamPoint.from_polar(r, p))
-                         for i, p in zip(idx.tolist(), phis.tolist())])
     # a bracket is done at its residual's rounding floor: 4 eps of that
     # residual's size on the circle
-    ftol = 4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0)
-    phis = _roots(F, _SCAN_PHIS[j], _SCAN_PHIS[j + 1], a[rows, j], b[rows, j],
-                  ftol[rows]) % (2.0 * math.pi)
-    for row, (shared, _) in enumerate(scans):
+    ftol = (4.0 * _EPS * np.abs(vals).max(axis=1, initial=0.0)).tolist()
+    cuts = (a == 0.0) | (a * b < 0.0)
+    for (shared, residual), v, tol, cut in zip(scans, vals, ftol, cuts):
+        F = lambda p: residual(ParamPoint.from_polar(r, p))
+        phis = [_roots(F, _SCAN_PHIS[j], _SCAN_PHIS[j + 1], v[j], v[j + 1],
+                       tol) % (2.0 * math.pi)
+                for j in np.flatnonzero(cut).tolist()]
         preds = [(k, halfline_constraint(sys, k)[1]) for k in shared]
-        for phi in sorted(phis[rows == row].tolist()):
+        for phi in sorted(phis):
             p = ParamPoint.from_polar(r, phi)
             out.append((p, next((k for k, pred in preds if pred(p)),
                                 shared[0])))
@@ -389,13 +388,12 @@ def parabola_point(sys: ReducedSystem, kind: str, coord: float) -> ParamPoint:
     span = max(abs(seed), 1e-3 * coord * coord, 1e-18)
     axis = _fold_axis(sys)
     point = lambda m: ParamPoint(coord, m) if axis else ParamPoint(m, coord)
-    F = lambda x, _: np.array([residual(point(seed + span * v))
-                               for v in x.tolist()])
-    u = np.array([-60.0, 60.0])
-    fe = F(u, None)
+    F = lambda v: residual(point(seed + span * v))
+    u = (-60.0, 60.0)
+    fe = np.array([F(v) for v in u])
     if fe[0] * fe[1] > 0.0:
         raise HypothesisViolation(f"no sign change of {kind} near {coord!r}")
-    m = float(seed + span * _roots(F, u[:1], u[1:], fe[:1], fe[1:], 0.0)[0])
+    m = float(seed + span * _roots(F, *u, *fe, 0.0))
     while kind in (D_NEG, D_POS) and residual(point(m)) < 0.0:
         m = math.nextafter(m, seed + span * u[fe.argmax()])
     mu = point(m)

@@ -4,7 +4,8 @@ The field is a smooth cubic at O(|mu|) scale, so a batched in-repo
 Dormand–Prince 5(4) pair (rtol 1e-10, atol 1e-12) integrates every seed of
 a call, a whole portrait included, as one row of an array; its controller
 and events follow scipy's RK45 (Hairer–Nørsett–Wanner, *Solving ODEs I*,
-§II.4, §II.6).  Linearization rates are O(|mu|), hence the default time
+§II.4, §II.6), and each fired event is located alone, on floats, by
+model._roots.  Linearization rates are O(|mu|), hence the default time
 horizon scales as 50/|mu|.
 """
 
@@ -27,14 +28,14 @@ MAX_TIME = "MaxTime"
 
 # Dormand–Prince 5(4): stage rows A, weights B, error weights E, and D for
 # the quartic dense output (Hairer–Nørsett–Wanner I, §II.6, as in DOPRI5)
-_A = ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
+_A = [np.array(a) for a in ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
       (19372/6561, -25360/2187, 64448/6561, -212/729),
-      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
-_B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
-_E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
-_D = (-12715105075/11282082432, 0.0, 87487479700/32700410799,
-      -10690763975/1880347072, 701980252875/199316789632,
-      -1453857185/822651844, 69997945/29380423)
+      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))]
+_B = np.r_[35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84]
+_E = np.r_[-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_D = np.r_[-12715105075/11282082432, 0.0, 87487479700/32700410799,
+           -10690763975/1880347072, 701980252875/199316789632,
+           -1453857185/822651844, 69997945/29380423]
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -61,9 +62,17 @@ class Portrait:
     separatrices: list[Trajectory] = field(default_factory=list)
 
 
-def _combo(weights, K):
-    """sum_i w_i K_i as row-wise multiply-adds, so no row sees another."""
-    return sum(w * k for w, k in zip(weights, K))
+def _combo(w, K):
+    """sum_i w_i K_i, whole stages added in order from 0.0, as sum() does."""
+    return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0, initial=0.0)
+
+
+def _dense(row, x):
+    """The quartic dense output of a step (t, h, y, dy, c3, c4, c5) at x."""
+    t, h, *coeffs = row
+    s = (x - t) / h
+    return [y + s * (dy + (1.0 - s) * (c3 + s * (c4 + (1.0 - s) * c5)))
+            for y, dy, c3, c4, c5 in zip(*coeffs)]
 
 
 def _rms(v):
@@ -86,19 +95,29 @@ def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
     y = np.array([x0 for x0, _ in seeds], dtype=float).reshape(-1, 2).T.copy()
     sign = np.array([1.0 if d == "forward" else -1.0 for _, d in seeds])
     box, margin, radius = 2.0 * window, 1e-6 * window, 1e-8 * window
-    ex, ey = np.array([e.xi for e in targets] + [(0.0, 0.0)]).T
-    every = np.arange(len(ex))[:, None]
+    ex, ey = np.array([e.xi for e in targets]).reshape(-1, 2).T
+    every = np.arange(len(targets))[:, None]
+    ftol = 4.0 * np.finfo(float).eps * window
     rows, t, rejected = np.arange(n), np.zeros(n), np.zeros(n, dtype=bool)
     out = [(rows, np.zeros(n), y.copy())]
 
-    def rhs(y, sign):
-        return sign * np.array(field_at(c, y))
+    def rhs(y, sign, out=None):
+        return np.multiply(sign, field_at(c, y), out=out)
 
-    def events(y, e):
-        near = np.hypot(y[0] - ex[e], y[1] - ey[e]) - radius
-        inside = np.minimum(np.minimum(box - y[0], box - y[1]),
-                            np.minimum(y[0] + margin, y[1] + margin))
-        return np.where(e == len(targets), inside, near)
+    # event e < len(targets) is the distance to targets[e] falling to
+    # radius, event len(targets) the least margin to the box's sides
+    def near(y0, y1, e):
+        return np.hypot(y0 - ex[e], y1 - ey[e]) - radius
+
+    def inside(y0, y1):
+        return np.minimum(np.minimum(box - y0, box - y1),
+                          np.minimum(y0 + margin, y1 + margin))
+
+    def events(y):
+        return np.vstack((near(y[0], y[1], every), inside(y[0], y[1])))
+
+    def event(e, y0, y1):
+        return near(y0, y1, e) if e < len(targets) else inside(y0, y1)
 
     def check(bad, why):
         if bad.any():
@@ -116,7 +135,7 @@ def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.fmax(d1, d2)) ** 0.2)
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), t_max)
-    g = events(y, every)
+    g = events(y)
     ended = np.full(n, -1)
     while rows.size:
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
@@ -124,11 +143,12 @@ def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
         check(h_abs < min_step, "the step size fell below 10 ulp(t)")
         t_new = np.minimum(t + h_abs, t_max)
         h = t_new - t
-        K = [f]
-        for a in _A:
-            K.append(rhs(y + h * _combo(a, K), sign))
+        K = np.empty((7,) + y.shape)
+        K[0] = f
+        for i, a in enumerate(_A, 1):
+            rhs(y + h * _combo(a, K), sign, out=K[i])
         y_new = y + h * _combo(_B, K)
-        K.append(rhs(y_new, sign))
+        rhs(y_new, sign, out=K[6])
         scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
         err = _rms(_combo(_E, K) * h / scale)
         ok = err < 1.0
@@ -139,40 +159,36 @@ def _integrate_all(sys: ReducedSystem, mu: ParamPoint, seeds,
         rejected = ~ok
         acc = np.flatnonzero(ok)
         t_a, y_a = t_new[acc], y_new[:, acc]
-        g_a = events(y_a, every)
+        g_a = events(y_a)
         fire = (g[:, acc] >= 0.0) & (g_a <= 0.0)
         fire[-1] |= (g[-1, acc] <= 0.0) & (g_a[-1] >= 0.0)
         finished = t_a >= t_max
         ev, j = np.nonzero(fire)
         if j.size:
-            # locate every fired event of the step on the dense output
+            # locate every fired event of the step on its row's dense output
             r = acc[j]
             dy = y_new[:, r] - y[:, r]
             c3 = h[r] * K[0][:, r] - dy
-            c4 = dy - h[r] * K[-1][:, r] - c3
-            c5 = h[r] * _combo(_D, [k[:, r] for k in K])
-
-            def dense(x, i):
-                s = (x - t[r[i]]) / h[r[i]]
-                return y[:, r[i]] + s * (dy[:, i] + (1.0 - s) * (
-                    c3[:, i] + s * (c4[:, i] + (1.0 - s) * c5[:, i])))
-
-            def F(x, i):
-                return events(dense(x, i), ev[i])
-
-            ends = np.arange(j.size)
-            root = _roots(F, t[r], t_a[j], F(t[r], ends), F(t_a[j], ends),
-                          4.0 * np.finfo(float).eps * window)
+            c4 = dy - h[r] * K[6][:, r] - c3
+            c5 = h[r] * _combo(_D, K[:, :, r])
+            steps = list(zip(t[r].tolist(), h[r].tolist(), *(
+                v.T.tolist() for v in (y[:, r], dy, c3, c4, c5))))
+            roots = []
+            for e, step, t1 in zip(ev.tolist(), steps, t_a[j].tolist()):
+                F = lambda x: event(e, *_dense(step, x))
+                roots.append(_roots(F, step[0], t1, F(step[0]), F(t1), ftol))
             # earliest root per row, the lower event index on a tie
-            order = np.lexsort((ev, root, j))
+            order = np.lexsort((ev, roots, j))
             first = order[np.r_[True, j[order][1:] != j[order][:-1]]]
-            t_a[j[first]] = root[first]
-            y_a[:, j[first]] = dense(root[first], first)
+            t_a[j[first]] = np.take(roots, first)
+            for i in first.tolist():
+                y_a[:, j[i]] = _dense(steps[i], roots[i])
             ended[rows[r[first]]] = ev[first]
             finished[j[first]] = True
         out.append((rows[acc], t_a, y_a))
-        t[acc], y[:, acc], f[:, acc], g[:, acc] = t_a, y_a, K[-1][:, acc], g_a
-        keep = ~np.isin(np.arange(rows.size), acc[finished])
+        t[acc], y[:, acc], f[:, acc], g[:, acc] = t_a, y_a, K[6][:, acc], g_a
+        keep = np.ones(rows.size, dtype=bool)
+        keep[acc[finished]] = False
         rows, t, h_abs, rejected, sign = (
             v[keep] for v in (rows, t, h_abs, rejected, sign))
         y, f, g = (v[:, keep] for v in (y, f, g))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
+
 from .bifurcation import BifurcationCurve
 from .dynamics import Portrait, Trajectory
 from .equilibria import sar_letter
@@ -37,9 +39,10 @@ def trajectories_csv(trajectories: list[Trajectory]) -> str:
         term = tr.terminal
         if tr.terminal_label:
             term = f"{term}({tr.terminal_label})"
-        out.writelines(f"{t:.17g},{x1:.17g},{x2:.17g},{tid},{term}\n"
-                       for t, (x1, x2) in zip(tr.times.tolist(),
-                                              tr.states.tolist()))
+        # every row of a trajectory in one % call; its tail is a literal
+        row = "%.17g,%.17g,%.17g," + f"{tid},{term}\n".replace("%", "%%")
+        out.write(row * len(tr.times) % tuple(
+            np.column_stack((tr.times, tr.states)).ravel().tolist()))
     return out.getvalue()
 
 
@@ -75,10 +78,10 @@ def portrait_svg(port: Portrait) -> str:
         return fmt(SIZE - (y + pad) * scale)
 
     def points(tr: Trajectory) -> str:
-        px = ((tr.states[:, 0] + pad) * scale).tolist()
-        py = (SIZE - (tr.states[:, 1] + pad) * scale).tolist()
-        # display precision: 0.01 px on the canvas
-        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        xy = (tr.states + pad) * scale
+        xy[:, 1] = SIZE - xy[:, 1]
+        # display precision: 0.01 px on the canvas, one % call
+        return ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')

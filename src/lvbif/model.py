@@ -91,28 +91,26 @@ def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _EPS = np.finfo(float).eps
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _roots(F, a, b, fa, fb, ftol):
-    """Zeros of F(x, idx) on the brackets [a, b], together but each as if
-    alone, by the Illinois method (Dowell & Jarratt 1971).  A bracket is
-    done once |F| <= its ftol (a scalar serves all) or it is below 4 eps
-    relative; one whose ends do not change sign keeps the end nearer zero."""
-    out = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    live = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
-    ftol = np.broadcast_to(ftol, out.shape)[live]
-    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
-    while live.size:
+    """The zero of the scalar F on the bracket [a, b] by the Illinois method
+    (Dowell & Jarratt 1971), on floats.  The bracket is done once |F| <=
+    ftol or it is below 4 eps relative; one whose ends do not change sign
+    (a NaN end included) keeps the end nearer zero."""
+    a, b, fa, fb = float(a), float(b), float(fa), float(fb)
+    if not np.sign(fa) * np.sign(fb) < 0.0:
+        return a if abs(fa) <= abs(fb) else b
+    while True:
+        # fb - fa != 0: the ends keep opposite signs (fa may underflow to
+        # 0), and with ftol >= 0 an exact zero of F ends the solve
         x = b - fb * (b - a) / (fb - fa)
-        f = F(x, live)
-        flip = np.sign(f) != np.sign(fb)
-        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        f = float(F(x))
+        if np.sign(f) != np.sign(fb):
+            a, fa = b, fb
+        else:
+            fa = 0.5 * fa
         b, fb = x, f
-        tol = 4.0 * _EPS * (np.abs(b) + 1.0)
-        done = (np.abs(f) <= ftol) | (np.abs(b - a) < tol)
-        out[live[done]] = b[done]
-        live, a, b, fa, fb, ftol = (v[~done]
-                                    for v in (live, a, b, fa, fb, ftol))
-    return out
+        if abs(f) <= ftol or abs(b - a) < 4.0 * _EPS * (abs(b) + 1.0):
+            return b
 
 
 class ParamArray(NamedTuple):

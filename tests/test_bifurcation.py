@@ -486,16 +486,33 @@ def test_trace_is_the_same_from_a_cold_or_a_warm_memo():
 
 def test_decompose_and_a_kind_by_kind_trace_solve_e3_once_per_radius(
         monkeypatch):
-    # one batched E3 solve and one Illinois solve per circle, however many
-    # radii and kinds are traced
+    # one batched E3 solve per circle and one Illinois solve per sign-change
+    # bracket on it, however many radii and kinds are traced
     solves = counting(monkeypatch, "refine_e3")
     illinois = counting(monkeypatch, "_roots")
     sys_ = deltazero_case(1.0, 1.5)
     decompose(sys_, None, 1e-3)
+    real = bif.circle_zeros
+
+    def brackets(r):
+        # each bracket gives one zero besides the four semi-axes; the
+        # circle is kept, so asking again solves nothing
+        return len(real(sys_, r)[0]) - len(bif.AXES)
+    assert len(illinois) == brackets(1e-3) > 0
+    per_radius = {}
+
+    def circle_zeros(sys_, r):
+        before = len(illinois)
+        out = real(sys_, r)
+        per_radius[r] = per_radius.get(r, 0) + len(illinois) - before
+        return out
+    monkeypatch.setattr(bif, "circle_zeros", circle_zeros)
     traced = dict(trace_every_kind(sys_, [1e-3, 5e-4, 1e-4]))
     assert {bif.T1, bif.T3, bif.T3_PLUS, bif.D_NEG, bif.D_POS} <= set(traced)
     assert solves.count(ParamArray) == 3
-    assert len(illinois) == 3
+    assert per_radius[1e-3] == 0
+    for r in (5e-4, 1e-4):
+        assert per_radius[r] == brackets(r) > 0, r
 
 
 def test_axis_and_fold_traces_survive_a_failed_circle(monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 
 from lvbif import bifurcation as bif
 from lvbif.cases import deltazero_case, nondegenerate_case
-from lvbif.dynamics import (ATOL, CONVERGED, LEFT_WINDOW, MAX_TIME, RTOL,
-                            integrate, portrait, separatrices)
-from lvbif.equilibria import Tolerances, find_equilibria
+from lvbif.dynamics import (_A, _B, _D, _E, ATOL, CONVERGED, LEFT_WINDOW,
+                            MAX_TIME, RTOL, _combo, integrate, portrait,
+                            separatrices)
+from lvbif.equilibria import SADDLE, Tolerances, find_equilibria
 from lvbif.errors import StepFailure
 from lvbif.model import ParamPoint, ReducedSystem, field_at
 
@@ -213,17 +214,35 @@ def test_portrait_terminals_match_scipy_rk45(name):
         assert np.hypot(*(tr.states[-1] - final)) <= 1e-9 * port.window
 
 
-def test_integrate_alone_equals_its_row_in_a_portrait():
-    sys_, mu, tol = PORTRAIT_INPUTS["saddle@216"]
+@pytest.mark.parametrize("name", sorted(PORTRAIT_INPUTS))
+def test_integrate_alone_equals_its_row_in_a_portrait(name):
+    # rows that end on different events in different steps are located
+    # one bracket at a time, as a row integrated alone is
+    sys_, mu, tol = PORTRAIT_INPUTS[name]
     port = portrait(sys_, mu, grid_density=4, tol=tol)
     alone = [integrate(sys_, mu, tr.initial) for tr in port.trajectories]
-    e3 = port.equilibria.get("E3")
-    alone += separatrices(sys_, mu, e3)
+    for eq in port.equilibria:
+        if eq.kind == SADDLE and eq.proper and not eq.trivial:
+            alone += separatrices(sys_, mu, eq)
     assert len(alone) == len(port.trajectories + port.separatrices)
     for a, b in zip(alone, port.trajectories + port.separatrices):
         assert a.times.tobytes() == b.times.tobytes()
         assert a.states.tobytes() == b.states.tobytes()
         assert (a.terminal, a.terminal_label) == (b.terminal, b.terminal_label)
+
+
+def test_stage_combinations_equal_the_left_to_right_sum():
+    # the reduce over the stage axis adds whole stages in order from 0.0,
+    # as sum() over the stages did, signed zeros included
+    rng = np.random.default_rng(7)
+    shape = (7, 2, 50)
+    K = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    K[rng.random(shape) < 0.2] = 0.0
+    K[rng.random(shape) < 0.2] = -0.0
+    K[:, :, :5] = -0.0
+    for w in [*_A, _B, _E, _D]:
+        expected = sum(wi * k for wi, k in zip(w.tolist(), K))
+        assert _combo(w, K).tobytes() == expected.tobytes()
 
 
 def test_non_finite_field_raises_step_failure():

@@ -290,9 +290,33 @@ def test_truncated_copy():
     assert t.degeneracy == sys_.degeneracy
 
 
-def test_brackets_solved_together_keep_the_zeros_each_gets_alone():
-    # four residuals of very different size, each done at its own floor;
-    # one floor for all (the smallest) moves the 3e-7 bracket's zero
+@np.errstate(divide="ignore", invalid="ignore")
+def batched_roots(F, a, b, fa, fb, ftol):
+    """The former batched Illinois solve, kept as the reference: F(x, idx)
+    evaluates the live brackets idx at once, ftol is a scalar or one per
+    bracket."""
+    out = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    live = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
+    ftol = np.broadcast_to(ftol, out.shape)[live]
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+    while live.size:
+        x = b - fb * (b - a) / (fb - fa)
+        f = F(x, live)
+        flip = np.sign(f) != np.sign(fb)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = x, f
+        tol = 4.0 * _EPS * (np.abs(b) + 1.0)
+        done = (np.abs(f) <= ftol) | (np.abs(b - a) < tol)
+        out[live[done]] = b[done]
+        live, a, b, fa, fb, ftol = (v[~done]
+                                    for v in (live, a, b, fa, fb, ftol))
+    return out
+
+
+def test_each_bracket_stops_at_its_own_ftol():
+    # four residuals of very different size, each done at its own floor,
+    # as the batched solve did them together; one floor for all (the
+    # smallest) moves the 3e-7 bracket's zero
     scales = np.array([1.0, 1e-12, 1e6, 3e-7])
     a, b = np.array([0.0, 0.1, 0.3, 0.2]), np.array([1.0, 1.3, 1.1, 0.9])
 
@@ -300,9 +324,45 @@ def test_brackets_solved_together_keep_the_zeros_each_gets_alone():
         return scales[idx] * (np.exp(x) - 2.0)
     ends = np.arange(4)
     fa, fb, ftol = F(a, ends), F(b, ends), 4.0 * _EPS * scales
-    together = _roots(F, a, b, fa, fb, ftol)
+    together = batched_roots(F, a, b, fa, fb, ftol)
+
+    def alone(k, floor):
+        return _roots(lambda x: F(x, k), a[k], b[k], fa[k], fb[k], floor)
     for k in range(4):
-        one = slice(k, k + 1)
-        alone = _roots(lambda x, idx: F(x, idx + k), a[one], b[one],
-                       fa[one], fb[one], ftol[k])
-        assert together[k].hex() == alone[0].hex(), k
+        assert alone(k, ftol[k]).hex() == together[k].hex(), k
+    assert alone(3, ftol.min()).hex() != together[3].hex()
+
+
+def test_the_scalar_illinois_equals_the_batched_one_bit_for_bit():
+    # 600 seeded cubics s (x - z)(1 + c x^2) + d x^3 on brackets with and
+    # without a sign change, ends exactly at a zero, NaN ends, equal ends,
+    # ends whose product underflows, ftol = 0 and one ftol per bracket,
+    # solved together by the batched reference and one at a time by _roots
+    rng = np.random.default_rng(25)
+    n = 600
+    s = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 6, n)
+    s[np.arange(n) % 12 == 0] *= 1e-160
+    z, c = rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)
+    d = s * np.where(rng.random(n) < 0.3, rng.uniform(-0.3, 0.3, n), 0.0)
+    a, b = z - rng.uniform(0.0, 1.0, n), z + rng.uniform(0.0, 1.0, n)
+    kind = np.arange(n) % 6
+    a[kind == 1] = z[kind == 1]                  # an end at z: a zero if d = 0
+    b[kind == 2] = a[kind == 2] - 0.1            # no sign change (mostly)
+    a[kind == 2] -= 0.5
+
+    def F(x, idx):
+        return s[idx] * (x - z[idx]) * (1.0 + c[idx] * x * x) \
+            + d[idx] * x * x * x
+    ends = np.arange(n)
+    fa, fb = F(a, ends), F(b, ends)
+    fa[kind == 3] = np.nan                       # NaN ends
+    fb[(kind == 4) & (np.arange(n) % 12 == 4)] = np.nan
+    fb[(kind == 2) & (np.arange(n) % 12 == 2)] = fa[kind == 2][::2]
+    ftol = np.abs(s) * 10.0 ** rng.uniform(-17, -8, n)
+    ftol[kind == 5] = 0.0
+    assert (np.sign(fa) * np.sign(fb) < 0.0).sum() > n // 4
+    together = batched_roots(F, a, b, fa, fb, ftol)
+    for k in range(n):
+        alone = _roots(lambda x: F(x, k), a[k], b[k], fa[k], fb[k], ftol[k])
+        assert type(alone) is float
+        assert alone.hex() == together[k].hex(), k
