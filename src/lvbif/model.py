@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,9 +130,12 @@ class ParamArray(NamedTuple):
     @classmethod
     def from_polar(cls, r: float, phis) -> "ParamArray":
         """The points ParamPoint.from_polar(r, phi) gives, phi in phis."""
-        phis = np.asarray(phis, dtype=float).tolist()
-        return cls(np.array([r * math.cos(p) for p in phis]),
-                   np.array([r * math.sin(p) for p in phis]))
+        phis = np.asarray(phis, dtype=float)
+        flat = phis.ravel().tolist()
+        # r * math.cos(p) element for element, as the scalar point has it
+        trig = lambda f: np.fromiter(map(f, flat), float,
+                                     len(flat)).reshape(phis.shape)
+        return cls(r * trig(math.cos), r * trig(math.sin))
 
 
 def check_disk(mu: ParamPoint, epsilon_disk: float = EPSILON_DISK) -> ParamPoint:
@@ -147,7 +150,7 @@ class Coeffs(NamedTuple):
     """All reduced coefficients evaluated at a fixed mu (the fast path).
 
     Evaluated at a ParamArray, the fields are arrays (a coefficient that is
-    identically zero stays the float 0.0) and every field helper below
+    constant in mu stays one float) and every field helper below
     broadcasts over them.
     """
 
@@ -238,14 +241,29 @@ class ReducedSystem:
     # the class of theta(0) and delta(0), set by __post_init__
     degeneracy: str = field(init=False)
     mu_negated: bool = False
+    # at's plan, set by __post_init__: the nine coefficients as the floats
+    # they are where constant in mu, and (Coeffs index, polynomial) for
+    # the others; and the hash the generated __hash__ would compute
+    _plan: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma.at_zero <= 0.0:
             raise SignError(
                 f"gamma(0) must be positive (got {self.gamma.at_zero!r})")
-        object.__setattr__(
-            self, "degeneracy",
-            classify_degeneracy(self.theta.at_zero, self.delta.at_zero))
+        set_ = lambda name, v: object.__setattr__(self, name, v)
+        set_("degeneracy",
+             classify_degeneracy(self.theta.at_zero, self.delta.at_zero))
+        polys = [getattr(self, n) for n in REDUCED_NAMES]
+        # 0.0 + c00 is what the term loop gives for a constant
+        set_("_plan", (tuple(0.0 + p.at_zero for p in polys),
+                       tuple((k, p) for k, p in enumerate(polys, 2)
+                             if not p.coeffs().keys() <= {(0, 0)})))
+        set_("_hash", hash(tuple(getattr(self, f.name) for f in fields(self)
+                                 if f.compare)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
@@ -302,15 +320,16 @@ class ReducedSystem:
         return self.P.at_zero
 
     def at(self, mu) -> Coeffs:
-        """Evaluate every coefficient function at mu (or at a ParamArray)."""
+        """Evaluate every coefficient function at mu (or at a ParamArray);
+        a coefficient constant in mu is the same float at both."""
         if not isinstance(mu, ParamArray):
             mu = ParamPoint.coerce(mu)
         m1, m2 = mu.mu1, mu.mu2
-        return Coeffs(
-            m1, m2,
-            self.theta(m1, m2), self.gamma(m1, m2), self.delta(m1, m2),
-            self.M(m1, m2), self.N(m1, m2), self.L(m1, m2),
-            self.S(m1, m2), self.P(m1, m2), self.R(m1, m2))
+        constants, varying = self._plan
+        vals = [m1, m2, *constants]
+        for k, p in varying:
+            vals[k] = p(m1, m2)
+        return Coeffs._make(vals)
 
     def truncated(self) -> "ReducedSystem":
         """Copy with the quadratic/cubic bracket coefficients forced to zero."""
@@ -323,6 +342,8 @@ class ReducedSystem:
             p: CoefficientPoly = getattr(self, n)
             if not p.is_zero():
                 d[n] = p.to_json_dict()
+        if self.mu_negated:
+            d["mu_negated"] = True
         return d
 
 
@@ -479,9 +500,11 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     Two forms are accepted: {"form": "raw", "p11": {...}, ...} or
     {"form": "reduced", "theta": {...}, ...}.  Exponent keys are "(i,j)"
     strings; missing coefficients are zero.  A raw system is reduced by
-    reduce, with either sign pair.  An unknown key, a coefficient that is
-    not a finite number, two keys naming one exponent pair and a degree
-    that is not an integer are errors.
+    reduce, with either sign pair; a reduced one may say "mu_negated":
+    true, as to_json_dict writes for a system that reduce relabeled.  An
+    unknown key, a coefficient that is not a finite number, two keys naming
+    one exponent pair, a degree that is not an integer and a mu_negated
+    that is not a JSON bool are errors.
     """
     if not isinstance(cfg, dict):
         raise ValueError("a system config must be a JSON object")
@@ -489,7 +512,8 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     names = {"raw": RAW_NAMES, "reduced": REDUCED_NAMES}.get(form)
     if names is None:
         raise ValueError(f"unknown system form {form!r}")
-    unknown = sorted(set(cfg) - {"form", "degree", *names})
+    flags = ("mu_negated",) if form == "reduced" else ()
+    unknown = sorted(set(cfg) - {"form", "degree", *names, *flags})
     if unknown:
         raise ValueError(f"unknown {form} config keys: {unknown}")
     degree = cfg.get("degree", DEFAULT_DEGREE)
@@ -504,7 +528,11 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
             raise ValueError(f"coefficient {n} is not finite: {cfg[n]!r}")
     if form == "raw":
         return reduce(RawSystem.from_coeffs(degree=degree, **polys))
-    return ReducedSystem.from_coeffs(degree=degree, **polys)
+    negated = cfg.get("mu_negated", False)
+    if type(negated) is not bool:
+        raise ValueError(f"mu_negated must be true or false, got {negated!r}")
+    return replace(ReducedSystem.from_coeffs(degree=degree, **polys),
+                   mu_negated=negated)
 
 
 def load_system(path) -> ReducedSystem:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lvbif.errors import (CollisionMismatch, DegenerateJacobian,
                           NotApplicable, UnsupportedCase)
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamArray,
                          ParamPoint, ReducedSystem, field_at, jacobian_at,
-                         mirror)
+                         mirror, system_from_dict)
 from lvbif.poly import linear_poly
 from lvbif.regions import decompose, select_case
 from lvbif.verification import sotomayor_fixture, sotomayor_suite
@@ -628,6 +629,23 @@ def test_scan_memo_is_reused_only_within_one_system(monkeypatch):
                        after.misses - before[1].misses))
     assert counts[0] == counts[1] == (2 * len(scan_systems(0)),
                                       len(scan_systems(0)))
+
+
+def test_an_equal_system_reads_the_memo_of_a_distinct_object(monkeypatch):
+    # systems hash and compare by value: an equal copy built apart finds
+    # the circle kept for the original, and the memo still holds only the
+    # last system, so another one in between empties it
+    solves = counting(monkeypatch, "refine_e3")
+    sys_ = deltazero_case(1.0, 1.5)
+    first = bif.circle_zeros(sys_, 1e-3)
+    assert solves.count(ParamArray) == 1
+    for copy in (replace(sys_), system_from_dict(sys_.to_json_dict())):
+        assert copy is not sys_
+        assert bif.circle_zeros(copy, 1e-3) is first
+    assert solves.count(ParamArray) == 1
+    bif.circle_zeros(nondegenerate_case(2.0, 1.0), 1e-3)
+    bif.circle_zeros(replace(sys_), 1e-3)
+    assert solves.count(ParamArray) == 3
 
 
 # -- the table of curve kinds -------------------------------------------------

@@ -94,6 +94,11 @@ def test_config_error_exit_code(tmp_path, capsys):
                        ({**good, "theta": {"(0,0)": "0.5"}}, "'0.5'"),
                        ({**good, "theta": {"(0,0)": 0.5, "( 0 , 0 )": -2.0}},
                         "'( 0 , 0 )'"),
+                       # mu_negated is a JSON bool of the reduced form
+                       ({**good, "mu_negated": 1}, "mu_negated"),
+                       ({**good, "mu_negated": "true"}, "mu_negated"),
+                       ({"form": "raw", "p12": -1.0, "p21": -1.0,
+                         "mu_negated": True}, "'mu_negated'"),
                        ([1, 2], "")):
         bad.write_text(json.dumps(cfg))
         code, _, err = run(capsys, "analyze", "--config", str(bad),
@@ -286,6 +291,11 @@ def test_analyze_negative_pair_reports_relabeling(tmp_path, capsys):
     assert code == 0
     assert "relabeled nu = -mu" in out
     assert "E3" in out
+    # the reduced config saved from it is analyzed alike, note included
+    saved = tmp_path / "neg_reduced.json"
+    saved.write_text(json.dumps(load_system(str(cfg)).to_json_dict()))
+    assert run(capsys, "analyze", "--config", str(saved),
+               "--mu", "1e-3,1e-3")[:2] == (0, out)
 
 
 def test_module_entry_point_subprocess():

@@ -1,16 +1,19 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from lvbif.errors import DiskError, DivisionError, SignError
 from lvbif.model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
-                         REDUCED_NAMES, THETA_ZERO, ParamPoint, RawSystem,
-                         ReducedSystem, _EPS, _roots, check_disk, eval_field,
-                         eval_jacobian, mirror, reduce, system_from_dict)
+                         REDUCED_NAMES, THETA_ZERO, ParamArray, ParamPoint,
+                         RawSystem, ReducedSystem, _EPS, _roots, check_disk,
+                         eval_field, eval_jacobian, load_system, mirror,
+                         reduce, system_from_dict)
 from lvbif.oracle import fd_jacobian
-from lvbif.poly import linear_poly
+from lvbif.poly import CoefficientPoly, linear_poly
 
 from conftest import rand_poly
 
@@ -366,3 +369,140 @@ def test_the_scalar_illinois_equals_the_batched_one_bit_for_bit():
         alone = _roots(lambda x: F(x, k), a[k], b[k], fa[k], fb[k], ftol[k])
         assert type(alone) is float
         assert alone.hex() == together[k].hex(), k
+
+
+# -- the evaluation plan, the hash and saved configs ---------------------------
+
+def term_loop(p: CoefficientPoly, mu1, mu2):
+    """CoefficientPoly.__call__ as every coefficient was evaluated before
+    ReducedSystem kept a plan: the reference for at."""
+    total = 0.0
+    for (i, j), v in p.coeffs().items():
+        total += v * mu1 ** i * mu2 ** j
+    return total
+
+
+def plan_system(rng) -> ReducedSystem:
+    """Nine coefficients, each zero, constant, linear or full at a degree
+    of 0 to 3, their exponent keys inserted in shuffled order."""
+    degree = int(rng.integers(0, 4))
+    pairs = [(i, t - i) for t in range(degree + 1) for i in range(t + 1)]
+    polys = {}
+    for name in REDUCED_NAMES:
+        shape = rng.integers(0, 4) if degree else rng.integers(0, 2)
+        keys = ([], [(0, 0)], [(0, 0), (1, 0), (0, 1)], pairs)[shape]
+        keys = [keys[k] for k in rng.permutation(len(keys))]
+        vals = rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(
+            -3.0, 1.0, len(keys))
+        polys[name] = CoefficientPoly(dict(zip(keys, vals)), degree)
+    if polys["gamma"].at_zero <= 0.0:
+        polys["gamma"] = CoefficientPoly(
+            {**polys["gamma"].coeffs(), (0, 0): 0.5}, degree)
+    return ReducedSystem(degree=degree, **polys)
+
+
+def test_the_plan_equals_the_term_loop_bit_for_bit():
+    # 300 seeded systems at ParamPoints and 1-D and 2-D ParamArrays whose
+    # components include +-0.0, +-1e-300 and |mu| near 1e-2: every field
+    # has the term loop's bits, and a constant one is a float at an array
+    rng = np.random.default_rng(26)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300])
+
+    def components(shape):
+        x = rng.choice([-1.0, 1.0], shape) * rng.uniform(3e-3, 8e-3, shape)
+        return np.where(rng.random(shape) < 0.3,
+                        rng.choice(special, shape), x)
+    shapes = 0
+    for _ in range(300):
+        sys_ = plan_system(rng)
+        polys = [getattr(sys_, n) for n in REDUCED_NAMES]
+        points = [ParamPoint(float(a), float(b))
+                  for a, b in zip(components(6), components(6))]
+        arrays = [ParamArray(components((7,)), components((7,))),
+                  ParamArray(components((3, 4)), components((3, 4)))]
+        for mu in points + arrays:
+            c = sys_.at(mu)
+            assert c.mu1 is mu.mu1 and c.mu2 is mu.mu2
+            for p, got in zip(polys, c[2:]):
+                want = term_loop(p, mu.mu1, mu.mu2)
+                if isinstance(mu, ParamPoint):
+                    assert type(got) is float
+                    assert got.hex() == want.hex(), (p, mu)
+                    continue
+                shape = np.shape(mu.mu1)
+                if p.coeffs().keys() <= {(0, 0)}:
+                    assert type(got) is float, p
+                else:
+                    assert got.shape == shape
+                    shapes += 1
+                assert ([float(v).hex() for v in np.broadcast_to(got, shape).flat]
+                        == [float(v).hex() for v in
+                            np.broadcast_to(want, shape).flat]), (p, mu)
+    assert shapes > 1000
+
+
+def negative_pair_system() -> ReducedSystem:
+    return reduce(RawSystem.from_coeffs(p11=2.0, p12=-1.0, p21=-1.0,
+                                        p22=-1.0))
+
+
+def shipped_fixtures() -> list[ReducedSystem]:
+    folder = resources.files("lvbif") / "fixtures"
+    return [load_system(str(f)) for f in sorted(folder.iterdir(),
+                                                key=lambda f: f.name)
+            if f.name.endswith(".json")]
+
+
+def test_a_saved_reduced_config_keeps_mu_negated():
+    systems = shipped_fixtures() + [negative_pair_system()]
+    assert len(systems) == 24 and systems[-1].mu_negated
+    for sys_ in systems:
+        cfg = sys_.to_json_dict()
+        # the key is written only when set, so no fixture's config changes
+        assert ("mu_negated" in cfg) == sys_.mu_negated
+        back = system_from_dict(json.loads(json.dumps(cfg)))
+        assert back == sys_ and hash(back) == hash(sys_)
+        assert back.mu_negated == sys_.mu_negated
+
+
+def test_mu_negated_is_a_json_bool_of_the_reduced_form_only():
+    cfg = negative_pair_system().to_json_dict()
+    assert cfg["mu_negated"] is True
+    assert not system_from_dict({**cfg, "mu_negated": False}).mu_negated
+    for bad in (1, 0, "true", None, 1.0, [True]):
+        with pytest.raises(ValueError, match="mu_negated"):
+            system_from_dict({**cfg, "mu_negated": bad})
+    with pytest.raises(ValueError, match="unknown raw config keys"):
+        system_from_dict({"form": "raw", "p12": -1.0, "p21": -1.0,
+                          "mu_negated": True})
+
+
+def test_equal_systems_hash_equal_and_hash_once(monkeypatch):
+    kw = dict(theta={(0, 0): -2.0, (1, 0): 0.5}, gamma=2.0,
+              delta={(0, 0): -1.0, (0, 1): 0.25, (1, 1): 0.75},
+              M=0.1, N=-0.3, P={(2, 0): 0.2})
+    sys_ = ReducedSystem.from_coeffs(**kw)
+    cfg = {n: {f"({i},{j})": v for (i, j), v in
+               CoefficientPoly.coerce(c).coeffs().items()}
+           for n, c in kw.items()}
+    equal = [ReducedSystem.from_coeffs(**kw), system_from_dict(cfg),
+             replace(sys_), mirror(mirror(sys_)),
+             system_from_dict(json.loads(json.dumps(sys_.to_json_dict())))]
+    for other in equal:
+        assert other is not sys_ and other == sys_
+        assert hash(other) == hash(sys_)
+    # the hash the generated dataclass __hash__ would give
+    assert hash(sys_) == hash(tuple(getattr(sys_, f.name)
+                                    for f in fields(sys_) if f.compare))
+    for other in (sys_.truncated(), replace(sys_, mu_negated=True)):
+        assert other != sys_
+    # the coefficients are hashed when the system is built, not after
+    hashed = []
+    real = CoefficientPoly.__hash__
+    monkeypatch.setattr(CoefficientPoly, "__hash__",
+                        lambda p: hashed.append(p) or real(p))
+    fresh = replace(sys_)
+    assert len(hashed) == len(REDUCED_NAMES)
+    for _ in range(3):
+        assert hash(fresh) == hash(sys_)
+    assert len(hashed) == len(REDUCED_NAMES)

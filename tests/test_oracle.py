@@ -357,6 +357,16 @@ def test_sign_scan_points_are_the_scalar_points():
     assert mu.mu1.tolist() == [p.mu1 for p in pts]
     assert mu.mu2.tolist() == [p.mu2 for p in pts]
     assert mu.norm.tolist() == [p.norm for p in pts]
+    # negative angles, angles past 2 pi and a 2-D input keep the scalar
+    # points' bits, the last in its own shape
+    rng = np.random.default_rng(26)
+    for phis in (-np.array(phis), np.array(phis) + 2.0 * math.pi,
+                 rng.uniform(-20.0, 20.0, (36, 40))):
+        mu = ParamArray.from_polar(3e-3, phis)
+        pts = [ParamPoint.from_polar(3e-3, p) for p in phis.flat]
+        assert mu.mu1.shape == mu.mu2.shape == phis.shape
+        assert [v.hex() for v in mu.mu1.flat] == [p.mu1.hex() for p in pts]
+        assert [v.hex() for v in mu.mu2.flat] == [p.mu2.hex() for p in pts]
 
 
 # a random NonDegenerate system whose grid roots used to come back twice:
