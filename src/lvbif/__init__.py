@@ -10,11 +10,9 @@ from .errors import (AmbiguousLabel, CollisionMismatch, DegenerateJacobian,
 from .poly import CoefficientPoly, linear_poly
 from .model import (DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
                     NONDEGENERATE, THETA_ZERO, ParamPoint, RawSystem,
-                    ReducedSystem, eval_field, eval_jacobian, load_system,
-                    reduce, system_from_dict)
+                    ReducedSystem, load_system, reduce, system_from_dict)
 from .equilibria import (Equilibrium, EquilibriumList, Tolerances,
-                         char_poly_identities, classify, find_equilibria,
-                         refine_e3, seed_e3)
+                         char_poly_identities, find_equilibria, refine_e3)
 from .bifurcation import (BifurcationCurve, SotomayorReport, collision_check,
                           parabola_point, sotomayor_saddle_node,
                           sotomayor_transcritical, trace_curve)
@@ -35,9 +33,9 @@ __all__ = [
     "CoefficientPoly", "linear_poly",
     "DELTA_ZERO", "DOUBLY_DEGENERATE", "EPSILON_DISK", "NONDEGENERATE",
     "THETA_ZERO", "ParamPoint", "RawSystem", "ReducedSystem",
-    "eval_field", "eval_jacobian", "load_system", "reduce", "system_from_dict",
+    "load_system", "reduce", "system_from_dict",
     "Equilibrium", "EquilibriumList", "Tolerances", "char_poly_identities",
-    "classify", "find_equilibria", "refine_e3", "seed_e3",
+    "find_equilibria", "refine_e3",
     "BifurcationCurve", "SotomayorReport", "collision_check", "parabola_point",
     "sotomayor_saddle_node", "sotomayor_transcritical", "trace_curve",
     "CaseDescriptor", "FamilyVerification", "RegionReport", "decompose",

@@ -100,22 +100,13 @@ class EquilibriumList(list):
 class Classification(NamedTuple):
     eigenvalues: tuple[complex, complex]
     kind: str
-    p: float      # half the Jacobian trace
-    det: float    # Jacobian determinant
-
-
-def classify(sys: ReducedSystem, mu, xi) -> Classification:
-    """Eigenvalues and kind at a state xi, by the closed 2x2 formulas."""
-    mu = ParamPoint.coerce(mu)
-    return _classify(jacobian_at(sys.at(mu), tuple(xi)), TOL_EIG * mu.norm)
 
 
 def _classify(jac, tol_eig: float) -> Classification:
-    """The Classification of one Jacobian; _letters gives its letter."""
+    """Eigenvalues and kind of one Jacobian; _letters gives its letter."""
     (j11, j12), (j21, j22) = jac
     p = 0.5 * (j11 + j22)
-    det = j11 * j22 - j12 * j21
-    disc = p * p - det
+    disc = p * p - (j11 * j22 - j12 * j21)
     s = math.sqrt(abs(disc))
     if disc >= 0.0:
         re1, re2, eigs = p - s, p + s, (complex(p - s), complex(p + s))
@@ -129,7 +120,7 @@ def _classify(jac, tol_eig: float) -> Classification:
         kind = REPELLER_FOCUS if disc < 0.0 else REPELLER_NODE
     else:
         kind = SADDLE
-    return Classification(eigs, kind, p, det)
+    return Classification(eigs, kind)
 
 
 def _letters(jac, tol_eig) -> np.ndarray:
@@ -200,12 +191,8 @@ def _quadratic_roots_array(a, b, c):
 # leading-order seeds
 # ---------------------------------------------------------------------------
 
-def seed_e3(sys: ReducedSystem, mu: ParamPoint) -> tuple[float, float]:
-    """Closed-form leading-order coordinates of the interior equilibrium."""
-    return _seed_e3(sys, sys.at(mu))
-
-
 def _seed_e3(sys: ReducedSystem, c: Coeffs):
+    """Closed-form leading-order E3 at c = sys.at(mu), a point or array."""
     m1, m2 = c.mu1, c.mu2
     if sys.degeneracy == NONDEGENERATE:
         den = c.theta * c.delta - 1.0

@@ -423,7 +423,7 @@ def mirror(sys: ReducedSystem) -> ReducedSystem:
 
 
 # ---------------------------------------------------------------------------
-# field evaluation (scalar fast paths on Coeffs, public wrappers on systems)
+# field evaluation on Coeffs, sys.at(mu) at a point or a ParamArray
 # ---------------------------------------------------------------------------
 
 def bracket1(c: Coeffs, x1: float, x2: float) -> float:
@@ -478,16 +478,6 @@ def hessian_form_at(c: Coeffs, xi: tuple[float, float],
     f2_22 = 2.0 * c.delta + 2.0 * c.S * x1 + 6.0 * c.P * x2
     return (f1_11 * v1 * v1 + 2.0 * f1_12 * v1 * v2 + f1_22 * v2 * v2,
             f2_11 * v1 * v1 + 2.0 * f2_12 * v1 * v2 + f2_22 * v2 * v2)
-
-
-def eval_field(sys: ReducedSystem, mu, xi) -> tuple[float, float]:
-    """Right-hand side of the reduced system at state xi."""
-    return field_at(sys.at(mu), tuple(xi))
-
-
-def eval_jacobian(sys: ReducedSystem, mu, xi):
-    """Analytic Jacobian of eval_field as a 2x2 nested tuple."""
-    return jacobian_at(sys.at(mu), tuple(xi))
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ LEVELS = 5
 
 
 def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
-    """Run-length-encoded signature structure of the circle |mu| = r.
+    """Run-length-encoded signature blocks of |mu| = r, sorted by start.
 
     Samples n_angles directions (offset by half a step so the axes are never
     hit exactly) and bisects every pair of neighbouring samples with
@@ -288,14 +288,11 @@ def sign_scan(sys: ReducedSystem, r: float, n_angles: int = 1440) -> SignScan:
 
 
 def blocks_from(scan: SignScan, phi: float) -> list[SignScanBlock]:
-    """Blocks in cyclic order starting from the one containing angle phi."""
-    phi %= TWO_PI
-    n = len(scan.blocks)
-    for i, b in enumerate(scan.blocks):
-        width = (b.end - b.start) % TWO_PI or TWO_PI
-        if (phi - b.start) % TWO_PI < width:
-            return [scan.blocks[(i + k) % n] for k in range(n)]
-    return list(scan.blocks)
+    """The blocks in cyclic order from the last to start at or before phi:
+    the block holding phi, or the one before a dropped narrow block's gap."""
+    first = min(range(len(scan.blocks)),
+                key=lambda i: (phi - scan.blocks[i].start) % TWO_PI)
+    return scan.blocks[first:] + scan.blocks[:first]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 from lvbif import bifurcation as bif
 from lvbif.cases import CANONICAL_BY_FAMILY
-from lvbif.model import ReducedSystem
+from lvbif.model import (DELTA_ZERO, NONDEGENERATE, REDUCED_NAMES, THETA_ZERO,
+                         ReducedSystem, mirror)
 from lvbif.poly import CoefficientPoly
 
 
@@ -74,6 +75,26 @@ def rand_thetazero(rng, require_n_positive: bool = False) -> ReducedSystem:
         theta=rand_poly(rng, 0.0, d1=t1, d2=t2), N=rand_poly(rng, N0),
         M=rand_poly(rng, c()), P=rand_poly(rng, c()), L=rand_poly(rng, c()),
         S=rand_poly(rng, c()), R=rand_poly(rng, c()))
+
+
+def rand_wide(rng, family: str) -> ReducedSystem:
+    """A system far from the moderate draws above: the leading coefficients
+    (theta and delta, or for DeltaZero theta, delta1 and P) log-uniform in
+    [1e-2, 1e2] with random signs, gamma log-uniform in [0.1, 10], every
+    other constant term uniform in [-1, 1], and every term in mu (degree
+    2) uniform in [-1, 1]; ThetaZero is the mirror of a DeltaZero draw."""
+    if family == THETA_ZERO:
+        return mirror(rand_wide(rng, DELTA_ZERO))
+    def lead(): return 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1, 1])
+    c0 = {n: rng.uniform(-1.0, 1.0) for n in REDUCED_NAMES}
+    c0.update(theta=lead(), gamma=10.0 ** rng.uniform(-1.0, 1.0),
+              delta=lead() if family == NONDEGENERATE else 0.0)
+    d1 = {}
+    if family == DELTA_ZERO:
+        d1["delta"], c0["P"] = lead(), lead()
+    return ReducedSystem.from_coeffs(**{
+        n: rand_poly(rng, c0[n], d1.get(n), spread=1.0)
+        for n in REDUCED_NAMES})
 
 
 def wedge_direction(rng, sys_: ReducedSystem, margin: float = 0.15,

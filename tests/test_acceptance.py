@@ -18,7 +18,7 @@ from lvbif.cli import main as cli_main
 from lvbif.equilibria import (Tolerances, char_poly_identities,
                               find_equilibria, refine_e3)
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, ParamPoint,
-                         ReducedSystem, eval_jacobian)
+                         ReducedSystem, jacobian_at)
 from lvbif.oracle import cross_check
 from lvbif.poly import linear_poly
 from lvbif.regions import decompose, verify_tables
@@ -108,11 +108,12 @@ def test_criterion_05_axis_eigenvalue_asymptotics():
         mu = ParamPoint.from_polar(r, phi)
         eqs = find_equilibria(sys_, mu, Tolerances(epsilon_disk=2e-2))
         m1, m2 = mu.mu1, mu.mu2
-        J1 = eval_jacobian(sys_, mu, eqs.get("E1").xi)
+        c = sys_.at(mu)
+        J1 = jacobian_at(c, eqs.get("E1").xi)
         errs[0].append(abs(J1[0][0] - (-m1)))
         errs[1].append(abs(J1[1][1] - (m2 - m1 / (th * g)
                                        + R0 * m1 * m1 / th**2)))
-        J2 = eval_jacobian(sys_, mu, eqs.get("E2").xi)
+        J2 = jacobian_at(c, eqs.get("E2").xi)
         errs[2].append(abs(J2[1][1] - (-m2)))
         errs[3].append(abs(J2[0][0] - (m1 - g * m2 / de
                                        + L0 * m2 * m2 / de**2)))
@@ -135,7 +136,7 @@ def test_criterion_05_axis_eigenvalue_asymptotics():
             eq = eqs.get(label)
             if eq is None or eq.trivial:
                 continue
-            lam_t = eval_jacobian(dz, mu, eq.xi)[1][1]
+            lam_t = jacobian_at(c, eq.xi)[1][1]
             expect = sgn * eq.xi[1] * math.sqrt(disc)
             assert abs(lam_t - expect) <= 1e-10 * max(abs(expect), 1e-300)
         checked += 1

@@ -5,12 +5,12 @@ import pytest
 
 from lvbif.bifurcation import N_SCAN, scan_circle
 import lvbif.equilibria as equilibria
-from lvbif.equilibria import (SADDLE, Tolerances, char_poly_identities,
-                              classify, find_equilibria, refine_e3, seed_e3,
+from lvbif.equilibria import (SADDLE, Tolerances, _seed_e3,
+                              char_poly_identities, find_equilibria, refine_e3,
                               stable_quadratic_roots)
 from lvbif.errors import DiskError, NewtonDivergence, UnsupportedCase
 from lvbif.model import (ParamPoint, ReducedSystem, bracket1, bracket2,
-                         eval_jacobian)
+                         jacobian_at)
 from lvbif.poly import linear_poly
 
 from conftest import (rand_deltazero, rand_nondegenerate, rand_thetazero,
@@ -180,18 +180,10 @@ def test_virtual_equilibria_flagged():
 
 def test_classify_origin_saddle():
     sys_ = canonical(1.0, 0.5)
-    cls = classify(sys_, (0.007, -0.007), (0.0, 0.0))
-    assert cls.kind == SADDLE
-    lam = sorted(z.real for z in cls.eigenvalues)
+    eq = find_equilibria(sys_, (0.007, -0.007)).get("E0")
+    assert eq.xi == (0.0, 0.0) and eq.kind == SADDLE
+    lam = sorted(z.real for z in eq.eigenvalues)
     assert lam[0] == pytest.approx(-0.007) and lam[1] == pytest.approx(0.007)
-
-
-def test_classify_reports_half_trace_and_det():
-    sys_ = canonical(-2.0, -1.0)
-    cls = classify(sys_, (1e-3, 1e-3), (0.002, 0.003))
-    J = eval_jacobian(sys_, (1e-3, 1e-3), (0.002, 0.003))
-    assert cls.p == pytest.approx(0.5 * (J[0][0] + J[1][1]))
-    assert cls.det == pytest.approx(J[0][0] * J[1][1] - J[0][1] * J[1][0])
 
 
 def test_classify_boundary_cases_match_the_letters():
@@ -342,7 +334,7 @@ def test_seed_vanishes_at_origin():
                                            delta=linear_poly(0, 1, 1), P=1.0),
                  ReducedSystem.from_coeffs(delta=1.0, gamma=1.0,
                                            theta=linear_poly(0, 1, 1), N=1.0)):
-        assert seed_e3(sys_, ParamPoint(0.0, 0.0)) == (0.0, 0.0)
+        assert _seed_e3(sys_, sys_.at(ParamPoint(0.0, 0.0))) == (0.0, 0.0)
 
 
 def test_seed_convergence_sweep(rng, monkeypatch):
@@ -365,7 +357,7 @@ def test_seed_convergence_sweep(rng, monkeypatch):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         for r in radii:
             mu = ParamPoint.from_polar(r, phi)
-            seed = seed_e3(sys_, mu)
+            seed = _seed_e3(sys_, sys_.at(mu))
             xi = refine_e3(sys_, mu)
             d = math.hypot(xi[0] - seed[0], xi[1] - seed[1])
             ratios[r] = max(ratios[r], d / (r * r))
@@ -388,7 +380,7 @@ def asymptotics_system():
 
 
 def axis_eigs(sys_, mu, eq):
-    J = eval_jacobian(sys_, mu, eq.xi)
+    J = jacobian_at(sys_.at(mu), eq.xi)
     return J[0][0], J[1][1]  # tangent, transverse (triangular on the axes)
 
 
@@ -399,11 +391,12 @@ def test_axis_eigenvalue_formulas_exact_at_nominal_point():
     N, R, P, L = 0.25, 0.4, -0.3, 0.2
     sys_ = canonical(th, de, g, N=N, R=R, P=P, L=L, M=0.2, S=0.1)
     m1, m2 = -8e-4, 6e-4
-    J = eval_jacobian(sys_, (m1, m2), (-m1 / th, 0.0))
+    c = sys_.at((m1, m2))
+    J = jacobian_at(c, (-m1 / th, 0.0))
     assert J[0][0] == pytest.approx(-m1 + 3 * N * m1 * m1 / th**2, rel=1e-12)
     assert J[1][1] == pytest.approx(m2 - m1 / (th * g) + R * m1 * m1 / th**2,
                                     rel=1e-12)
-    J = eval_jacobian(sys_, (m1, m2), (0.0, -m2 / de))
+    J = jacobian_at(c, (0.0, -m2 / de))
     assert J[1][1] == pytest.approx(-m2 + 3 * P * m2 * m2 / de**2, rel=1e-12)
     assert J[0][0] == pytest.approx(m1 - g * m2 / de + L * m2 * m2 / de**2,
                                     rel=1e-12)
@@ -444,15 +437,18 @@ def test_no_hopf_in_interior_wedge(rng):
         if phi is None:
             continue
         mu = ParamPoint.from_polar(1e-3, phi)
-        xi = refine_e3(sys_, mu)
-        cls = classify(sys_, mu, xi)
+        e3 = find_equilibria(sys_, mu).get("E3")
+        assert e3.xi == refine_e3(sys_, mu)
+        J = jacobian_at(sys_.at(mu), e3.xi)
+        p = 0.5 * (J[0][0] + J[1][1])     # the half-trace
+        eigenvalues = e3.eigenvalues
         hyp = sys_.theta0 * sys_.delta0 - 1.0
         if hyp > 0.0:
-            assert cls.p != 0.0
-            assert np.sign(cls.p) == np.sign(sys_.theta0)
+            assert p != 0.0
+            assert np.sign(p) == np.sign(sys_.theta0)
         else:
-            assert all(z.imag == 0.0 for z in cls.eigenvalues)
-        assert not (abs(cls.p) < 1e-15 and cls.eigenvalues[0].imag != 0.0)
+            assert all(z.imag == 0.0 for z in eigenvalues)
+        assert not (abs(p) < 1e-15 and eigenvalues[0].imag != 0.0)
         checked += 1
 
 
@@ -525,7 +521,7 @@ def test_batched_e3_raises_when_one_angle_fails(monkeypatch):
 def test_batched_e3_raises_on_a_nan_seed():
     sys_ = canonical(-2.0, -1.0)
     circle = scan_circle(1e-3)
-    x1, x2 = seed_e3(sys_, circle)
+    x1, x2 = _seed_e3(sys_, sys_.at(circle))
     x1[5] = math.nan
     with pytest.raises(NewtonDivergence):
         refine_e3(sys_, ParamPoint(circle.mu1[5], circle.mu2[5]),

@@ -10,8 +10,8 @@ from lvbif.errors import DiskError, DivisionError, SignError
 from lvbif.model import (DELTA_ZERO, DOUBLY_DEGENERATE, NONDEGENERATE,
                          REDUCED_NAMES, THETA_ZERO, ParamArray, ParamPoint,
                          RawSystem, ReducedSystem, _EPS, _roots, check_disk,
-                         eval_field, eval_jacobian, load_system, mirror,
-                         reduce, system_from_dict)
+                         field_at, jacobian_at, load_system, mirror, reduce,
+                         system_from_dict)
 from lvbif.oracle import fd_jacobian
 from lvbif.poly import CoefficientPoly, linear_poly
 
@@ -70,7 +70,7 @@ def transport_residual(raw: RawSystem, red: ReducedSystem, mu: ParamPoint,
     p21 = raw.p21(mu.mu1, mu.mu2)
     xi = (s * x * p12, s * y * p21)
     nu = ParamPoint(-mu.mu1, -mu.mu2) if negated else mu
-    fred = eval_field(red, nu, xi)
+    fred = field_at(red.at(nu), xi)
     fraw = raw.eval_field(mu, (x, y))
     # d(xi)/dt = (+-p12) * (dx/dtau) * (dtau/dt), with dtau/dt = +-1/2
     expect = (p12 * fraw[0] / 2.0, p21 * fraw[1] / 2.0)
@@ -163,23 +163,23 @@ def canonical(theta, delta, gamma=1.0, **kw):
 
 def test_field_origin_and_axis_invariance(rng):
     sys_ = canonical(0.7, -1.1, M=0.2, N=0.3, L=-0.4, S=0.1, P=0.2, R=-0.3)
-    assert eval_field(sys_, (1e-3, -2e-3), (0.0, 0.0)) == (0.0, 0.0)
+    assert field_at(sys_.at((1e-3, -2e-3)), (0.0, 0.0)) == (0.0, 0.0)
     for _ in range(50):
-        mu = rng.uniform(-5e-3, 5e-3, 2)
+        c = sys_.at(rng.uniform(-5e-3, 5e-3, 2))
         x = rng.uniform(-1e-2, 1e-2)
-        assert eval_field(sys_, mu, (x, 0.0))[1] == 0.0
-        assert eval_field(sys_, mu, (0.0, x))[0] == 0.0
+        assert field_at(c, (x, 0.0))[1] == 0.0
+        assert field_at(c, (0.0, x))[0] == 0.0
 
 
 def test_field_exact_interior_zero():
     sys_ = canonical(-2.0, -1.0)
-    f = eval_field(sys_, (0.001, 0.001), (0.002, 0.003))
+    f = field_at(sys_.at((0.001, 0.001)), (0.002, 0.003))
     assert f == (0.0, 0.0)
 
 
 def test_jacobian_at_origin_is_diagonal():
     sys_ = canonical(0.5, 0.5, M=0.2, N=0.1, L=0.3, S=0.4, P=0.5, R=0.6)
-    J = eval_jacobian(sys_, (0.01, -0.02), (0.0, 0.0))
+    J = jacobian_at(sys_.at((0.01, -0.02)), (0.0, 0.0))
     assert J[0][0] == pytest.approx(0.01)
     assert J[1][1] == pytest.approx(-0.02)
     assert J[0][1] == 0.0 and J[1][0] == 0.0
@@ -189,7 +189,7 @@ def test_jacobian_axis_structure(rng):
     sys_ = canonical(0.5, 0.5, M=0.2, N=0.1, L=0.3, S=0.4, P=0.5, R=0.6)
     for _ in range(20):
         xi2 = rng.uniform(0.0, 1e-2)
-        J = eval_jacobian(sys_, (1e-3, 1e-3), (0.0, xi2))
+        J = jacobian_at(sys_.at((1e-3, 1e-3)), (0.0, xi2))
         assert J[0][1] == 0.0
 
 
@@ -202,7 +202,7 @@ def test_jacobian_matches_finite_differences(rng):
                          P=rng.uniform(-1, 1), R=rng.uniform(-1, 1))
         mu = rng.uniform(-5e-3, 5e-3, 2)
         xi = rng.uniform(-5e-3, 5e-3, 2)
-        J = eval_jacobian(sys_, mu, xi)
+        J = jacobian_at(sys_.at(mu), xi)
         F = fd_jacobian(sys_, mu, xi)
         scale = max(abs(v) for row in J for v in row) + 1e-9
         for i in range(2):

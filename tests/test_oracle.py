@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from lvbif.cases import deltazero_case, nondegenerate_case
 from lvbif.cli import main as cli_main
 from lvbif.equilibria import find_equilibria
-from lvbif.model import (Coeffs, ParamArray, ParamPoint, ReducedSystem,
-                         bracket1, bracket2, system_from_dict)
+from lvbif.errors import LVError
+from lvbif.model import (DELTA_ZERO, NONDEGENERATE, THETA_ZERO, Coeffs,
+                         ParamArray, ParamPoint, ReducedSystem, bracket1,
+                         bracket2, system_from_dict)
 import lvbif.oracle as oracle
 from lvbif.oracle import (NARROW_FLOOR, cross_check, fd_jacobian,
                           grid_equilibria, sign_scan)
@@ -350,6 +353,32 @@ def test_sign_scan_merges_equal_neighbours_of_a_dropped_block(
         [a for a, _ in want[1:] + want[:1]], abs=NARROW_FLOOR)
 
 
+# three blocks with a gap at [2, 2.5), and three whose last one runs past
+# the zero angle
+GAP = [(0.0, 1.0), (1.0, 2.0), (2.5, 0.0)]
+WRAP = [(0.3, 1.0), (1.0, 2.5), (2.5, 0.3)]
+
+
+@pytest.mark.parametrize("spans, phi, first", [
+    (GAP, 0.5, 0), (GAP, 1.5, 1), (GAP, 6.0, 2),
+    # on a block start
+    (GAP, 0.0, 0), (GAP, 1.0, 1), (GAP, 2.5, 2),
+    # in the gap of a dropped block: the block before the gap
+    (GAP, 2.2, 1),
+    # beyond 2 pi, and below 0
+    (GAP, regions.TWO_PI + 1.5, 1), (GAP, regions.TWO_PI + 2.2, 1),
+    (GAP, -0.5, 2),
+    # inside the last block, past the zero angle
+    (WRAP, 0.1, 2), (WRAP, 6.0, 2), (WRAP, 0.3, 0),
+])
+def test_blocks_from_starts_at_the_last_block_to_start_by_phi(
+        spans, phi, first):
+    blocks = [oracle.SignScanBlock(a, b, (str(k),))
+              for k, (a, b) in enumerate(spans)]
+    assert (oracle.blocks_from(oracle.SignScan(blocks), phi)
+            == blocks[first:] + blocks[:first])
+
+
 def test_sign_scan_points_are_the_scalar_points():
     phis = [(k + 0.5) * 2.0 * math.pi / 1440 for k in range(1440)]
     mu = ParamArray.from_polar(3e-3, phis)
@@ -486,3 +515,49 @@ def test_each_broken_part_fails_on_its_own(monkeypatch, capsys, part):
     assert cli_main(["verify", "--family", "nondegenerate", "--oracle"]) == 1
     out = capsys.readouterr().out
     assert "  [FAIL] case I: " in out and "verification FAILED" in out
+
+
+# -- the wide random sweep -----------------------------------------------------
+
+WIDE_N = 50
+# per family, the outcome counts of the sweep where it was first committed:
+# the cross-check passes (ok), its blocks or block edges differ (rle/edge),
+# only its grid roots differ (roots), or a typed error names the failure
+WIDE_COUNTS = {
+    NONDEGENERATE: {"ok": 21, "rle/edge": 23, "NewtonDivergence": 6},
+    DELTA_ZERO: {"ok": 17, "rle/edge": 4, "roots": 5, "NewtonDivergence": 13,
+                 "SectorTooThin": 11},
+    THETA_ZERO: {"ok": 22, "rle/edge": 7, "roots": 1, "NewtonDivergence": 10,
+                 "SectorTooThin": 10},
+}
+# a defect seen in the sweep may recur up to this many times more, for
+# rounding in the companion-matrix roots (np.roots) of grid_equilibria that
+# may differ between platforms; the sweep was run on one platform only, so
+# the value is a guess, and a defect not seen there has no slack
+WIDE_SLACK = 2
+
+
+def _wide_outcome(sys_):
+    try:
+        check = cross_check(sys_, decompose(sys_, None, 1e-3))
+    except LVError as exc:
+        return type(exc).__name__
+    if check.ok:
+        return "ok"
+    return "roots" if check.rle and check.edges else "rle/edge"
+
+
+def test_wide_random_sweep_stays_within_its_defect_bounds():
+    # systems far from the moderate draws: every run ends in a cross-check
+    # or a typed LVError (any other exception, or a RuntimeWarning, fails
+    # the test), and no defect grows; the bounds are upper bounds, to be
+    # lowered as defects are mended
+    from conftest import rand_wide
+    rng = np.random.default_rng(0)
+    for family, recorded in WIDE_COUNTS.items():
+        counts = Counter(_wide_outcome(rand_wide(rng, family))
+                         for _ in range(WIDE_N))
+        for outcome, n in counts.items():
+            if outcome != "ok":
+                assert outcome in recorded, (family, counts)
+                assert n <= recorded[outcome] + WIDE_SLACK, (family, counts)
