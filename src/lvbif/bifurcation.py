@@ -32,8 +32,7 @@ from .errors import (CollisionMismatch, DegenerateJacobian,
                      UnsupportedCase)
 from .model import (DELTA_ZERO, EPSILON_DISK, NONDEGENERATE, THETA_ZERO,
                     ParamArray, ParamPoint, ReducedSystem, _EPS, _roots,
-                    field_at, hessian_form_at, jacobian_at, mirror,
-                    mirror_name)
+                    field_at, hessian_form_at, jacobian_at)
 
 # curve kinds
 T1 = "T1"
@@ -189,6 +188,15 @@ def _fold_axis(sys: ReducedSystem) -> int:
     return FOLD_AXIS[sys.degeneracy]
 
 
+def fold_scalars(sys: ReducedSystem) -> tuple[float, ...]:
+    """theta, delta1, delta2, P and gamma at mu = 0 of the DeltaZero system:
+    its own, or a ThetaZero system's mirror's, without building the mirror
+    (the swap trades the slopes; 1/gamma starts with 1/gamma(0))."""
+    if _fold_axis(sys):
+        return sys.theta0, sys.delta1, sys.delta2, sys.P0, sys.gamma0
+    return sys.delta0, sys.theta2, sys.theta1, sys.N0, 1.0 / sys.gamma0
+
+
 def fold_discriminant(sys: ReducedSystem, mu) -> float:
     """b^2 - 4 m a of the fold axis' quadratic a x^2 + b x + m: the axis-pair
     discriminant, delta^2 - 4 mu2 P (DeltaZero) or theta^2 - 4 mu1 N
@@ -225,14 +233,12 @@ def predicted_leading(sys: ReducedSystem, kind: str) -> float | None:
     if kind == H:
         den = th * g * (g - de)
         return (th * g - 1.0) * de / den if den != 0.0 else None
-    if sys.degeneracy == THETA_ZERO:
-        # mu1 = a mu2^2 on the system is nu2 = a nu1^2 on its mirror
-        return predicted_leading(mirror(sys), mirror_name(kind))
-    if sys.degeneracy == DELTA_ZERO:
-        d1, P0 = sys.delta1, sys.P0
+    if sys.degeneracy in FOLD_AXIS:
+        # mu1 = a mu2^2 on a ThetaZero system is nu2 = a nu1^2 on its mirror
+        _, d1, _, P0, g = fold_scalars(sys)
         if kind in (D_NEG, D_POS):
             return d1 * d1 / (4.0 * P0) if P0 != 0.0 else None
-        if kind in (T3, T3_PLUS):
+        if kind in ((T4, T4_PLUS), (T3, T3_PLUS))[_fold_axis(sys)]:
             return (d1 * g - P0) / (g * g)
     return None
 
@@ -530,12 +536,10 @@ def sotomayor_saddle_node(sys: ReducedSystem, mu0) -> SotomayorReport:
 
 
 def transcritical_branch(sys: ReducedSystem) -> str:
-    """Label of the axis point that meets the interior equilibrium."""
-    if sys.degeneracy == THETA_ZERO:
-        return mirror_name(transcritical_branch(mirror(sys)))
-    if sys.degeneracy != DELTA_ZERO:
-        raise NotApplicable("no collision branch rule for this class")
-    return "E21" if sys.gamma0 * sys.delta1 - 2.0 * sys.P0 < 0.0 else "E22"
+    """Label of the fold axis' root that meets the interior equilibrium."""
+    _, d1, _, P0, g = fold_scalars(sys)
+    pair = (("E11", "E12"), ("E21", "E22"))[_fold_axis(sys)]
+    return pair[0] if g * d1 - 2.0 * P0 < 0.0 else pair[1]
 
 
 def sotomayor_transcritical(sys: ReducedSystem, mu0) -> SotomayorReport:

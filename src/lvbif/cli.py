@@ -131,8 +131,6 @@ def cmd_curves(args) -> int:
 def cmd_portrait(args) -> int:
     sys_ = _load(args.config)
     mu = _parse_mu(args.mu)
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     port = portrait(sys_, mu, grid_density=args.grid)
     wrote = False
     if args.svg:

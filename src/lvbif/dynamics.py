@@ -272,7 +272,10 @@ def separatrices(sys: ReducedSystem, mu, saddle: Equilibrium,
 def portrait(sys: ReducedSystem, mu, grid_density: int = 10,
              tol: Tolerances = TOL) -> Portrait:
     """Phase portrait: a lattice of forward trajectories plus separatrices,
-    all integrated in one batch."""
+    all integrated in one batch.  Raises ValueError unless grid_density is
+    at least 1."""
+    if grid_density < 1:
+        raise ValueError(f"grid_density must be at least 1, got {grid_density}")
     mu, equilibria, window = _frame(sys, mu, tol, None, None)
     seeds = [(((i + 0.5) * window / grid_density,
                (j + 0.5) * window / grid_density), "forward")

@@ -392,16 +392,14 @@ def reduce(raw: RawSystem) -> ReducedSystem:
 # the coordinate-swap mirror
 # ---------------------------------------------------------------------------
 
-# equilibrium labels and curve kinds that trade places under the mirror;
-# every other name (D_branch_neg and D_branch_pos among them) is its own
-_SWAPPED = (("E1", "E2"), ("E11", "E21"), ("E12", "E22"), ("T1", "T2"),
-            ("T3", "T4"), ("T3plus", "T4plus"), ("Xplus", "Yplus"),
-            ("Xminus", "Yminus"))
+# equilibrium labels that trade places under the mirror; every other label
+# (E0 and E3) is its own
+_SWAPPED = (("E1", "E2"), ("E11", "E21"), ("E12", "E22"))
 MIRROR_NAMES = {**dict(_SWAPPED), **{b: a for a, b in _SWAPPED}}
 
 
 def mirror_name(name: str) -> str:
-    """The name a label or curve kind takes in the mirrored system."""
+    """The label an equilibrium takes in the mirrored system."""
     return MIRROR_NAMES.get(name, name)
 
 
@@ -443,18 +441,6 @@ def field_at(c: Coeffs, xi: tuple[float, float]) -> tuple[float, float]:
     return (x1 * bracket1(c, x1, x2), x2 * bracket2(c, x1, x2))
 
 
-def jacobian_at(c: Coeffs, xi: tuple[float, float]) -> tuple[tuple[float, float],
-                                                             tuple[float, float]]:
-    x1, x2 = xi
-    g1 = bracket1(c, x1, x2)
-    g2 = bracket2(c, x1, x2)
-    j11 = g1 + x1 * (c.theta + c.M * x2 + 2.0 * c.N * x1)
-    j12 = x1 * (c.gamma + c.M * x1 + 2.0 * c.L * x2)
-    j21 = x2 * (1.0 / c.gamma + c.S * x2 + 2.0 * c.R * x1)
-    j22 = g2 + x2 * (c.delta + c.S * x1 + 2.0 * c.P * x2)
-    return ((j11, j12), (j21, j22))
-
-
 def bracket_jacobian_at(c: Coeffs, xi: tuple[float, float]
                         ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Jacobian of (g1, g2); nonsingular even where equilibria collide."""
@@ -463,6 +449,15 @@ def bracket_jacobian_at(c: Coeffs, xi: tuple[float, float]
              c.gamma + c.M * x1 + 2.0 * c.L * x2),
             (1.0 / c.gamma + c.S * x2 + 2.0 * c.R * x1,
              c.delta + c.S * x1 + 2.0 * c.P * x2))
+
+
+def jacobian_at(c: Coeffs, xi: tuple[float, float]) -> tuple[tuple[float, float],
+                                                             tuple[float, float]]:
+    """Jacobian of the field (xi1 g1, xi2 g2), from the brackets' one."""
+    x1, x2 = xi
+    (b11, b12), (b21, b22) = bracket_jacobian_at(c, xi)
+    return ((bracket1(c, x1, x2) + x1 * b11, x1 * b12),
+            (x2 * b21, bracket2(c, x1, x2) + x2 * b22))
 
 
 def hessian_form_at(c: Coeffs, xi: tuple[float, float],

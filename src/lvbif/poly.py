@@ -82,14 +82,16 @@ class CoefficientPoly:
 
     @staticmethod
     def _parse_key(key) -> tuple[int, int]:
-        if isinstance(key, tuple):
+        """An exponent pair: an "(i,j)" string or two integers, not bools."""
+        m = isinstance(key, str) and _KEY_RE.match(key.strip())
+        if m:
+            return int(m[1]), int(m[2])
+        if isinstance(key, tuple) and len(key) == 2 and all(
+                isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                for k in key):
             return int(key[0]), int(key[1])
-        if isinstance(key, str):
-            m = _KEY_RE.match(key.strip())
-            if not m:
-                raise ValueError(f"bad exponent key {key!r}; expected '(i,j)'")
-            return int(m.group(1)), int(m.group(2))
-        raise TypeError(f"bad exponent key {key!r}")
+        raise ValueError(
+            f"bad exponent key {key!r}; expected '(i,j)' or two integers")
 
     # -- access ------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from .equilibria import (LABELS_BY_FAMILY, _signature_rows, _skip_e3,
 from .errors import OnCurve, SectorTooThin, UnsupportedCase
 from .model import (CLASS_TOL, DELTA_ZERO, DOUBLY_DEGENERATE, EPSILON_DISK,
                     NONDEGENERATE, THETA_ZERO, ParamArray, ParamPoint,
-                    ReducedSystem, mirror)
+                    ReducedSystem)
 from .reference import EXPECTED_SIGNATURES, ROW_DISPLAY, expected_column
 
 TWO_PI = 2.0 * math.pi
@@ -86,10 +86,9 @@ def select_case(sys: ReducedSystem) -> CaseDescriptor:
             (th, de, th * de - 1.0))))
     # ThetaZero is read as the DeltaZero case of its mirror; gamma > 0, so
     # gamma*delta1-P of the mirror has the sign of theta2-N*gamma
-    dz = sys if fam == DELTA_ZERO else mirror(sys)
-    d1, P0, g = dz.delta1, dz.P0, dz.gamma0
+    th, d1, d2, P0, g = bif.fold_scalars(sys)
     names = _CASE_NAMES[fam]
-    signs = tuple(map(_sign_of, names, (dz.theta0, d1, dz.delta2, P0,
+    signs = tuple(map(_sign_of, names, (th, d1, d2, P0,
                                         g * d1 - P0, g * d1 - 2.0 * P0)))
     # delta2 and P only have to be nonzero; the other four signs pick the
     # case, and P's sign decides whether the tables cover it

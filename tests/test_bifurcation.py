@@ -299,6 +299,11 @@ def test_collision_pair_on_t4_both_branches():
     assert rec.companion_kind.startswith("repeller")
 
 
+def test_transcritical_branch_needs_a_fold_axis():
+    with pytest.raises(NotApplicable, match="has no fold axis"):
+        bif.transcritical_branch(CANONICAL_NONDEGENERATE[0][1])
+
+
 def test_collision_on_t1_is_axis_point():
     sys_ = ReducedSystem.from_coeffs(theta=0.5, delta=0.5, gamma=1.0,
                                      M=0.1, N=0.1, L=0.1, S=0.1, P=0.1, R=0.1)

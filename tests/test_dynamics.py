@@ -88,6 +88,14 @@ def test_portrait_repeller_only_region_everything_leaves():
         assert r1 > r0
 
 
+@pytest.mark.parametrize("density", [0, -2])
+def test_portrait_rejects_a_grid_below_one(density):
+    # an empty lattice would hand the separatrices back as trajectories
+    with pytest.raises(ValueError, match="grid_density must be at least 1"):
+        portrait(nondegenerate_case(0.5, 0.5), (-8.09e-4, -5.88e-4),
+                 grid_density=density)
+
+
 def test_portrait_attractor_region_dominates():
     sys_ = ReducedSystem.from_coeffs(theta=-2.0, delta=-1.0, gamma=1.0,
                                      M=0.1, N=0.1, L=0.1, S=0.1, P=0.1, R=0.1)

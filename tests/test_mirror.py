@@ -10,13 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from lvbif.cases import deltazero_case, thetazero_case
+from lvbif import bifurcation as bif
+from lvbif.cases import CANONICAL_BY_FAMILY, deltazero_case, thetazero_case
 from lvbif.equilibria import LABELS_BY_FAMILY, find_equilibria
+from lvbif.errors import LVError
 from lvbif.model import (DELTA_ZERO, NONDEGENERATE, REDUCED_NAMES, THETA_ZERO,
                          ParamArray, ParamPoint, mirror, mirror_name)
-from lvbif.regions import decompose, signature_at
+from lvbif.poly import CoefficientPoly
+from lvbif.regions import decompose, select_case, signature_at, verify_tables
+from lvbif.verification import sotomayor_suite
 
-from conftest import rand_nondegenerate, rand_thetazero
+from conftest import rand_nondegenerate, rand_thetazero, rand_wide
 
 R = 1e-3
 N_SYSTEMS = 8
@@ -114,3 +118,52 @@ def test_thetazero_case_keeps_gamma_exactly():
         if name != "gamma":
             assert getattr(sys_, name) == getattr(twin, name), name
     assert sys_.degeneracy == THETA_ZERO
+
+
+def outcome(f, sys_):
+    """repr(f(sys_)), which tells floats apart bit for bit, or the type of
+    the typed error f raises."""
+    try:
+        return repr(f(sys_))
+    except LVError as exc:
+        return type(exc).__name__
+
+
+def case_cell(sys_):
+    desc = select_case(sys_)
+    return tuple(sign for _, sign in desc.signs), desc.table_supported
+
+
+def test_thetazero_case_rules_read_the_mirrors_scalars_bit_for_bit():
+    rng = np.random.default_rng(0)
+    systems = ([sys_ for _, sys_ in CANONICAL_BY_FAMILY[THETA_ZERO]]
+               + [rand_thetazero(rng) for _ in range(300)]
+               + [rand_wide(rng, THETA_ZERO) for _ in range(300)])
+    # the line kinds T1, T2 and H are left out: a mirrored slope is the
+    # reciprocal
+    kinds = ((bif.D_NEG, bif.D_NEG), (bif.D_POS, bif.D_POS),
+             (bif.T4, bif.T3), (bif.T4_PLUS, bif.T3_PLUS))
+    for sys_ in systems:
+        assert sys_.degeneracy == THETA_ZERO
+        twin = mirror(sys_)
+        assert repr(bif.fold_scalars(sys_)) == repr(bif.fold_scalars(twin))
+        assert outcome(case_cell, sys_) == outcome(case_cell, twin)
+        for kind, image in kinds:
+            assert repr(bif.predicted_leading(sys_, kind)) == \
+                repr(bif.predicted_leading(twin, image)), kind
+        assert bif.transcritical_branch(sys_) == \
+            mirror_name(bif.transcritical_branch(twin))
+
+
+def test_thetazero_analysis_builds_no_mirror(monkeypatch):
+    def swap_arguments(self):
+        raise AssertionError("a mirror was built")
+    monkeypatch.setattr(CoefficientPoly, "swap_arguments", swap_arguments)
+    assert verify_tables(THETA_ZERO).success
+    assert sotomayor_suite(THETA_ZERO).success
+    for _, sys_ in CANONICAL_BY_FAMILY[THETA_ZERO]:
+        select_case(sys_)
+        for kind in bif.admissible_kinds(sys_):
+            bif.trace_curve(sys_, kind, [1e-3, 1e-4])
+            bif.predicted_leading(sys_, kind)
+        bif.transcritical_branch(sys_)

@@ -31,6 +31,14 @@ def test_key_parsing_forms():
         CoefficientPoly.coerce({"0,0": 1.0})
 
 
+@pytest.mark.parametrize("key", [(1.5, 0), (1, 0, 7), (True, 0)])
+def test_a_tuple_key_is_two_integers_or_an_error(key):
+    # truncating any of them would read it silently as (1, 0)
+    with pytest.raises(ValueError, match="bad exponent key"):
+        CoefficientPoly.coerce({key: 2.0})
+    assert CoefficientPoly.coerce({(1, 0): 2.0}).coeffs() == {(1, 0): 2.0}
+
+
 def test_linear_poly_partials():
     p = linear_poly(1.0, -2.0, 3.0)
     assert (p.at_zero, p.d_mu1, p.d_mu2) == (1.0, -2.0, 3.0)
