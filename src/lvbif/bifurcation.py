@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -347,11 +348,17 @@ def trace_curve(sys: ReducedSystem, kind: str, radii) -> BifurcationCurve:
     half-line constraint (the curve is absent for this sign pattern).
     The circles' zeros come from circle_zeros, shared with decompose and
     the other kinds; a kind that reads E3 re-raises a circle's failure.
-    Raises ValueError unless each radius lies in (0, EPSILON_DISK) and is
+    radii may be any iterable of real numbers; the samples are floats.
+    Raises TypeError for a radius that is a bool, a string or no real
+    number, ValueError unless each radius lies in (0, EPSILON_DISK) and is
     given once, and NotApplicable when the kind does not exist for the
     class.
     """
+    radii = list(radii)
     for i, r in enumerate(radii):
+        if isinstance(r, bool) or not isinstance(r, numbers.Real):
+            raise TypeError(f"radius {r!r} is not a real number")
+        radii[i] = r = float(r)
         if not 0.0 < r < EPSILON_DISK:
             raise ValueError(f"radius {r!r} outside (0, epsilon_disk="
                              f"{EPSILON_DISK!r})")

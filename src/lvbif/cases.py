@@ -36,7 +36,7 @@ def thetazero_case(delta: float, theta2: float, N: float = 1.0,
     """The mirror of deltazero_case(delta, theta2, N, 1 / gamma, theta1)."""
     twin = mirror(deltazero_case(delta, theta2, N, 1.0 / gamma, theta1))
     # the mirror's 1/(1/gamma) can miss gamma in the last bit
-    return replace(twin, gamma=CoefficientPoly.coerce(gamma, twin.degree))
+    return replace(twin, gamma=CoefficientPoly(gamma, twin.degree))
 
 
 # one entry per case cell: (case id, descriptive signs, system)

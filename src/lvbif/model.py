@@ -49,6 +49,23 @@ RAW_NAMES = ("p11", "p12", "p13", "p14", "p15",
 REDUCED_NAMES = ("theta", "gamma", "delta", "M", "N", "L", "S", "P", "R")
 
 
+def _coefficient_polys(names: tuple[str, ...], degree: int,
+                       given: dict) -> dict[str, CoefficientPoly]:
+    """Each name's CoefficientPoly of this degree, zero where not given; an
+    unknown name is a TypeError, and a constructor error gains the name."""
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        raise TypeError(f"unknown coefficients: {unknown}")
+    # the zero polynomial checks the degree before any coefficient is read
+    polys = dict.fromkeys(names, CoefficientPoly(0.0, degree))
+    for n, value in given.items():
+        try:
+            polys[n] = CoefficientPoly(value, degree)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"coefficient {n}: {exc}") from None
+    return polys
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """A point of the small-parameter plane."""
@@ -185,11 +202,7 @@ class RawSystem:
 
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE, **kw) -> "RawSystem":
-        polys = {n: CoefficientPoly.coerce(kw.pop(n, 0.0), degree)
-                 for n in RAW_NAMES}
-        if kw:
-            raise TypeError(f"unknown raw coefficients: {sorted(kw)}")
-        return cls(degree=degree, **polys)
+        return cls(degree=degree, **_coefficient_polys(RAW_NAMES, degree, kw))
 
     def __post_init__(self):
         for name in ("p12", "p21"):
@@ -268,11 +281,8 @@ class ReducedSystem:
     @classmethod
     def from_coeffs(cls, degree: int = DEFAULT_DEGREE,
                     **kw) -> "ReducedSystem":
-        polys = {n: CoefficientPoly.coerce(kw.pop(n, 0.0), degree)
-                 for n in REDUCED_NAMES}
-        if kw:
-            raise TypeError(f"unknown reduced coefficients: {sorted(kw)}")
-        return cls(degree=degree, **polys)
+        return cls(degree=degree,
+                   **_coefficient_polys(REDUCED_NAMES, degree, kw))
 
     # convenient scalar views used throughout the analysis
     @property
@@ -333,7 +343,7 @@ class ReducedSystem:
 
     def truncated(self) -> "ReducedSystem":
         """Copy with the quadratic/cubic bracket coefficients forced to zero."""
-        zero = CoefficientPoly({}, self.degree)
+        zero = CoefficientPoly(0.0, self.degree)
         return replace(self, M=zero, N=zero, L=zero, S=zero, P=zero, R=zero)
 
     def to_json_dict(self) -> dict:
@@ -412,7 +422,7 @@ def mirror(sys: ReducedSystem) -> ReducedSystem:
     maps DeltaZero to ThetaZero and back, and NonDegenerate to itself.
     """
     swap = lambda p: p.swap_arguments()
-    inv_gamma = CoefficientPoly.constant(1.0, sys.degree).truncated_div(sys.gamma)
+    inv_gamma = CoefficientPoly(1.0, sys.degree).truncated_div(sys.gamma)
     return ReducedSystem(
         theta=swap(sys.delta), gamma=swap(inv_gamma), delta=swap(sys.theta),
         M=swap(sys.S), N=swap(sys.P), L=swap(sys.R),
@@ -487,9 +497,9 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     strings; missing coefficients are zero.  A raw system is reduced by
     reduce, with either sign pair; a reduced one may say "mu_negated":
     true, as to_json_dict writes for a system that reduce relabeled.  An
-    unknown key, a coefficient that is not a finite number, two keys naming
-    one exponent pair, a degree that is not an integer and a mu_negated
-    that is not a JSON bool are errors.
+    unknown key, a degree that is not an integer (an integral float is one)
+    and a mu_negated that is not a JSON bool are errors, and so is any
+    coefficient CoefficientPoly refuses.
     """
     if not isinstance(cfg, dict):
         raise ValueError("a system config must be a JSON object")
@@ -504,19 +514,13 @@ def system_from_dict(cfg: dict) -> ReducedSystem:
     degree = cfg.get("degree", DEFAULT_DEGREE)
     if isinstance(degree, float) and degree.is_integer():
         degree = int(degree)
-    if type(degree) is not int:   # a JSON true is a bool
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    polys = {n: CoefficientPoly.coerce(cfg[n], degree)
-             for n in names if n in cfg}
-    for n, p in polys.items():
-        if not all(map(math.isfinite, p.coeffs().values())):
-            raise ValueError(f"coefficient {n} is not finite: {cfg[n]!r}")
-    if form == "raw":
-        return reduce(RawSystem.from_coeffs(degree=degree, **polys))
     negated = cfg.get("mu_negated", False)
     if type(negated) is not bool:
         raise ValueError(f"mu_negated must be true or false, got {negated!r}")
-    return replace(ReducedSystem.from_coeffs(degree=degree, **polys),
+    given = {n: cfg[n] for n in names if n in cfg}
+    if form == "raw":
+        return reduce(RawSystem.from_coeffs(degree, **given))
+    return replace(ReducedSystem.from_coeffs(degree, **given),
                    mu_negated=negated)
 
 

@@ -3,10 +3,10 @@
 These deliberately avoid the closed-form seeds and quadratic formulas of the
 primary path: equilibria come from elimination (companion-matrix roots of the
 axis quadratics, and of the resultant quartic of the two brackets, whose
-interior roots finite-difference Newton refines), Jacobians from central
-differences, and sector structure from direct angular sampling with recursive
-boundary refinement.  They may be orders of magnitude slower; that is fine.
-cross_check holds a decomposition against them.
+interior roots Newton on the brackets refines), the field's Jacobian from
+central differences, and sector structure from direct angular sampling with
+recursive boundary refinement.  They may be orders of magnitude slower;
+that is fine.  cross_check holds a decomposition against them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibria import find_equilibria
 from .model import (Coeffs, ParamArray, ParamPoint, ReducedSystem, bracket1,
-                    bracket2, field_at)
+                    bracket2, bracket_jacobian_at, field_at)
 from .regions import TWO_PI, RegionReport, signature_at
 
 
@@ -41,9 +41,10 @@ def fd_jacobian(sys: ReducedSystem, mu, xi):
 # equilibria by elimination
 # ---------------------------------------------------------------------------
 
-def _fd_newton(c: Coeffs, x1: float, x2: float) -> tuple[float, float] | None:
-    """Finite-difference Newton on the bracket system, at most 40 steps;
-    None unless the residual falls below 1e-12 (1 + |seed|).
+def _bracket_newton(c: Coeffs, x1: float, x2: float
+                    ) -> tuple[float, float] | None:
+    """Newton on the bracket system with its exact Jacobian, at most 40
+    steps; None unless the residual falls below 1e-12 (1 + |seed|).
 
     From there iterates are polished while the residual still falls, so two
     seeds refining the same root agree to roundoff.
@@ -59,18 +60,13 @@ def _fd_newton(c: Coeffs, x1: float, x2: float) -> tuple[float, float] | None:
             return (x1, x2)
         if res <= 1e-12 * scale:
             polished = (res, (x1, x2))
-        h = 1e-7 * (1.0 + math.hypot(x1, x2))
-        a = (bracket1(c, x1 + h, x2) - bracket1(c, x1 - h, x2)) / (2 * h)
-        b = (bracket1(c, x1, x2 + h) - bracket1(c, x1, x2 - h)) / (2 * h)
-        d = (bracket2(c, x1 + h, x2) - bracket2(c, x1 - h, x2)) / (2 * h)
-        e = (bracket2(c, x1, x2 + h) - bracket2(c, x1, x2 - h)) / (2 * h)
+        (a, b), (d, e) = bracket_jacobian_at(c, (x1, x2))
         det = a * e - b * d
         if det == 0.0:
             return None if polished is None else polished[1]
         x1 -= (e * g1 - b * g2) / det
         x2 -= (-d * g1 + a * g2) / det
-    # an iterate that has not reached the polish tolerance is no root: from
-    # a far seed, step 40 can land 1e-8 short of a root found elsewhere
+    # an iterate that has not reached the polish tolerance is no root
     return None if polished is None else polished[1]
 
 
@@ -123,7 +119,7 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
 
     Both brackets are conics in (xi1, xi2), so there are at most 4 interior
     equilibria (Bezout), seeded from the roots of one resultant quartic
-    (_interior_seeds) and refined by finite-difference Newton; the axis roots
+    (_interior_seeds) and refined by Newton on the brackets; the axis roots
     are the real roots of the two axis quadratics, and the origin is always
     an equilibrium.  Roots come from companion-matrix eigenvalues
     (np.roots; Edelman & Murakami 1995), never from the primary solver's
@@ -148,7 +144,7 @@ def grid_equilibria(sys: ReducedSystem, mu, window, n: int = 400,
         roots += [(0.0, y) for y in _real_roots_in([c.P, c.delta, c.mu2],
                                                    y_lo, y_hi)]
     for x, y in _interior_seeds(c):
-        got = _fd_newton(c, x, y)
+        got = _bracket_newton(c, x, y)
         if got is not None and (x_lo <= got[0] <= x_hi
                                 and y_lo <= got[1] <= y_hi):
             roots.append(got)

@@ -8,9 +8,10 @@ is power-series division of the truncations.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import DivisionError
 
@@ -23,75 +24,68 @@ _KEY_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
 def _graded_exponents(degree: int) -> list[tuple[int, int]]:
-    out = []
-    for total in range(degree + 1):
-        for i in range(total, -1, -1):
-            out.append((i, total - i))
-    return out
+    return [(i, t - i) for t in range(degree + 1) for i in range(t, -1, -1)]
+
+
+def _is_int(k) -> bool:
+    return type(k) is int or (isinstance(k, numbers.Integral)
+                              and not isinstance(k, bool))
 
 
 class CoefficientPoly:
-    """A real polynomial sum c[i,j] mu1^i mu2^j with i + j <= degree."""
+    """A real polynomial sum c[i,j] mu1^i mu2^j with i + j <= degree.
+
+    value is a number (the constant term), an exponent->number mapping or
+    another polynomial.  degree is a non-negative int, each exponent key
+    passes _parse_key and names its pair once within the degree, and each
+    coefficient is a finite real number, not a bool or a string; anything
+    else raises ValueError or TypeError naming the culprit.
+    """
 
     __slots__ = ("_c", "degree")
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], float] | None = None,
-                 degree: int = DEFAULT_DEGREE):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        self.degree = int(degree)
+    def __init__(self, value=0.0, degree: int = DEFAULT_DEGREE):
+        if type(degree) is not int or degree < 0:
+            raise ValueError(
+                f"degree must be a non-negative int, got {degree!r}")
+        items = (value._c.items() if isinstance(value, CoefficientPoly) else
+                 value.items() if isinstance(value, Mapping) else
+                 [((0, 0), value)])
         c: dict[tuple[int, int], float] = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                i, j = int(i), int(j)
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent pair ({i}, {j})")
-                if i + j > self.degree:
-                    raise ValueError(
-                        f"exponent pair ({i}, {j}) exceeds degree {self.degree}")
-                v = float(v)
-                if v != 0.0:
-                    c[(i, j)] = v
-        self._c = c
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, degree: int = DEFAULT_DEGREE) -> "CoefficientPoly":
-        return cls({(0, 0): float(value)}, degree)
-
-    @classmethod
-    def coerce(cls, value, degree: int = DEFAULT_DEGREE) -> "CoefficientPoly":
-        """Accept a CoefficientPoly, a number, or an exponent->number mapping;
-        a bool or a string is not a number, and no exponent pair repeats."""
-        if isinstance(value, CoefficientPoly):
-            if value.degree == degree:
-                return value
-            return cls(value.coeffs(), degree)
-        items = (value.items() if isinstance(value, Mapping)
-                 else [((0, 0), value)])
-        parsed = {}
         for k, v in items:
-            key = cls._parse_key(k)
-            if key in parsed:
+            i, j = key = self._parse_key(k)
+            if key in c:
                 raise ValueError(f"exponent key {k!r} repeats {key}")
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise TypeError(f"coefficient {v!r} is not a number")
-            parsed[key] = float(v)
-        return cls(parsed, degree)
+            if i + j > degree:
+                raise ValueError(
+                    f"exponent pair {key} exceeds degree {degree}")
+            # the type test first: an isinstance against an ABC is slow
+            if type(v) is not float and (isinstance(v, bool) or
+                                         not isinstance(v, numbers.Real)):
+                raise TypeError(f"value {v!r} is not a real number")
+            try:
+                c[key] = float(v)
+            except OverflowError:   # an int past the float range
+                raise ValueError(f"value {v!r} is not finite") from None
+            if not math.isfinite(c[key]):
+                raise ValueError(f"value {v!r} is not finite")
+        self.degree = degree
+        self._c = c if all(c.values()) else {k: v for k, v in c.items() if v}
 
     @staticmethod
     def _parse_key(key) -> tuple[int, int]:
-        """An exponent pair: an "(i,j)" string or two integers, not bools."""
-        m = isinstance(key, str) and _KEY_RE.match(key.strip())
-        if m:
-            return int(m[1]), int(m[2])
-        if isinstance(key, tuple) and len(key) == 2 and all(
-                isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                for k in key):
-            return int(key[0]), int(key[1])
-        raise ValueError(
-            f"bad exponent key {key!r}; expected '(i,j)' or two integers")
+        """An exponent pair: an "(i,j)" string or two non-negative
+        integers, not bools."""
+        if isinstance(key, tuple) and len(key) == 2:
+            i, j = key
+            if _is_int(i) and _is_int(j) and i >= 0 and j >= 0:
+                return int(i), int(j)
+        elif isinstance(key, str):
+            m = _KEY_RE.match(key.strip())
+            if m:
+                return int(m[1]), int(m[2])
+        raise ValueError(f"bad exponent key {key!r}; expected '(i,j)' "
+                         "or two non-negative integers")
 
     # -- access ------------------------------------------------------------
 
@@ -130,7 +124,7 @@ class CoefficientPoly:
         return CoefficientPoly({k: -v for k, v in self._c.items()}, self.degree)
 
     def __mul__(self, other) -> "CoefficientPoly":
-        other = CoefficientPoly.coerce(other, self.degree)
+        other = CoefficientPoly(other, self.degree)
         c: dict[tuple[int, int], float] = {}
         for (i1, j1), v1 in self._c.items():
             for (i2, j2), v2 in other._c.items():
@@ -144,7 +138,7 @@ class CoefficientPoly:
 
         Requires |den(0)| >= DIV_FLOOR.
         """
-        den = CoefficientPoly.coerce(den, self.degree)
+        den = CoefficientPoly(den, self.degree)
         b0 = den.at_zero
         if abs(b0) < DIV_FLOOR:
             raise DivisionError(

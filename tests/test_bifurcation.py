@@ -82,6 +82,29 @@ def test_trace_rejects_a_radius_outside_the_disk_or_repeated(radii, match):
         bif.trace_curve(nondegenerate_case(-2.0, -1.0), bif.T1, radii)
 
 
+@pytest.mark.parametrize("radius", ["1e-3", True, None])
+def test_trace_refuses_a_radius_that_is_no_real_number(radius):
+    # a string is not parsed and a bool is not read as 1.0 or 0.0
+    with pytest.raises(TypeError, match="is not a real number"):
+        bif.trace_curve(nondegenerate_case(-2.0, -1.0), bif.T1,
+                        [1e-4, radius])
+
+
+def test_trace_reads_any_iterable_of_radii_as_floats():
+    # numpy radii used to leak np.float64 into the samples, and a generator
+    # was refused as not subscriptable
+    sys_ = nondegenerate_case(-2.0, -1.0)
+    want = bif.trace_curve(sys_, bif.T1, [1e-3, 1e-4])
+    assert len(want.samples) == 2
+    for radii in (np.array([1e-3, 1e-4]), (1e-3, 1e-4),
+                  (r for r in (1e-3, 1e-4))):
+        bif._circle_memo.cache_clear()   # equal radii would hit the memo
+        got = bif.trace_curve(sys_, bif.T1, radii)
+        assert got.samples == want.samples
+        assert all(type(v) is float for p in got.samples
+                   for v in (p.mu1, p.mu2))
+
+
 def test_kind_admissibility():
     with pytest.raises(NotApplicable):
         bif.trace_curve(dz(), bif.T4, [1e-3])

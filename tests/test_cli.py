@@ -76,14 +76,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a degree that is not an integer or a config that is not an object:
     # one line that names the culprit, no traceback
     good = load_system(fixture_path("nondegenerate_i.json")).to_json_dict()
-    for cfg, named in (({**good, "theta": {"(0,0)": None}}, ""),
-                       ({**good, "theta": "abc"}, ""),
+    for cfg, named in (({**good, "theta": {"(0,0)": None}}, "theta"),
+                       ({**good, "theta": None}, "theta"),
+                       ({**good, "theta": "abc"}, "theta"),
+                       ({"form": "raw", "p12": 1.0, "p21": 1.0,
+                         "p11": {"(1.5,0)": 1.0}}, "p11"),
                        ({**good, "degree": None}, "None"),
                        ({**good, "thta": {"(0,0)": 0.5}}, "'thta'"),
                        ({"form": "raw", "p12": 1.0, "p21": 1.0, "L": 1.0},
                         "'L'"),
                        ({**good, "delta": {"(0,0)": math.inf}}, "delta"),
                        ({**good, "theta": {"(0,0)": math.nan}}, "theta"),
+                       ({**good, "theta": 10 ** 400}, "theta"),
                        ({**good, "degree": 2.7}, "2.7"),
                        ({**good, "degree": True}, "True"),
                        ({**good, "form": "xyz"}, "'xyz'"),

@@ -286,6 +286,38 @@ def test_config_rejects_zero_p12():
                           "p21": {"(0,0)": 1.0}})
 
 
+@pytest.mark.parametrize("build, error, named", [
+    # a non-integer degree used to be saved and then refused on loading
+    (lambda: ReducedSystem.from_coeffs(degree=2.5, theta=1.0, gamma=1.0),
+     ValueError, "2.5"),
+    (lambda: ReducedSystem.from_coeffs(degree=True, theta=1.0, gamma=1.0),
+     ValueError, "True"),
+    # an infinite delta used to give NaN eigenvalues, every point a saddle
+    (lambda: ReducedSystem.from_coeffs(theta=-1.0, gamma=1.0,
+                                       delta=math.inf),
+     ValueError, "coefficient delta: value inf is not finite"),
+    (lambda: ReducedSystem.from_coeffs(theta="3", gamma=1.0),
+     TypeError, "coefficient theta: value '3'"),
+    (lambda: RawSystem.from_coeffs(p12=1.0, p21=1.0, p22={(1.5, 0): 2.0}),
+     ValueError, "coefficient p22: bad exponent key (1.5, 0)"),
+    (lambda: ReducedSystem.from_coeffs(gamma=1.0, thta=0.5),
+     TypeError, "unknown coefficients: ['thta']"),
+    # a raw config names the raw coefficient, not a reduced one
+    (lambda: system_from_dict({"form": "raw", "p12": 1.0, "p21": 1.0,
+                               "p11": {"(1,0)": 1.0, "(1, 0)": 2.0}}),
+     ValueError, "coefficient p11: exponent key '(1, 0)' repeats (1, 0)"),
+    (lambda: system_from_dict({"form": "raw", "p12": 1.0, "p21": 1.0,
+                               "p11": {"(1,2)": 1.0}}),
+     ValueError, "coefficient p11: exponent pair (1, 2) exceeds degree 2"),
+], ids=["degree-2.5", "degree-True", "delta-inf", "theta-string",
+        "p22-float-key", "unknown-name", "p11-repeated-key",
+        "p11-above-degree"])
+def test_every_system_input_passes_one_constructor(build, error, named):
+    with pytest.raises(error) as info:
+        build()
+    assert named in str(info.value)
+
+
 def test_truncated_copy():
     sys_ = canonical(2.0, 1.0, M=0.1, N=0.1, L=0.1, S=0.1, P=0.1, R=0.1)
     t = sys_.truncated()
@@ -483,7 +515,7 @@ def test_equal_systems_hash_equal_and_hash_once(monkeypatch):
               M=0.1, N=-0.3, P={(2, 0): 0.2})
     sys_ = ReducedSystem.from_coeffs(**kw)
     cfg = {n: {f"({i},{j})": v for (i, j), v in
-               CoefficientPoly.coerce(c).coeffs().items()}
+               CoefficientPoly(c).coeffs().items()}
            for n, c in kw.items()}
     equal = [ReducedSystem.from_coeffs(**kw), system_from_dict(cfg),
              replace(sys_), mirror(mirror(sys_)),

@@ -73,10 +73,11 @@ def test_grid_jitter_pass_is_deterministic():
 ])
 def test_grid_rejects_non_finite_input(coeffs, mu, window):
     # a NaN lattice value would flag every cell it touches, where the sign
-    # products it replaced flagged none, so such input is refused up front
-    sys_ = ReducedSystem.from_coeffs(
-        **{"theta": -1.0, "gamma": 1.0, "delta": -2.0, **coeffs})
+    # products it replaced flagged none, so such input is refused up front:
+    # a non-finite coefficient already when the system is built
     with pytest.raises(ValueError, match="finite"):
+        sys_ = ReducedSystem.from_coeffs(
+            **{"theta": -1.0, "gamma": 1.0, "delta": -2.0, **coeffs})
         grid_equilibria(sys_, mu, window, n=50)
 
 
@@ -95,12 +96,12 @@ def test_grid_finds_a_close_fold_axis_pair():
 
 def _count_newton(monkeypatch):
     calls = []
-    solve = oracle._fd_newton
+    solve = oracle._bracket_newton
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
-    monkeypatch.setattr(oracle, "_fd_newton", counted)
+    monkeypatch.setattr(oracle, "_bracket_newton", counted)
     return calls
 
 
@@ -147,11 +148,11 @@ def test_grid_makes_one_newton_solve_per_resultant_root(monkeypatch):
     assert len(roots) == 4
 
 
-def test_fd_newton_refuses_an_unpolished_last_step():
-    # a random DeltaZero system at a sector representative: from the real
-    # part of a complex resultant root, Newton wanders for 39 steps and its
-    # 40th lands 5e-9 from the interior root, which the old loose final
-    # test (residual <= 1e-9 (1 + |seed|)) kept as a second root
+def test_bracket_newton_refuses_an_unpolished_last_step():
+    # a random DeltaZero system at a sector representative: from a far
+    # seed, Newton wanders for 39 steps and its 40th lands 5e-9 from the
+    # interior root, with a residual of 3e-11 (1 + |seed|), which the old
+    # loose final test (residual <= 1e-9 (1 + |seed|)) kept as a second root
     c = Coeffs(
         mu1=-0.0014039391953035005, mu2=2.5412999246245524e-06,
         theta=-1.9447322482522467, gamma=0.8122254309972959,
@@ -159,9 +160,9 @@ def test_fd_newton_refuses_an_unpolished_last_step():
         N=-0.07464703067169443, L=-0.1991587790382471,
         S=-0.2797408800871296, P=-0.5654920922326482, R=-0.2162732374524459)
     root = (2.077764612355744e-06, 0.001734223289433559)
-    assert oracle._fd_newton(c, 10.978030648506696, -11.061867315830987) \
+    assert oracle._bracket_newton(c, 61.058444882467896, -4.12793674851378) \
         is None
-    got = oracle._fd_newton(c, 2.1e-6, 1.7e-3)
+    got = oracle._bracket_newton(c, 2.1e-6, 1.7e-3)
     assert math.hypot(got[0] - root[0], got[1] - root[1]) < 1e-15
 
 
@@ -399,7 +400,7 @@ def test_sign_scan_points_are_the_scalar_points():
 
 
 # a random NonDegenerate system whose grid roots used to come back twice:
-# finite-difference Newton stopped at the first residual below 1e-12, leaving
+# the oracle's Newton stopped at the first residual below 1e-12, leaving
 # copies of one root 3-5e-12 apart against a dedupe distance of about 1e-12
 _DUPLICATE_ROOTS_SYSTEM = {
     "form": "reduced", "degree": 2,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from lvbif.poly import CoefficientPoly, linear_poly
 
 
 def test_constant_and_eval():
-    p = CoefficientPoly.constant(3.5)
+    p = CoefficientPoly(3.5)
     assert p(0.0, 0.0) == 3.5
     assert p(0.2, -0.1) == 3.5
     assert p.at_zero == 3.5
@@ -25,18 +27,58 @@ def test_degree_bound_enforced():
 
 
 def test_key_parsing_forms():
-    p = CoefficientPoly.coerce({"(0,0)": 1.0, "(1, 0)": 2.0, "( 0 , 1 )": 3.0})
+    p = CoefficientPoly({"(0,0)": 1.0, "(1, 0)": 2.0, "( 0 , 1 )": 3.0})
     assert p.at_zero == 1.0 and p.d_mu1 == 2.0 and p.d_mu2 == 3.0
     with pytest.raises(ValueError):
-        CoefficientPoly.coerce({"0,0": 1.0})
+        CoefficientPoly({"0,0": 1.0})
 
 
 @pytest.mark.parametrize("key", [(1.5, 0), (1, 0, 7), (True, 0)])
 def test_a_tuple_key_is_two_integers_or_an_error(key):
     # truncating any of them would read it silently as (1, 0)
     with pytest.raises(ValueError, match="bad exponent key"):
-        CoefficientPoly.coerce({key: 2.0})
-    assert CoefficientPoly.coerce({(1, 0): 2.0}).coeffs() == {(1, 0): 2.0}
+        CoefficientPoly({key: 2.0})
+    assert CoefficientPoly({(1, 0): 2.0}).coeffs() == {(1, 0): 2.0}
+
+
+@pytest.mark.parametrize("value, degree, error, named", [
+    # keys: non-negative, named once, within the degree
+    ({(0, -1): 2.0}, 2, ValueError, "(0, -1)"),
+    ({"(0,0)": 1.0, (0, 0): 2.0}, 2, ValueError, "(0, 0)"),
+    ({(2, 1): 1.0}, 2, ValueError, "(2, 1)"),
+    # values: a finite real number, not a string or a bool
+    ({(1, 0): "3"}, 2, TypeError, "'3'"),
+    ("3", 2, TypeError, "'3'"),
+    (True, 2, TypeError, "True"),
+    (None, 2, TypeError, "None"),
+    ({(0, 0): math.inf}, 2, ValueError, "inf"),
+    (math.nan, 2, ValueError, "nan"),
+    (10 ** 400, 2, ValueError, "not finite"),
+    # degree: a non-negative int, not a bool
+    (1.0, 2.5, ValueError, "2.5"),
+    (1.0, True, ValueError, "True"),
+    (1.0, -1, ValueError, "-1"),
+], ids=["key-negative", "key-repeated", "key-above-degree", "value-string",
+        "number-string", "number-bool", "number-none", "value-inf",
+        "number-nan", "number-overflow", "degree-float", "degree-bool",
+        "degree-negative"])
+def test_the_constructor_refuses_bad_input_naming_it(value, degree, error,
+                                                      named):
+    with pytest.raises(error) as info:
+        CoefficientPoly(value, degree)
+    assert named in str(info.value)
+
+
+def test_the_constructor_takes_a_number_a_mapping_or_a_polynomial():
+    p = CoefficientPoly({(0, 0): 1.5, "(1,0)": 0.0, (np.int64(0), 1): -2})
+    assert p.coeffs() == {(0, 0): 1.5, (0, 1): -2.0}
+    assert all(type(v) is float for v in p.coeffs().values())
+    assert CoefficientPoly(np.float32(0.5)).coeffs() == {(0, 0): 0.5}
+    assert CoefficientPoly().is_zero() and CoefficientPoly(0).is_zero()
+    # another polynomial is copied at the new degree, where its terms fit
+    assert CoefficientPoly(p, 1) == p and CoefficientPoly(p, 1).degree == 1
+    with pytest.raises(ValueError, match="exceeds degree 0"):
+        CoefficientPoly(p, 0)
 
 
 def test_linear_poly_partials():
@@ -69,8 +111,7 @@ def test_division_floor():
 
 
 def test_division_exact_on_constants():
-    q = CoefficientPoly.constant(3.0).truncated_div(
-        CoefficientPoly.constant(2.0))
+    q = CoefficientPoly(3.0).truncated_div(CoefficientPoly(2.0))
     assert q.at_zero == 1.5 and len(q.coeffs()) == 1
 
 
@@ -122,4 +163,4 @@ def test_json_round_trip():
     p = CoefficientPoly({(0, 0): 1.5, (1, 1): -0.25})
     d = p.to_json_dict()
     assert d == {"(0,0)": 1.5, "(1,1)": -0.25}
-    assert CoefficientPoly.coerce(d) == p
+    assert CoefficientPoly(d) == p
